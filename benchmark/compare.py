@@ -4,9 +4,7 @@
   compare.py summarize DIR
       Reads DIR/<workload>.jsonl and DIR/<workload>.trace.jsonl (one full
       result per run, as `run.sh --record` writes them) and writes
-        DIR/summary.json  median, quartiles and spread of every metric;
-        DIR/counts.tsv    the exact counts the determinism self-check
-                          compares a run against.
+      DIR/summary.json: median, quartiles and spread of every metric.
       Prints each end-to-end spread next to its BENCHMARK.json bound.
 
   compare.py compare PARENT CHANGE
@@ -18,12 +16,15 @@
         gain        the change wins at least 9 of 10 pairs (ties count for
                     neither) and its median beats the parent's by more than
                     the parent's own quartile distance;
+        refused     it would be a gain, but the change's runs fail more
+                    operations than the parent's;
         regression  the change's median is worse than the parent's by more
                     than the metric's bound;
         unresolved  the parent's spread is wider than the bound, and not
                     every change run beats every parent run;
         same        otherwise.
-      Exits 1 when any pairing regresses.
+      Each workload's row also gives the failed operations of each side.
+      Exits 1 when any pairing regresses or any change run is incorrect.
 
 Spread is the distance between the first and third quartile
 (statistics.quantiles, n=4) as a share of the median.
@@ -90,7 +91,6 @@ def group(runs):
 def summarize(directory):
     spec = bench_spec()
     summary = {}
-    counts = ["# workload seed src_hash exact counts (run.sh --record)"]
     for key, runs in sorted(group(load_runs(directory)).items()):
         section = "per_layer" if runs[0]["trace"] else "end_to_end"
         metrics = {}
@@ -108,11 +108,6 @@ def summarize(directory):
             "metrics": metrics,
         }
         if not runs[0]["trace"]:
-            for r in runs:
-                exact = " ".join(f"{n}={m['value']:.17g}"
-                                 for n, m in sorted(r["exact"].items()))
-                counts.append(f"{r['workload']} {r['seed']} "
-                              f"{r['provenance']['src_hash']} {exact}")
             print(f"{key}: {len(runs)} runs, correct="
                   f"{summary[key]['correct']}")
             for name in runs[0]["end_to_end"]:
@@ -125,12 +120,13 @@ def summarize(directory):
     with open(os.path.join(directory, "summary.json"), "w") as f:
         json.dump(summary, f, indent=1, sort_keys=True)
         f.write("\n")
-    with open(os.path.join(directory, "counts.tsv"), "w") as f:
-        f.write("\n".join(counts) + "\n")
 
 
-def verdict(parent, change, better, bound):
-    """Verdict for one metric from the paired runs of both sides."""
+def verdict(parent, change, better, bound, fails_more):
+    """Verdict for one metric from the paired runs of both sides.
+
+    `fails_more`: the change's runs failed more operations than the
+    parent's, so a gain does not count."""
     wins = sum(1 for p, c in zip(parent, change)
                if (c < p if better == "lower" else c > p))
     q1, med_p, q3 = quartiles(parent)
@@ -145,7 +141,7 @@ def verdict(parent, change, better, bound):
         return wins, "unresolved"
     if wins >= 0.9 * min(len(parent), len(change)) and \
             sign * (med_p - med_c) > q3 - q1:
-        return wins, "gain"
+        return wins, "refused" if fails_more else "gain"
     return wins, "same"
 
 
@@ -154,20 +150,29 @@ def compare(parent_path, change_path):
     parent = group(r for r in load_runs(parent_path) if not r["trace"])
     change = group(r for r in load_runs(change_path) if not r["trace"])
     regressed = False
+    incorrect = False
     print(f"{'workload':16s} {'metric':12s} {'parent med [q1,q3]':30s} "
           f"{'change med [q1,q3]':30s} wins  verdict")
     for workload in sorted(set(parent) & set(change)):
         p_runs = sorted(parent[workload], key=lambda r: r["seed"])
         c_runs = sorted(change[workload], key=lambda r: r["seed"])
         pairs = min(len(p_runs), len(c_runs))
+        p_failed = sum(r["failed"] for r in p_runs[:pairs])
+        c_failed = sum(r["failed"] for r in c_runs[:pairs])
+        wrong = [r["seed"] for r in c_runs if not r["correct"]]
+        incorrect |= bool(wrong)
+        print(f"{workload:16s} failed ops: parent {p_failed}, change "
+              f"{c_failed}" + (f"; incorrect change runs, seeds {wrong}"
+                               if wrong else ""))
         for name, m in spec.items():
             pv = [r["end_to_end"][name]["value"] for r in p_runs[:pairs]]
             cv = [r["end_to_end"][name]["value"] for r in c_runs[:pairs]]
-            wins, result = verdict(pv, cv, m["better"], m["bound"])
+            wins, result = verdict(pv, cv, m["better"], m["bound"],
+                                   c_failed > p_failed)
             regressed |= result == "regression"
             print(f"{workload:16s} {name:12s} {summary_text(pv):30s} "
                   f"{summary_text(cv):30s} {wins:2d}/{pairs}  {result}")
-    return 1 if regressed else 0
+    return 1 if regressed or incorrect else 0
 
 
 def summary_text(values):

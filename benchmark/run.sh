@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # sbbench: build the benchmark from source and run it.
 #
-#   benchmark/run.sh [--workload W|all] [--seed N] [--seconds S]
-#                    [--trace [0|1]] [--smoke] [--record]
+#   benchmark/run.sh [--workload W|all] [--seed N] [--trace 0|1]
+#                    [--smoke] [--record]
 #
 #   --workload  pathvector | pathvector-rsa | hashjoin | placement-churn |
 #               serve-churn | all (default)
-#   --seed      input seed (default 1)
-#   --seconds   measured time per workload run (default 15)
-#   --trace     per-layer run: prints the per-layer metrics and writes
+#   --seed      seed of the run's input family (default 1)
+#   --trace 1   per-layer run: prints the per-layer metrics and writes
 #               benchmark/out/<workload>.trace.json
 #   --smoke     every workload at toy sizes, through ctest (under 15 s)
 #   --record    rebaseline: seeds 1..10 of every workload into
 #               benchmark/results/, then summarize them
+#
+# A run measures for a fixed 15 s. `--seconds 15` is accepted, because the
+# command interface passes it; sbbench refuses any other value.
 #
 # Build logs go to stderr; stdout carries only results. The last stdout
 # line of a single-workload run is {"correct", "attempted", "failed",
@@ -22,18 +24,13 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
-workload=all seed=1 seconds=15 trace=0 smoke=0 record=0
+workload=all seed=1 trace=0 smoke=0 record=0 seconds=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workload="$2"; shift 2 ;;
     --seed) seed="$2"; shift 2 ;;
-    --seconds) seconds="$2"; shift 2 ;;
-    --trace)
-      if [ $# -gt 1 ] && { [ "$2" = 0 ] || [ "$2" = 1 ]; }; then
-        trace="$2"; shift 2
-      else
-        trace=1; shift
-      fi ;;
+    --seconds) seconds=(--seconds "$2"); shift 2 ;;
+    --trace) trace="$2"; shift 2 ;;
     --smoke) smoke=1; shift ;;
     --record) record=1; shift ;;
     *) echo "run.sh: unknown argument '$1'" >&2; exit 2 ;;
@@ -52,18 +49,16 @@ if [ "$smoke" = 1 ]; then
   exec ctest --test-dir "$build" --output-on-failure >&2
 fi
 
-# The committed count baseline applies only to the sources it was
-# recorded from.
-src_hash="$(find src benchmark/src -type f | LC_ALL=C sort | xargs sha256sum |
-            sha256sum | cut -c1-16)"
-git_sha="$(git rev-parse --short=12 HEAD 2>/dev/null || echo none)"
+# Only a repository rooted here names the commit; never look above it.
+git_sha="$(GIT_CEILING_DIRECTORIES="$(dirname "$root")" \
+           git rev-parse --short=12 HEAD 2>/dev/null || echo none)"
 
 all_workloads="pathvector pathvector-rsa hashjoin placement-churn serve-churn"
 [ "$workload" = all ] && workloads="$all_workloads" || workloads="$workload"
 
 run_one() {  # workload seed
-  "$build/sbbench" --workload "$1" --seed "$2" --seconds "$seconds" \
-      --trace "$trace" --git-sha "$git_sha" --src-hash "$src_hash"
+  "$build/sbbench" --workload "$1" --seed "$2" --trace "$trace" \
+      --git-sha "$git_sha" "${seconds[@]}"
 }
 
 status=0

@@ -1,8 +1,8 @@
-// sbbench: runs one workload (or all, for the smoke test) for --seconds,
-// checks its outputs and prints every metric with its unit.
+// sbbench: runs one workload (or all, for the smoke test) for a fixed
+// kRunSeconds, checks its outputs and prints every metric with its unit.
 //
-//   sbbench --workload W|all --seed N --seconds S --trace 0|1 [--smoke]
-//           [--git-sha SHA] [--src-hash H]
+//   sbbench --workload W|all --seed N --trace 0|1 [--seconds 15] [--smoke]
+//           [--git-sha SHA]
 //
 // Output: one JSON line with the full result (provenance, every metric,
 // the checks), then, as the last line, {"correct", "attempted", "failed",
@@ -10,11 +10,13 @@
 // metrics (--trace 1). The full result and the span trace also go to
 // benchmark/out/. Exit status is nonzero when a check fails.
 //
-// A run repeats trials on the same seeded inputs until --seconds have
-// passed (at least three). End-to-end times come from the fastest trial;
-// per-layer values are medians over traced trials. With --trace 1,
-// untraced and traced trials alternate, and the ratio of their fastest
-// run_s is the tracing overhead.
+// The seed draws a family of kInputsPerRound inputs. After one untimed
+// warm-up trial, a run repeats rounds, each one trial per input, until
+// kRunSeconds have passed (untraced: at least two). Each trial yields every
+// end-to-end value; the run reports the median over its trials. Per-layer
+// values are medians over traced trials. With --trace 1 every input's
+// untraced trial is followed by a traced one, and the ratio of their
+// median run_s is the tracing overhead.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -22,10 +24,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "report.h"
 #include "workloads.h"
 
@@ -37,19 +39,19 @@ namespace {
 struct Args {
   std::string workload = "all";
   uint64_t seed = 1;
-  double seconds = 15;
   bool trace = false;
   bool smoke = false;
   std::string git_sha = "unknown";
-  /// Hash of the program and benchmark sources (run.sh computes it); the
-  /// committed count baseline applies only to the sources it was
-  /// recorded from.
-  std::string src_hash;
 };
 
 constexpr const char* kOutDir = "benchmark/out";
-constexpr const char* kBaseline = "benchmark/results/counts.tsv";
-constexpr size_t kMinTrials = 3;
+// Run length, the same on every commit compared. --seconds exists only
+// because the command interface passes it, and must equal this.
+constexpr double kRunSeconds = 15;
+// Inputs per round. A workload's cost still moves a few percent from
+// input to input (path-vector message counts over ten seeds: 723-753); a
+// median over eight inputs keeps that out of the run-to-run spread.
+constexpr size_t kInputsPerRound = 8;
 
 // End-to-end metrics (BENCHMARK.json end_to_end), measured untraced.
 const char* const kEndToEnd[] = {"setup_s", "run_s", "op_p50_ms", "op_p90_ms",
@@ -131,15 +133,14 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->seed = std::strtoull(value.c_str(), &end, 10);
       if (*end != '\0') return false;
     } else if (flag == "--seconds") {
-      args->seconds = std::strtod(value.c_str(), &end);
-      if (*end != '\0' || !(args->seconds >= 0)) return false;
+      if (std::strtod(value.c_str(), &end) != kRunSeconds || *end != '\0') {
+        return false;
+      }
     } else if (flag == "--trace") {
       if (value != "0" && value != "1") return false;
       args->trace = value == "1";
     } else if (flag == "--git-sha") {
       args->git_sha = value;
-    } else if (flag == "--src-hash") {
-      args->src_hash = value;
     } else {
       return false;
     }
@@ -147,31 +148,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return true;
 }
 
-/// Exact counts recorded for (workload, seed) from the same sources, or
-/// empty when the baseline has no such entry.
-Values BaselineCounts(const std::string& workload, uint64_t seed,
-                      const std::string& src_hash) {
-  std::ifstream in(kBaseline);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string w, hash;
-    uint64_t s = 0;
-    if (!(fields >> w >> s >> hash) || w != workload || s != seed ||
-        hash != src_hash) {
-      continue;
-    }
-    Values counts;
-    std::string kv;
-    while (fields >> kv) {
-      const size_t eq = kv.find('=');
-      if (eq == std::string::npos) continue;
-      counts[kv.substr(0, eq)] = std::strtod(kv.c_str() + eq + 1, nullptr);
-    }
-    return counts;
-  }
-  return {};
+/// Seed of input `k` in the family drawn from the run seed.
+uint64_t InputSeed(uint64_t seed, size_t k) {
+  secureblox::SplitMix64 mix(seed);
+  uint64_t out = 0;
+  for (size_t i = 0; i <= k; ++i) out = mix.Next();
+  return out;
 }
 
 std::string MetricsJson(const Values& values,
@@ -193,11 +175,12 @@ std::string AllMetricsJson(const Values& values) {
   return MetricsJson(values, names);
 }
 
-std::vector<double> Collect(const std::vector<Trial>& trials,
-                            double Trial::*field) {
-  std::vector<double> out;
-  for (const Trial& t : trials) out.push_back(t.*field);
-  return out;
+std::string ListJson(const std::vector<double>& values) {
+  std::string out = "[";
+  for (size_t i = 0; i < values.size(); ++i) {
+    out += (i ? ", " : "") + JsonNumber(values[i]);
+  }
+  return out + "]";
 }
 
 std::vector<double> Pool(const std::vector<Trial>& trials,
@@ -225,66 +208,69 @@ Values MedianOf(const std::vector<Trial>& trials, Values Trial::*member) {
 
 /// Runs one workload; returns true when every check passed.
 bool RunWorkload(const Workload& w, const Args& args) {
+  // Smoke runs trace too, so both paths are checked, on one input.
+  const bool trace = args.trace || args.smoke;
+  const size_t inputs = args.smoke ? 1 : kInputsPerRound;
+  // Every input runs at least twice, so the determinism check has a
+  // repeat; a traced round already runs each input twice.
+  const size_t min_rounds = trace ? 1 : 2;
+  const double budget = args.smoke ? 0 : kRunSeconds;
+  // An untimed warm-up trial on input 0 first: the process's first set-up
+  // takes 0.1-0.2 s, ten or more times a later one (first-use
+  // initialization), which no user pays twice. It still counts for the
+  // checks.
+  const Trial warmup = w.run({InputSeed(args.seed, 0), args.smoke, false, 0});
+  // Trial i of `plain` (and of `traced`) ran input i % inputs.
   std::vector<Trial> plain, traced;
+  size_t rounds = 0;
+  uint64_t index = 1;
   const Clock::time_point start = Clock::now();
-  const size_t min_trials = args.smoke ? 1 : kMinTrials;
-  for (uint64_t i = 0;; ++i) {
-    // Smoke runs trace every other trial too, so both paths are checked.
-    const bool trace_this = (args.trace || args.smoke) && i % 2 == 1;
-    TrialOptions opts{args.seed, args.smoke, trace_this, i};
-    (trace_this ? traced : plain).push_back(w.run(opts));
-    const bool enough =
-        plain.size() >= min_trials &&
-        (!(args.trace || args.smoke) || traced.size() >= min_trials);
-    const double budget = args.smoke ? 0 : args.seconds;
-    if (enough && SecondsSince(start) >= budget) break;
+  for (; rounds < min_rounds || SecondsSince(start) < budget; ++rounds) {
+    for (size_t k = 0; k < inputs; ++k) {
+      TrialOptions opts{InputSeed(args.seed, k), args.smoke, false, index++};
+      plain.push_back(w.run(opts));
+      if (!trace) continue;
+      opts.traced = true;
+      opts.index = index++;
+      traced.push_back(w.run(opts));
+    }
   }
-  std::vector<Trial> all = plain;
-  all.insert(all.end(), traced.begin(), traced.end());
 
   std::vector<std::string> errors;
   uint64_t attempted = 0, failed = 0;
-  for (const Trial& t : all) {
-    attempted += t.attempted;
-    failed += t.failed;
-    if (!t.error.empty()) errors.push_back(t.error);
+  for (const std::vector<Trial>* trials : {&plain, &traced}) {
+    for (const Trial& t : *trials) {
+      attempted += t.attempted;
+      failed += t.failed;
+      if (!t.error.empty()) errors.push_back(t.error);
+    }
   }
+  attempted += warmup.attempted;
+  failed += warmup.failed;
+  if (!warmup.error.empty()) errors.push_back(warmup.error);
 
   // Determinism self-check: the pinned schedule makes these counts repeat
-  // exactly across trials and match the baseline recorded from the same
-  // sources.
+  // exactly on every trial of one input, traced or not.
+  std::vector<const Values*> exact(inputs, nullptr);
   std::string repeat = "identical";
-  for (const Trial& t : all) {
-    if (t.error.empty() && t.exact != all.front().exact) {
+  if (warmup.error.empty()) exact[0] = &warmup.exact;
+  for (const std::vector<Trial>* trials : {&plain, &traced}) {
+    for (size_t i = 0; i < trials->size(); ++i) {
+      const Trial& t = (*trials)[i];
+      const Values*& first = exact[i % inputs];
+      if (!t.error.empty()) continue;
+      if (first == nullptr) first = &t.exact;
+      if (t.exact == *first || repeat == "differs") continue;
       repeat = "differs";
       errors.push_back("determinism: exact counts differ across trials of "
-                       "one seed (the pinned schedule leaked)");
-      break;
-    }
-  }
-  std::string baseline = "unrecorded";
-  if (!args.smoke && !args.src_hash.empty()) {
-    const Values recorded = BaselineCounts(w.name, args.seed, args.src_hash);
-    if (!recorded.empty()) {
-      baseline = "match";
-      for (const auto& [key, value] : recorded) {
-        auto it = all.front().exact.find(key);
-        if (it == all.front().exact.end() || it->second != value) {
-          baseline = "differs";
-          errors.push_back("determinism: " + key + " differs from the "
-                           "committed baseline for this seed and source");
-          break;
-        }
-      }
+                       "one input (the pinned schedule leaked)");
     }
   }
 
-  // Each trial yields setup_s, run_s and the p50/p90 of its own op
-  // latencies; a run reports the fastest trial. Interference from other
-  // tenants of the host comes in bursts that slow every trial they overlap,
-  // by up to 80% for seconds at a time, and only ever adds time: the
-  // fastest of ~20 trials is the steady estimate of the program's cost.
-  // The medians over trials are kept in the full result.
+  // Each trial yields setup_s, run_s and the p50/p90 of its own ops; a run
+  // reports the median over its trials. Other tenants of the host slow
+  // single trials by up to 80%, in bursts; the median ignores a minority of
+  // slowed trials.
   std::map<std::string, std::vector<double>> per_trial;
   for (const Trial& t : plain) {
     per_trial["setup_s"].push_back(t.setup_s);
@@ -294,17 +280,15 @@ bool RunWorkload(const Workload& w, const Args& args) {
     per_trial["op_p50_ms"].push_back(Percentile(it->second, 50));
     per_trial["op_p90_ms"].push_back(Percentile(it->second, 90));
   }
-  Values e2e, e2e_median;
-  for (const auto& [name, values] : per_trial) {
-    e2e[name] = *std::min_element(values.begin(), values.end());
-    e2e_median[name] = Median(values);
-  }
-  // Trial 0 runs first in the process, so its high-water mark is the
+  for (const Trial& t : traced) per_trial["traced_run_s"].push_back(t.run_s);
+  Values e2e;
+  for (const auto& [name, values] : per_trial) e2e[name] = Median(values);
+  // The warm-up runs first in the process, so its high-water mark is the
   // program's own set-up and run, not an earlier trial's checks.
-  e2e["peak_rss_mb"] = plain.front().rss_mb;
+  e2e["peak_rss_mb"] = warmup.rss_mb;
 
   Values extra = MedianOf(plain, &Trial::extra);
-  // p99 needs more samples than one trial has on most workloads: pooled.
+  // Tail percentiles need more samples than one trial has: pooled.
   const std::vector<double> op_ms = Pool(plain, "op_ms");
   extra["op_p99_ms"] = Percentile(op_ms, 99);
   const std::vector<double> query_us = Pool(plain, "query_us");
@@ -324,11 +308,7 @@ bool RunWorkload(const Workload& w, const Args& args) {
     const std::vector<double> apply_us = Pool(traced, "engine.apply_us");
     layers["engine.apply_p50_us"] = Percentile(apply_us, 50);
     layers["engine.apply_p99_us"] = Percentile(apply_us, 99);
-    const std::vector<double> traced_run_s = Collect(traced, &Trial::run_s);
-    layers["trace_overhead_frac"] =
-        *std::min_element(traced_run_s.begin(), traced_run_s.end()) /
-            e2e["run_s"] -
-        1.0;
+    layers["trace_overhead_frac"] = e2e["traced_run_s"] / e2e["run_s"] - 1.0;
     // Layers a workload never exercises read zero.
     for (const char* name : kPerLayer) layers.emplace(name, 0.0);
   }
@@ -354,36 +334,38 @@ bool RunWorkload(const Workload& w, const Args& args) {
     error_list += (i ? ", " : "") + JsonString(errors[i]);
   }
   error_list += "]";
-  JsonObject determinism;
-  determinism.Str("repeat", repeat).Str("baseline", baseline);
-  auto list = [](const std::vector<double>& values) {
-    std::string out = "[";
-    for (size_t i = 0; i < values.size(); ++i) {
-      out += (i ? ", " : "") + JsonNumber(values[i]);
-    }
-    return out + "]";
-  };
+  std::string exact_list = "[";
+  for (size_t k = 0; k < inputs; ++k) {
+    exact_list += (k ? ", " : "") + AllMetricsJson(exact[k] ? *exact[k]
+                                                            : Values{});
+  }
+  exact_list += "]";
   JsonObject trials;
-  trials.Int("plain", plain.size())
+  trials.Int("rounds", rounds)
+      .Int("inputs", inputs)
+      .Int("plain", plain.size())
       .Int("traced", traced.size())
-      .Int("op_samples", op_ms.size());
-  for (const auto& [name, values] : per_trial) trials.Raw(name, list(values));
+      .Int("op_samples", op_ms.size())
+      .Num("warmup_setup_s", warmup.setup_s)
+      .Num("warmup_run_s", warmup.run_s);
+  for (const auto& [name, values] : per_trial) {
+    trials.Raw(name, ListJson(values));
+  }
   JsonObject full;
   full.Str("workload", w.name)
       .Int("seed", args.seed)
-      .Num("seconds", args.seconds)
+      .Num("seconds", kRunSeconds)
       .Bool("trace", args.trace)
       .Bool("smoke", args.smoke)
-      .Raw("provenance", ProvenanceJson(args.git_sha, args.src_hash))
+      .Raw("provenance", ProvenanceJson(args.git_sha))
       .Raw("trials", trials.Text())
       .Bool("correct", correct)
       .Int("attempted", attempted)
       .Int("failed", failed)
       .Raw("errors", error_list)
-      .Raw("determinism", determinism.Text())
-      .Raw("exact", AllMetricsJson(all.front().exact))
+      .Str("determinism", repeat)
+      .Raw("exact", exact_list)
       .Raw("end_to_end", MetricsJson(e2e, e2e_names))
-      .Raw("median_of_trials", AllMetricsJson(e2e_median))
       .Raw("extra", AllMetricsJson(extra))
       .Raw("per_layer", AllMetricsJson(layers));
   std::printf("%s\n", full.Text().c_str());
@@ -425,8 +407,10 @@ int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: sbbench --workload W|all --seed N --seconds S "
-                 "--trace 0|1 [--smoke] [--git-sha SHA] [--src-hash H]\n");
+                 "usage: sbbench --workload W|all --seed N --trace 0|1 "
+                 "[--seconds 15] [--smoke] [--git-sha SHA]\n"
+                 "The run length is fixed at 15 s; --seconds accepts only "
+                 "that value.\n");
     return 2;
   }
   bool ok = true;

@@ -149,13 +149,11 @@ std::string CpuModel() {
 
 }  // namespace
 
-std::string ProvenanceJson(const std::string& git_sha,
-                           const std::string& src_hash) {
+std::string ProvenanceJson(const std::string& git_sha) {
   using secureblox::engine::DetectSimdMode;
   using secureblox::engine::SimdModeName;
   JsonObject p;
   p.Str("git_sha", git_sha)
-      .Str("src_hash", src_hash)
       .Str("cpu_model", CpuModel())
       .Int("nproc", std::thread::hardware_concurrency())
       .Str("simd", SimdModeName(DetectSimdMode()))

@@ -61,8 +61,7 @@ std::string JsonString(const std::string& s);
 std::string JsonNumber(double value);
 
 /// Host and build facts recorded with every result.
-std::string ProvenanceJson(const std::string& git_sha,
-                           const std::string& src_hash);
+std::string ProvenanceJson(const std::string& git_sha);
 
 }  // namespace sbbench
 

@@ -32,7 +32,8 @@ struct Trial {
   double run_s = 0;
   /// Peak RSS right after the measured phase (before any check).
   double rss_mb = 0;
-  /// Per-op latency samples, pooled across trials before percentiles:
+  /// Per-op latency samples, pooled over a round's trials (tails over the
+  /// whole run) before percentiles:
   /// "op_ms" on every workload, plus "engine.apply_us" (traced) and the
   /// serve-churn split "query_us" / "update_ms".
   std::map<std::string, std::vector<double>> samples;
