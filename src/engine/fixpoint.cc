@@ -550,18 +550,6 @@ Status FixpointDriver::RunStagedTasks(
 
 Status FixpointDriver::ApplyStagedTasks(
     std::vector<std::unique_ptr<EnumTask>>& tasks, size_t begin, size_t end) {
-  // Pre-size the target relations from the staged batch so the hot insert
-  // loop never rehashes mid-round.
-  std::map<PredId, size_t> incoming;
-  for (size_t i = begin; i < end; ++i) {
-    if (tasks[i]->retract) continue;
-    for (const auto& [pred, tuple] : tasks[i]->pending) ++incoming[pred];
-  }
-  for (const auto& [pred, count] : incoming) {
-    Relation* rel = store_.GetRelation(pred);
-    if (rel != nullptr) rel->Reserve(rel->size() + count);
-  }
-
   for (size_t i = begin; i < end; ++i) {
     EnumTask& t = *tasks[i];
     if (!t.retract) {

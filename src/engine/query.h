@@ -165,7 +165,9 @@ class QueryEngine {
   Result<std::string> EnsureMagicPred(datalog::PredId pred, Adornment a);
   /// The one-tuple guard predicate of the current install batch.
   Result<datalog::Atom> BatchSeedGuard(std::vector<FactUpdate>* seeds);
-  /// Read the answer relation filtered by the bound pattern, sorted.
+  /// Read the answer relation filtered by the bound pattern, sorted,
+  /// decoding only the matching rows. A pure read that builds no index:
+  /// TryWarm runs it under NodeRuntime's shared lock.
   std::vector<Tuple> Probe(const ResolvedGoal& goal) const;
   /// Sum of version stamps over the goal predicate's dependency closure,
   /// or nullopt when the closure was never memoized (pure read — the memo

@@ -182,26 +182,6 @@ InsertOutcome Relation::Insert(const Tuple& t) {
   return InsertOutcome::kInserted;
 }
 
-void Relation::Reserve(size_t n) {
-  if (n <= total_size_) return;
-  // Assume an even spread (hash-partitioned), with one extra row of slack
-  // per shard so small batches over many shards still avoid a rehash.
-  size_t per_shard = n / shards_.size() + 1;
-  for (Shard& s : shards_) {
-    if (columnar_) {
-      for (auto& col : s.cols) col.reserve(per_shard);
-      s.counts.reserve(per_shard);
-      s.cindex_.reserve(per_shard);
-      if (decl_->functional) s.cfd_index_.reserve(per_shard);
-      continue;
-    }
-    s.tuples.reserve(per_shard);
-    s.counts.reserve(per_shard);
-    s.index_.reserve(per_shard);
-    if (decl_->functional) s.fd_index_.reserve(per_shard);
-  }
-}
-
 void Relation::EraseColumnarSlot(Shard& s, size_t slot, const CodeKey& ck) {
   const size_t last = s.counts.size() - 1;
   // Drop the erased row from built secondary buckets before the swap

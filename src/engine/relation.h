@@ -59,8 +59,8 @@
 // are pure reads on an up-to-date index — and across index builds for
 // *other* masks or *other* shards (bucket maps are node-based, so foreign
 // inserts never move this mask's vectors). Any mutation (Insert, Erase,
-// ReplaceFunctional, Reserve) or an EnsureIndex that catches an index up
-// to a newer version may reallocate buckets and invalidates it. The
+// ReplaceFunctional) or an EnsureIndex that catches an index up to a
+// newer version may reallocate buckets and invalidates it. The
 // executor relies on exactly the safe window: a rule body holds probe
 // results across nested probes of the same enumeration, and the fixpoint
 // drivers never mutate relations while an enumeration runs (derived heads
@@ -178,9 +178,6 @@ class Relation {
   Tuple MaterializeTuple(size_t shard, size_t slot) const;
   /// Materialized copy of every tuple, shard-by-shard (snapshots, reseeds).
   std::vector<Tuple> AllTuples() const;
-
-  /// Pre-size storage and hash indexes for `n` total rows (batch inserts).
-  void Reserve(size_t n);
 
   // -- columnar access (dictionary-encoded layout only) ----------------------
 

@@ -182,11 +182,23 @@ TEST(QueryTest, KnobMatrixDifferential) {
   auto churn_add = FactUpdate{"link", {Value::Str("v1"), Value::Str("v4")}};
   std::vector<std::optional<Value>> bf = {Value::Str("v0"), std::nullopt};
   std::vector<std::optional<Value>> fb = {std::nullopt, Value::Str("v5")};
+  // v5 is only ever a target, so column 0 never stores it (a dictionary
+  // miss in the columnar layout). The churn deletes v2's only out-edge:
+  // afterwards v2 keeps its column code but has no live rows.
+  std::vector<std::optional<Value>> target_only = {Value::Str("v5"),
+                                                   std::nullopt};
+  std::vector<std::optional<Value>> v2 = {Value::Str("v2"), std::nullopt};
   auto before_del = ExpectedSet(mat, "reachable", bf);
+  auto before_v2 = ExpectedSet(mat, "reachable", v2);
   ASSERT_TRUE(mat.Apply({churn_add}, {churn_del}).ok());
   auto after_bf = ExpectedSet(mat, "reachable", bf);
   auto after_fb = ExpectedSet(mat, "reachable", fb);
+  auto after_v2 = ExpectedSet(mat, "reachable", v2);
+  auto after_target_only = ExpectedSet(mat, "reachable", target_only);
   ASSERT_NE(before_del, after_bf);  // the churn must actually change answers
+  ASSERT_FALSE(before_v2.empty());
+  ASSERT_TRUE(after_v2.empty());
+  ASSERT_TRUE(after_target_only.empty());
 
   std::vector<std::string> first_bf, first_fb;
   bool have_first = false;
@@ -204,12 +216,16 @@ TEST(QueryTest, KnobMatrixDifferential) {
         ASSERT_TRUE(qws.Apply(LineLinks(6)).ok());
         QueryEngine qe(&qws);
         EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", bf}), before_del);
+        EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", v2}), before_v2);
         ASSERT_TRUE(qws.Apply({churn_add}, {churn_del}).ok());
         auto rows_bf = qe.Query({"reachable", bf});
         auto rows_fb = qe.Query({"reachable", fb});
         ASSERT_TRUE(rows_bf.ok() && rows_fb.ok());
         EXPECT_EQ(Render(rows_bf.value(), qws), after_bf);
         EXPECT_EQ(Render(rows_fb.value(), qws), after_fb);
+        EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", v2}), after_v2);
+        EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", target_only}),
+                  after_target_only);
         // Byte-identical including order, across every knob combination.
         std::vector<std::string> r_bf, r_fb;
         for (const Tuple& t : rows_bf.value()) {
@@ -429,6 +445,33 @@ TEST(QueryTest, EdbGoalAndMaterializedWorkspaceProbe) {
   QueryEngine dqe(&qws);
   EXPECT_EQ(QueryAnswers(&dqe, qws, {"link", bf}),
             ExpectedSet(ws, "link", bf));
+
+  // The sparse goals of KnobMatrixDifferential on a materialized
+  // workspace, through Query and the shared-lock TryWarm read alike: v5
+  // is only ever a target; v2 loses its only out-edge to the churn.
+  Workspace mat;
+  Install(&mat, kGraphSchema);
+  ASSERT_TRUE(mat.Apply(LineLinks(6)).ok());
+  QueryEngine mqe(&mat);
+  auto check = [&](const std::vector<std::optional<Value>>& args) {
+    auto expected = ExpectedSet(mat, "reachable", args);
+    EXPECT_EQ(QueryAnswers(&mqe, mat, {"reachable", args}), expected);
+    auto warm = mqe.TryWarm({"reachable", args});
+    EXPECT_TRUE(warm.has_value());
+    if (warm.has_value()) {
+      EXPECT_EQ(Render(*warm, mat), expected);
+    }
+    return expected;
+  };
+  std::vector<std::optional<Value>> target_only = {Value::Str("v5"),
+                                                   std::nullopt};
+  std::vector<std::optional<Value>> v2 = {Value::Str("v2"), std::nullopt};
+  EXPECT_TRUE(check(target_only).empty());
+  EXPECT_FALSE(check(v2).empty());
+  ASSERT_TRUE(
+      mat.Apply({}, {{"link", {Value::Str("v2"), Value::Str("v3")}}}).ok());
+  EXPECT_TRUE(check(v2).empty());
+  EXPECT_TRUE(check(target_only).empty());
 }
 
 TEST(QueryTest, GoalErrorsAreReported) {
