@@ -1,4 +1,4 @@
-// Ablation: SIMD filter kernels (SB_SIMD) A/B under the columnar layout.
+// Ablation: SIMD filter kernels (SB_SIMD) A/B.
 //
 // Two workloads, each run with the kernels pinned to scalar (SB_SIMD=0)
 // and resolved to the best host level (auto):
@@ -87,7 +87,6 @@ double RunWideFilterScan(int simd) {
   const int iters = QuickMode() ? 12 : 24;
 
   Workspace ws;
-  ws.fixpoint_options().columnar = true;
   ws.fixpoint_options().simd = simd;
   std::string program = R"(
         tick(T) -> string(T).
@@ -137,7 +136,6 @@ double RunNarrowRecursion(int simd) {
   const int nodes = QuickMode() ? 32 : 48;
 
   Workspace ws;
-  ws.fixpoint_options().columnar = true;
   ws.fixpoint_options().simd = simd;
   if (!Install(&ws, R"(
         node(X) -> .

@@ -76,17 +76,6 @@ echo "wrote $build/BENCH_plan.json"
 SB_PLAN=0 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'engine_test|parallel_test|delete_test|planner_test'
 
-# Columnar storage A/B (SB_COLUMNAR): wide string-heavy filter join plus
-# a narrow row-at-a-time recursion, recorded as BENCH_column.json. The
-# harness exits nonzero unless columnar-on wins the wide workload
-# (>= 1.10x) and stays within 1.35x on the narrow one.
-SB_QUICK=1 SB_TRIALS=3 SB_BENCH_OUT="$build/BENCH_column.json" \
-    "$build/abl_column_ab"
-echo "wrote $build/BENCH_column.json"
-# Row-layout smoke: the row-major storage paths must stay green.
-SB_COLUMNAR=0 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'engine_test|parallel_test|delete_test|relation_test|planner_test'
-
 # Query serving (engine/query): magic-sets point queries vs the full
 # fixpoint on a five-family closure program, recorded as
 # BENCH_serve.json. The harness exits nonzero unless the cold point
@@ -96,7 +85,7 @@ SB_COLUMNAR=0 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
 SB_QUICK=1 SB_BENCH_OUT="$build/BENCH_serve.json" "$build/serve_qps"
 echo "wrote $build/BENCH_serve.json"
 # Query-path determinism smoke: the query/fixpoint differential suites
-# across the planner/columnar/shard matrix the tentpole pins.
+# at a prime shard count.
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'query_test|query_fuzz_test|udp_cluster_test'
 

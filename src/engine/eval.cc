@@ -688,10 +688,10 @@ struct EvalFrame {
   std::vector<int> bound_here;
   std::vector<datalog::Value> inputs;
   std::vector<datalog::Value> outputs;
-  /// Columnar scans: (column, expected code) per const/bound argument,
-  /// resolved through the dictionaries once per step invocation.
+  /// Scans: (column, expected code) per const/bound argument, resolved
+  /// through the dictionaries once per step invocation.
   std::vector<std::pair<int, uint32_t>> col_filters;
-  /// Row materialization scratch (columnar lookups, exclude-set checks).
+  /// Row materialization scratch for functional lookups (LookupByKeys).
   Tuple row;
   /// Batch scan path: the per-shard filter descriptors handed to the
   /// fused kernels, and the selection vector of surviving slots they emit.
@@ -769,10 +769,6 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         return Status::OK();
       }
       const TupleSet* exclude = view != nullptr ? view->exclude : nullptr;
-      auto try_row = [&](const Tuple& t) -> Status {
-        if (exclude != nullptr && exclude->count(t)) return Status::OK();
-        return try_tuple(t);
-      };
       if (view != nullptr && view->extra != nullptr) {
         for (const Tuple& t : *view->extra) {
           SB_RETURN_IF_ERROR(try_tuple(t));
@@ -784,171 +780,101 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       // (ComputeProbeInfo); materializing the key is a flat walk over
       // key_cols into this depth's reusable frame.
       const uint32_t mask = step.probe_mask;
-      if (rel->columnar()) {
-        // Resolve every const/bound argument to its dictionary code once
-        // per invocation. Any miss proves no row matches — the whole scan
-        // (and any index work) is skipped. Per-row filtering then compares
-        // u32 codes on contiguous column segments; values are only decoded
-        // for the slots the step binds.
-        auto& filters = frame.col_filters;
-        filters.clear();
+      // Resolve every const/bound argument to its dictionary code once
+      // per invocation. Any miss proves no row matches — the whole scan
+      // (and any index work) is skipped. Per-row filtering then compares
+      // u32 codes on contiguous column segments; values are only decoded
+      // for the slots the step binds.
+      auto& filters = frame.col_filters;
+      filters.clear();
+      for (size_t i = 0; i < step.args.size(); ++i) {
+        const ArgPat& p = step.args[i];
+        if (p.kind != ArgPat::Kind::kConst &&
+            p.kind != ArgPat::Kind::kBound) {
+          continue;
+        }
+        const Value& want =
+            p.kind == ArgPat::Kind::kConst ? p.constant : *env[p.slot];
+        auto code = rel->CodeOf(i, want);
+        if (!code) return Status::OK();  // dictionary miss: zero matches
+        filters.emplace_back(static_cast<int>(i), *code);
+      }
+      // Exclude sets are value tuples; encode each to dictionary codes
+      // once per invocation. A tuple with any dictionary miss cannot be
+      // stored in the relation and is dropped from the encoded set. The
+      // encoded chunks are sorted (by index) so membership per surviving
+      // slot is a binary search over u32 codes — no per-candidate row
+      // materialization.
+      const size_t arity = step.args.size();
+      frame.exclude_flat.clear();
+      frame.exclude_order.clear();
+      if (exclude != nullptr && !exclude->empty()) {
+        for (const Tuple& t : *exclude) {
+          if (rel->EncodeTuple(t, &frame.exclude_flat)) {
+            frame.exclude_order.push_back(
+                static_cast<uint32_t>(frame.exclude_order.size()));
+          }
+        }
+        const uint32_t* flat = frame.exclude_flat.data();
+        std::sort(frame.exclude_order.begin(), frame.exclude_order.end(),
+                  [&](uint32_t a, uint32_t b) {
+                    return std::lexicographical_compare(
+                        flat + a * arity, flat + (a + 1) * arity,
+                        flat + b * arity, flat + (b + 1) * arity);
+                  });
+      }
+      auto excluded = [&](size_t sh, uint32_t slot) -> bool {
+        frame.row_codes.clear();
+        for (size_t c = 0; c < arity; ++c) {
+          frame.row_codes.push_back(rel->shard_codes(sh, c)[slot]);
+        }
+        const uint32_t* flat = frame.exclude_flat.data();
+        const uint32_t* want = frame.row_codes.data();
+        auto it = std::lower_bound(
+            frame.exclude_order.begin(), frame.exclude_order.end(), want,
+            [&](uint32_t a, const uint32_t* w) {
+              return std::lexicographical_compare(
+                  flat + a * arity, flat + (a + 1) * arity, w, w + arity);
+            });
+        return it != frame.exclude_order.end() &&
+               std::equal(flat + *it * arity, flat + (*it + 1) * arity,
+                          want);
+      };
+      const bool have_exclude = !frame.exclude_order.empty();
+      auto emit_slot = [&](size_t sh, uint32_t slot) -> Status {
+        if (have_exclude && excluded(sh, slot)) return Status::OK();
+        // Repeated-variable columns: codes live in per-column
+        // dictionaries and are not comparable across columns, so the
+        // equality is checked on decoded values.
         for (size_t i = 0; i < step.args.size(); ++i) {
           const ArgPat& p = step.args[i];
-          if (p.kind != ArgPat::Kind::kConst &&
-              p.kind != ArgPat::Kind::kBound) {
-            continue;
-          }
-          const Value& want =
-              p.kind == ArgPat::Kind::kConst ? p.constant : *env[p.slot];
-          auto code = rel->CodeOf(i, want);
-          if (!code) return Status::OK();  // dictionary miss: zero matches
-          filters.emplace_back(static_cast<int>(i), *code);
-        }
-        // Exclude sets are value tuples; encode each to dictionary codes
-        // once per invocation. A tuple with any dictionary miss cannot be
-        // stored in the relation and is dropped from the encoded set. The
-        // encoded chunks are sorted (by index) so membership per surviving
-        // slot is a binary search over u32 codes — no per-candidate row
-        // materialization.
-        const size_t arity = step.args.size();
-        frame.exclude_flat.clear();
-        frame.exclude_order.clear();
-        if (exclude != nullptr && !exclude->empty()) {
-          for (const Tuple& t : *exclude) {
-            if (rel->EncodeTuple(t, &frame.exclude_flat)) {
-              frame.exclude_order.push_back(
-                  static_cast<uint32_t>(frame.exclude_order.size()));
-            }
-          }
-          const uint32_t* flat = frame.exclude_flat.data();
-          std::sort(frame.exclude_order.begin(), frame.exclude_order.end(),
-                    [&](uint32_t a, uint32_t b) {
-                      return std::lexicographical_compare(
-                          flat + a * arity, flat + (a + 1) * arity,
-                          flat + b * arity, flat + (b + 1) * arity);
-                    });
-        }
-        auto excluded = [&](size_t sh, uint32_t slot) -> bool {
-          frame.row_codes.clear();
-          for (size_t c = 0; c < arity; ++c) {
-            frame.row_codes.push_back(rel->shard_codes(sh, c)[slot]);
-          }
-          const uint32_t* flat = frame.exclude_flat.data();
-          const uint32_t* want = frame.row_codes.data();
-          auto it = std::lower_bound(
-              frame.exclude_order.begin(), frame.exclude_order.end(), want,
-              [&](uint32_t a, const uint32_t* w) {
-                return std::lexicographical_compare(
-                    flat + a * arity, flat + (a + 1) * arity, w, w + arity);
-              });
-          return it != frame.exclude_order.end() &&
-                 std::equal(flat + *it * arity, flat + (*it + 1) * arity,
-                            want);
-        };
-        const bool have_exclude = !frame.exclude_order.empty();
-        auto emit_slot = [&](size_t sh, uint32_t slot) -> Status {
-          if (have_exclude && excluded(sh, slot)) return Status::OK();
-          // Repeated-variable columns: codes live in per-column
-          // dictionaries and are not comparable across columns, so the
-          // equality is checked on decoded values.
-          for (size_t i = 0; i < step.args.size(); ++i) {
-            const ArgPat& p = step.args[i];
-            if (p.kind == ArgPat::Kind::kSame &&
-                !(rel->At(sh, slot, i) ==
-                  rel->At(sh, slot, static_cast<size_t>(p.same_col)))) {
-              return Status::OK();
-            }
-          }
-          frame.bound_here.clear();
-          for (size_t i = 0; i < step.args.size(); ++i) {
-            if (step.args[i].kind == ArgPat::Kind::kBind) {
-              env[step.args[i].slot] = rel->At(sh, slot, i);
-              frame.bound_here.push_back(step.args[i].slot);
-            }
-          }
-          Status st = RunFrom(steps, idx + 1, env, delta, on_match);
-          for (int s : frame.bound_here) env[s].reset();
-          return st;
-        };
-        // Per-shard kernel descriptors: the filters' column base pointers
-        // for this shard plus the resolved codes.
-        auto shard_filters = [&](size_t sh) -> const CodeFilter* {
-          frame.kernel_filters.clear();
-          for (const auto& [col, code] : filters) {
-            frame.kernel_filters.push_back(
-                CodeFilter{rel->shard_codes(sh, col).data(), code});
-          }
-          return frame.kernel_filters.data();
-        };
-        if (mask != 0 && step.probe != Step::Probe::kScanAll) {
-          Tuple& key = frame.key;
-          key.clear();
-          for (int col : step.key_cols) {
-            const ArgPat& p = step.args[col];
-            key.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
-                                                         : *env[p.slot]);
-          }
-          const int only = step.probe == Step::Probe::kFanout
-                               ? -1
-                               : rel->ProbeShardOf(mask, key);
-          const size_t begin = only >= 0 ? static_cast<size_t>(only) : 0;
-          const size_t end =
-              only >= 0 ? static_cast<size_t>(only) + 1 : rel->shard_count();
-          for (size_t sh = begin; sh < end; ++sh) {
-            const std::vector<size_t>& rows = rel->ProbeShard(sh, mask, key);
-            if (rows.empty()) continue;
-            // The probe bucket already matched the masked columns, but the
-            // filters can cover more than the mask (arity > 32); refine
-            // the slot list through the same fused kernels as full scans.
-            frame.sel.clear();
-            FilterFusedSelect(simd_, shard_filters(sh), filters.size(),
-                              rows.data(), rows.size(), &frame.sel);
-            for (uint32_t slot : frame.sel) {
-              SB_RETURN_IF_ERROR(emit_slot(sh, slot));
-            }
-          }
-        } else {
-          for (size_t sh = 0; sh < rel->shard_count(); ++sh) {
-            const size_t rows = rel->shard_size(sh);
-            if (rows == 0) continue;
-            frame.sel.clear();
-            // Single-column filters binary-search warm sorted-run metadata
-            // (EnsureSortedRuns, warmed by the fixpoint's staging phase)
-            // instead of touching every slot; runs are consecutive slot
-            // ranges, so emission order stays ascending. Cold or
-            // fragmented runs fall through to the fused filter kernels.
-            bool emitted = false;
-            if (filters.size() == 1) {
-              const auto* bounds =
-                  rel->SortedRunBoundsIfWarm(sh, filters[0].first);
-              if (bounds != nullptr && bounds->size() >= 2 &&
-                  (bounds->size() - 1) * 16 <= rows) {
-                const std::vector<uint32_t>& codes =
-                    rel->shard_codes(sh, filters[0].first);
-                const uint32_t code = filters[0].second;
-                for (size_t r = 0; r + 1 < bounds->size(); ++r) {
-                  auto lo = codes.begin() + (*bounds)[r];
-                  auto hi = codes.begin() + (*bounds)[r + 1];
-                  auto [first, last] = std::equal_range(lo, hi, code);
-                  for (auto it = first; it != last; ++it) {
-                    frame.sel.push_back(static_cast<uint32_t>(
-                        it - codes.begin()));
-                  }
-                }
-                emitted = true;
-              }
-            }
-            if (!emitted) {
-              FilterFusedRange(simd_, shard_filters(sh), filters.size(), 0,
-                               static_cast<uint32_t>(rows), &frame.sel);
-            }
-            for (uint32_t slot : frame.sel) {
-              SB_RETURN_IF_ERROR(emit_slot(sh, slot));
-            }
+          if (p.kind == ArgPat::Kind::kSame &&
+              !(rel->At(sh, slot, i) ==
+                rel->At(sh, slot, static_cast<size_t>(p.same_col)))) {
+            return Status::OK();
           }
         }
-        return Status::OK();
-      }
+        frame.bound_here.clear();
+        for (size_t i = 0; i < step.args.size(); ++i) {
+          if (step.args[i].kind == ArgPat::Kind::kBind) {
+            env[step.args[i].slot] = rel->At(sh, slot, i);
+            frame.bound_here.push_back(step.args[i].slot);
+          }
+        }
+        Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+        for (int s : frame.bound_here) env[s].reset();
+        return st;
+      };
+      // Per-shard kernel descriptors: the filters' column base pointers
+      // for this shard plus the resolved codes.
+      auto shard_filters = [&](size_t sh) -> const CodeFilter* {
+        frame.kernel_filters.clear();
+        for (const auto& [col, code] : filters) {
+          frame.kernel_filters.push_back(
+              CodeFilter{rel->shard_codes(sh, col).data(), code});
+        }
+        return frame.kernel_filters.data();
+      };
       if (mask != 0 && step.probe != Step::Probe::kScanAll) {
         Tuple& key = frame.key;
         key.clear();
@@ -971,15 +897,54 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
             only >= 0 ? static_cast<size_t>(only) + 1 : rel->shard_count();
         for (size_t sh = begin; sh < end; ++sh) {
           const std::vector<size_t>& rows = rel->ProbeShard(sh, mask, key);
-          const std::vector<Tuple>& shard = rel->shard_tuples(sh);
-          for (size_t slot : rows) {
-            SB_RETURN_IF_ERROR(try_row(shard[slot]));
+          if (rows.empty()) continue;
+          // The probe bucket already matched the masked columns, but the
+          // filters can cover more than the mask (arity > 32); refine
+          // the slot list through the same fused kernels as full scans.
+          frame.sel.clear();
+          FilterFusedSelect(simd_, shard_filters(sh), filters.size(),
+                            rows.data(), rows.size(), &frame.sel);
+          for (uint32_t slot : frame.sel) {
+            SB_RETURN_IF_ERROR(emit_slot(sh, slot));
           }
         }
       } else {
         for (size_t sh = 0; sh < rel->shard_count(); ++sh) {
-          for (const Tuple& t : rel->shard_tuples(sh)) {
-            SB_RETURN_IF_ERROR(try_row(t));
+          const size_t rows = rel->shard_size(sh);
+          if (rows == 0) continue;
+          frame.sel.clear();
+          // Single-column filters binary-search warm sorted-run metadata
+          // (EnsureSortedRuns, warmed by the fixpoint's staging phase)
+          // instead of touching every slot; runs are consecutive slot
+          // ranges, so emission order stays ascending. Cold or
+          // fragmented runs fall through to the fused filter kernels.
+          bool emitted = false;
+          if (filters.size() == 1) {
+            const auto* bounds =
+                rel->SortedRunBoundsIfWarm(sh, filters[0].first);
+            if (bounds != nullptr && bounds->size() >= 2 &&
+                (bounds->size() - 1) * 16 <= rows) {
+              const std::vector<uint32_t>& codes =
+                  rel->shard_codes(sh, filters[0].first);
+              const uint32_t code = filters[0].second;
+              for (size_t r = 0; r + 1 < bounds->size(); ++r) {
+                auto lo = codes.begin() + (*bounds)[r];
+                auto hi = codes.begin() + (*bounds)[r + 1];
+                auto [first, last] = std::equal_range(lo, hi, code);
+                for (auto it = first; it != last; ++it) {
+                  frame.sel.push_back(static_cast<uint32_t>(
+                      it - codes.begin()));
+                }
+              }
+              emitted = true;
+            }
+          }
+          if (!emitted) {
+            FilterFusedRange(simd_, shard_filters(sh), filters.size(), 0,
+                             static_cast<uint32_t>(rows), &frame.sel);
+          }
+          for (uint32_t slot : frame.sel) {
+            SB_RETURN_IF_ERROR(emit_slot(sh, slot));
           }
         }
       }

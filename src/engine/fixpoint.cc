@@ -491,7 +491,7 @@ void FixpointDriver::WarmScanRuns(const std::vector<Step>& steps) {
       continue;
     }
     Relation* rel = store_.GetRelation(s.pred);
-    if (rel != nullptr && rel->columnar()) {
+    if (rel != nullptr) {
       rel->EnsureSortedRuns(static_cast<size_t>(s.key_cols[0]));
     }
   }

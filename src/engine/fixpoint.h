@@ -145,13 +145,6 @@ struct FixpointOptions {
   /// either way. Seeded from SB_PLAN (0/1) by Workspace; read live on
   /// every plan request, so A/B toggling between transactions works.
   bool plan = true;
-  /// Dictionary-encoded column-segment relation storage (see relation.h):
-  /// each shard stores rows as contiguous per-column u32 code vectors and
-  /// scans/probes compare codes instead of values. false = the row-major
-  /// tuple layout; the fixpoint is byte-identical either way. Latched into
-  /// each Relation when it is first created, so set it before data
-  /// arrives. Seeded from SB_COLUMNAR (0/1) by Workspace.
-  bool columnar = true;
   /// SIMD level for the columnar filter kernels (engine/kernels.h):
   /// 0 = scalar, 1 = the best level the CPU supports, 2 = auto (runtime
   /// dispatch — the same resolution as 1, kept distinct so "explicitly

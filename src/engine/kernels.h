@@ -1,5 +1,5 @@
 // SIMD equality-filter kernels over contiguous u32 dictionary-code vectors
-// (the columnar layout's per-shard column segments, see relation.h).
+// (a relation's per-shard column segments, see relation.h).
 //
 // A kernel takes one or more column filters — a column base pointer plus
 // the code every surviving slot must hold there — and emits the matching

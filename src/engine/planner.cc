@@ -342,17 +342,16 @@ VariantPlan ExecPlanner::Build(const CompiledRule& rule, int occ) const {
     }
     Relation* rel = store_.GetRelation(s.pred);
     const uint32_t skm = rel != nullptr ? rel->shard_key_mask() : 0;
-    // A columnar probe expected to keep a quarter or more of the relation
-    // saves little filtering over a linear pass, and the pass runs through
-    // the SIMD filter kernels on contiguous code vectors (engine/kernels.h)
+    // A probe expected to keep a quarter or more of the relation saves
+    // little filtering over a linear pass, and the pass runs through the
+    // SIMD filter kernels on contiguous code vectors (engine/kernels.h)
     // with no bucket indirection and no index to maintain. Only a real
     // statistic (dictionary live count or tracked mask stat) may make that
     // call — a bare-size default would send every untracked mask down the
     // scan path. Index buckets enumerate slots ascending, exactly the
     // scan's order, so the choice never changes the fixpoint.
     const bool wide_match =
-        s.kind == Step::Kind::kScan && rel != nullptr && rel->columnar() &&
-        s.probe_mask != 0 &&
+        s.kind == Step::Kind::kScan && rel != nullptr && s.probe_mask != 0 &&
         rel->EstimateSourceFor(s.probe_mask) != EstimateSource::kSize &&
         rel->EstimateMatches(s.probe_mask) * 4 >=
             static_cast<double>(rel->size());

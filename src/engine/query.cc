@@ -126,36 +126,24 @@ std::vector<Tuple> QueryEngine::Probe(const ResolvedGoal& goal) const {
   for (size_t i = 0; i < rel->decl().arity(); ++i) {
     if ((goal.adornment >> i) & 1) cols.push_back(i);
   }
-  if (rel->columnar()) {
-    // Each bound value resolves to its column code once. A value never
-    // stored in its column matches no row, so the scan is skipped.
-    std::vector<CodeFilter> filters(cols.size());
+  // Each bound value resolves to its column code once. A value never
+  // stored in its column matches no row, so the scan is skipped.
+  std::vector<CodeFilter> filters(cols.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    auto code = rel->CodeOf(cols[k], goal.bound[k]);
+    if (!code) return out;
+    filters[k].code = *code;
+  }
+  const SimdMode simd = ResolveSimdMode(ws_->fixpoint_options().simd);
+  std::vector<uint32_t> sel;
+  for (size_t sh = 0; sh < rel->shard_count(); ++sh) {
     for (size_t k = 0; k < cols.size(); ++k) {
-      auto code = rel->CodeOf(cols[k], goal.bound[k]);
-      if (!code) return out;
-      filters[k].code = *code;
+      filters[k].codes = rel->shard_codes(sh, cols[k]).data();
     }
-    const SimdMode simd = ResolveSimdMode(ws_->fixpoint_options().simd);
-    std::vector<uint32_t> sel;
-    for (size_t sh = 0; sh < rel->shard_count(); ++sh) {
-      for (size_t k = 0; k < cols.size(); ++k) {
-        filters[k].codes = rel->shard_codes(sh, cols[k]).data();
-      }
-      sel.clear();
-      FilterFusedRange(simd, filters.data(), filters.size(), 0,
-                       static_cast<uint32_t>(rel->shard_size(sh)), &sel);
-      for (uint32_t slot : sel) out.push_back(rel->MaterializeTuple(sh, slot));
-    }
-  } else {
-    for (size_t sh = 0; sh < rel->shard_count(); ++sh) {
-      for (const Tuple& t : rel->shard_tuples(sh)) {
-        bool match = true;
-        for (size_t k = 0; k < cols.size() && match; ++k) {
-          match = t[cols[k]] == goal.bound[k];
-        }
-        if (match) out.push_back(t);
-      }
-    }
+    sel.clear();
+    FilterFusedRange(simd, filters.data(), filters.size(), 0,
+                     static_cast<uint32_t>(rel->shard_size(sh)), &sel);
+    for (uint32_t slot : sel) out.push_back(rel->MaterializeTuple(sh, slot));
   }
   SortAnswers(&out);
   return out;

@@ -53,9 +53,8 @@ size_t MapBytes(size_t bucket_count, size_t entries, size_t entry_payload) {
 
 }  // namespace
 
-Relation::Relation(const datalog::PredicateDecl* decl, size_t shards,
-                   bool columnar)
-    : decl_(decl), columnar_(columnar) {
+Relation::Relation(const datalog::PredicateDecl* decl, size_t shards)
+    : decl_(decl) {
   shards_.resize(std::max<size_t>(1, shards));
   const size_t arity = decl_->arity();
   if (decl_->functional && arity >= 2) {
@@ -69,10 +68,8 @@ Relation::Relation(const datalog::PredicateDecl* decl, size_t shards,
   }
   // Zero-key cases (arity 0, functional arity 1) hash an empty projection:
   // every tuple lands in one shard and probes never fan out.
-  if (columnar_) {
-    dicts_.resize(arity);
-    for (Shard& s : shards_) s.cols.resize(arity);
-  }
+  dicts_.resize(arity);
+  for (Shard& s : shards_) s.cols.resize(arity);
 }
 
 size_t Relation::ShardKeyHash(const Tuple& t) const {
@@ -80,8 +77,9 @@ size_t Relation::ShardKeyHash(const Tuple& t) const {
 }
 
 size_t Relation::ShardOf(const Tuple& t) const {
-  // Hash of the shard-key *values* in both layouts, so row placement is
-  // identical under SB_COLUMNAR=0 and 1 (the determinism contract).
+  // Hash of the shard-key *values*, never their codes: codes depend on a
+  // relation's insertion history, so only values place a tuple in the
+  // same shard on every workspace (the determinism contract).
   return shards_.size() == 1 ? 0 : ShardKeyHash(t) % shards_.size();
 }
 
@@ -117,87 +115,88 @@ void Relation::EncodeLookup(const Tuple& t, CodeKey* out) const {
   }
 }
 
+std::optional<size_t> Relation::SlotOf(const Shard& s, const Tuple& t) const {
+  thread_local CodeKey ck;  // per-thread: const reads may run on workers
+  EncodeLookup(t, &ck);
+  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) {
+    return std::nullopt;
+  }
+  auto it = s.index_.find(ck);
+  if (it == s.index_.end()) return std::nullopt;
+  return it->second;
+}
+
 InsertOutcome Relation::Insert(const Tuple& t) {
   Shard& s = shards_[ShardOf(t)];
-  if (columnar_) {
-    // Phase A — lookup-only encode. Duplicate and FD checks run on codes;
-    // a kNoCode anywhere means the full tuple cannot already be present,
-    // and a kNoCode in a key column means no FD conflict is possible. No
-    // dictionary state changes until the row is known to commit, so a
-    // rejected insert leaves refcounts and live counts untouched.
-    thread_local CodeKey ck;  // mutations are single-threaded; reused buffer
-    EncodeLookup(t, &ck);
-    const bool all_known =
-        std::find(ck.begin(), ck.end(), kNoCode) == ck.end();
-    if (all_known && s.cindex_.count(ck)) return InsertOutcome::kDuplicate;
-    if (decl_->functional) {
-      const bool keys_known =
-          std::find(ck.begin(), ck.end() - 1, kNoCode) == ck.end() - 1;
-      if (keys_known &&
-          s.cfd_index_.count(CodeKey(ck.begin(), ck.end() - 1))) {
-        return InsertOutcome::kFdConflict;
-      }
-    }
-    // Phase B — commit: allocate codes for novel values, take a live
-    // reference on every column, append the row to the column segments.
-    const size_t slot = s.counts.size();
-    for (size_t i = 0; i < t.size(); ++i) {
-      ColumnDict& d = dicts_[i];
-      uint32_t code = ck[i];
-      if (code == kNoCode) {
-        code = static_cast<uint32_t>(d.values.size());
-        d.values.push_back(t[i]);
-        d.codes.emplace(t[i], code);
-        d.refs.push_back(1);
-        ++d.live;
-      } else if (d.refs[code]++ == 0) {
-        ++d.live;  // erased-out value revived by this row
-      }
-      s.cols[i].push_back(code);
-      ck[i] = code;
-    }
-    s.counts.push_back(0);
-    s.cindex_[ck] = slot;
-    if (decl_->functional) {
-      s.cfd_index_[CodeKey(ck.begin(), ck.end() - 1)] = slot;
-    }
-    if (!key_stats_.empty()) StatsInsert(t);
-    ++total_size_;
-    ++version_;
-    return InsertOutcome::kInserted;
-  }
-  if (s.index_.count(t)) return InsertOutcome::kDuplicate;
+  // Phase A — lookup-only encode. Duplicate and FD checks run on codes;
+  // a kNoCode anywhere means the full tuple cannot already be present,
+  // and a kNoCode in a key column means no FD conflict is possible. No
+  // dictionary state changes until the row is known to commit, so a
+  // rejected insert leaves refcounts and live counts untouched.
+  thread_local CodeKey ck;  // mutations are single-threaded; reused buffer
+  EncodeLookup(t, &ck);
+  const bool all_known = std::find(ck.begin(), ck.end(), kNoCode) == ck.end();
+  if (all_known && s.index_.count(ck)) return InsertOutcome::kDuplicate;
   if (decl_->functional) {
-    Tuple keys(t.begin(), t.end() - 1);
-    auto it = s.fd_index_.find(keys);
-    if (it != s.fd_index_.end()) return InsertOutcome::kFdConflict;
-    s.fd_index_[std::move(keys)] = s.tuples.size();
+    const bool keys_known =
+        std::find(ck.begin(), ck.end() - 1, kNoCode) == ck.end() - 1;
+    if (keys_known && s.fd_index_.count(CodeKey(ck.begin(), ck.end() - 1))) {
+      return InsertOutcome::kFdConflict;
+    }
   }
-  s.index_[t] = s.tuples.size();
-  s.tuples.push_back(t);
+  // Phase B — commit: allocate codes for novel values, take a live
+  // reference on every column, append the row to the column segments.
+  const size_t slot = s.counts.size();
+  for (size_t i = 0; i < t.size(); ++i) {
+    ColumnDict& d = dicts_[i];
+    uint32_t code = ck[i];
+    if (code == kNoCode) {
+      code = static_cast<uint32_t>(d.values.size());
+      d.values.push_back(t[i]);
+      d.codes.emplace(t[i], code);
+      d.refs.push_back(1);
+      ++d.live;
+    } else if (d.refs[code]++ == 0) {
+      ++d.live;  // erased-out value revived by this row
+    }
+    s.cols[i].push_back(code);
+    ck[i] = code;
+  }
   s.counts.push_back(0);
+  s.index_[ck] = slot;
+  if (decl_->functional) {
+    s.fd_index_[CodeKey(ck.begin(), ck.end() - 1)] = slot;
+  }
   if (!key_stats_.empty()) StatsInsert(t);
   ++total_size_;
   ++version_;
   return InsertOutcome::kInserted;
 }
 
-void Relation::EraseColumnarSlot(Shard& s, size_t slot, const CodeKey& ck) {
+bool Relation::Erase(const Tuple& t) {
+  Shard& s = shards_[ShardOf(t)];
+  thread_local CodeKey ck;
+  EncodeLookup(t, &ck);
+  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return false;
+  auto it = s.index_.find(ck);
+  if (it == s.index_.end()) return false;
+  const size_t slot = it->second;
   const size_t last = s.counts.size() - 1;
+  if (!key_stats_.empty()) StatsErase(t);
   // Drop the erased row from built secondary buckets before the swap
   // clobbers row `slot`, preserving bucket order so enumeration order does
   // not depend on erase history beyond the erase itself.
   for (auto& [mask, idx] : s.secondary_) {
     if (slot >= idx.rows_indexed) continue;
-    auto bit = idx.cbuckets.find(ProjectCodes(s, slot, mask));
-    if (bit == idx.cbuckets.end()) continue;
+    auto bit = idx.buckets.find(ProjectCodes(s, slot, mask));
+    if (bit == idx.buckets.end()) continue;
     auto& rows = bit->second;
     rows.erase(std::remove(rows.begin(), rows.end(), slot), rows.end());
-    if (rows.empty()) idx.cbuckets.erase(bit);
+    if (rows.empty()) idx.buckets.erase(bit);
   }
-  s.cindex_.erase(ck);
+  s.index_.erase(it);
   if (decl_->functional) {
-    s.cfd_index_.erase(CodeKey(ck.begin(), ck.end() - 1));
+    s.fd_index_.erase(CodeKey(ck.begin(), ck.end() - 1));
   }
   // Release this row's dictionary references. Codes are never reclaimed —
   // only the live counts (the planner's distinct statistics) move.
@@ -206,16 +205,17 @@ void Relation::EraseColumnarSlot(Shard& s, size_t slot, const CodeKey& ck) {
     if (--d.refs[ck[i]] == 0) --d.live;
   }
   // Swap-remove within the shard's column segments; fix the moved row's
-  // slots. The moved row belongs to the same shard by construction.
+  // slots. The moved row belongs to the same shard by construction, so no
+  // cross-shard bookkeeping is needed.
   if (slot != last) {
     for (auto& col : s.cols) col[slot] = col[last];
     s.counts[slot] = s.counts[last];
     CodeKey moved;
     moved.reserve(s.cols.size());
     for (const auto& col : s.cols) moved.push_back(col[slot]);
-    s.cindex_[moved] = slot;
+    s.index_[moved] = slot;
     if (decl_->functional) {
-      s.cfd_index_[CodeKey(moved.begin(), moved.end() - 1)] = slot;
+      s.fd_index_[CodeKey(moved.begin(), moved.end() - 1)] = slot;
     }
   }
   for (auto& col : s.cols) col.pop_back();
@@ -226,91 +226,6 @@ void Relation::EraseColumnarSlot(Shard& s, size_t slot, const CodeKey& ck) {
   for (auto& [mask, idx] : s.secondary_) {
     if (slot != last) {
       const CodeKey moved_key = ProjectCodes(s, slot, mask);
-      if (last < idx.rows_indexed) {
-        auto bit = idx.cbuckets.find(moved_key);
-        if (bit != idx.cbuckets.end()) {
-          // Re-insert the moved row at its sort position instead of
-          // patching in place: buckets stay sorted ascending (the
-          // sorted-run probe contract). `last` is the shard's final row,
-          // so its entry — when indexed — is the bucket's back element.
-          auto& rows = bit->second;
-          auto lit = std::find(rows.begin(), rows.end(), last);
-          if (lit != rows.end()) {
-            rows.erase(lit);
-            rows.insert(std::lower_bound(rows.begin(), rows.end(), slot),
-                        slot);
-          }
-        }
-      } else if (slot < idx.rows_indexed) {
-        auto& rows = idx.cbuckets[moved_key];
-        rows.insert(std::lower_bound(rows.begin(), rows.end(), slot), slot);
-      }
-    }
-    idx.rows_indexed = std::min(idx.rows_indexed, s.counts.size());
-  }
-}
-
-bool Relation::Erase(const Tuple& t) {
-  Shard& s = shards_[ShardOf(t)];
-  if (columnar_) {
-    thread_local CodeKey ck;
-    EncodeLookup(t, &ck);
-    if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return false;
-    auto it = s.cindex_.find(ck);
-    if (it == s.cindex_.end()) return false;
-    const size_t slot = it->second;
-    // `t` never aliases columnar storage (accessors hand out materialized
-    // copies), so the stats decrement can use it directly.
-    if (!key_stats_.empty()) StatsErase(t);
-    EraseColumnarSlot(s, slot, ck);
-    --total_size_;
-    ++version_;
-    return true;
-  }
-  auto it = s.index_.find(t);
-  if (it == s.index_.end()) return false;
-  size_t slot = it->second;
-  size_t last = s.tuples.size() - 1;
-  // Decrement key statistics before the swap clobbers row `slot` (`t` may
-  // alias the relation's own storage) — the symmetric counterpart of the
-  // StatsInsert in Insert().
-  if (!key_stats_.empty()) StatsErase(s.tuples[slot]);
-  // Drop the erased row from built secondary buckets before the swap
-  // clobbers row `slot` (`t` may alias the relation's own storage),
-  // preserving bucket order so enumeration order does not depend on erase
-  // history beyond the erase itself.
-  for (auto& [mask, idx] : s.secondary_) {
-    if (slot >= idx.rows_indexed) continue;
-    auto bit = idx.buckets.find(Project(t, mask));
-    if (bit == idx.buckets.end()) continue;
-    auto& rows = bit->second;
-    rows.erase(std::remove(rows.begin(), rows.end(), slot), rows.end());
-    if (rows.empty()) idx.buckets.erase(bit);
-  }
-  s.index_.erase(it);
-  if (decl_->functional) {
-    s.fd_index_.erase(Tuple(t.begin(), t.end() - 1));
-  }
-  // Swap-remove within the shard; fix the moved tuple's slots. The moved
-  // row belongs to the same shard by construction, so no cross-shard
-  // bookkeeping is needed.
-  if (slot != last) {
-    s.tuples[slot] = std::move(s.tuples[last]);
-    s.counts[slot] = s.counts[last];
-    s.index_[s.tuples[slot]] = slot;
-    if (decl_->functional) {
-      s.fd_index_[Tuple(s.tuples[slot].begin(), s.tuples[slot].end() - 1)] =
-          slot;
-    }
-  }
-  s.tuples.pop_back();
-  s.counts.pop_back();
-  // Re-point the moved row (old index `last`, now at `slot`) in each built
-  // secondary index; an unindexed tail row moving into the indexed prefix
-  // is indexed now so the prefix invariant holds.
-  for (auto& [mask, idx] : s.secondary_) {
-    if (slot != last) {
-      const Tuple moved_key = Project(s.tuples[slot], mask);
       if (last < idx.rows_indexed) {
         auto bit = idx.buckets.find(moved_key);
         if (bit != idx.buckets.end()) {
@@ -331,7 +246,7 @@ bool Relation::Erase(const Tuple& t) {
         rows.insert(std::lower_bound(rows.begin(), rows.end(), slot), slot);
       }
     }
-    idx.rows_indexed = std::min(idx.rows_indexed, s.tuples.size());
+    idx.rows_indexed = std::min(idx.rows_indexed, s.counts.size());
   }
   --total_size_;
   ++version_;
@@ -340,44 +255,20 @@ bool Relation::Erase(const Tuple& t) {
 
 uint32_t Relation::SupportCount(const Tuple& t) const {
   const Shard& s = shards_[ShardOf(t)];
-  if (columnar_) {
-    thread_local CodeKey ck;
-    EncodeLookup(t, &ck);
-    if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return 0;
-    auto it = s.cindex_.find(ck);
-    return it == s.cindex_.end() ? 0 : s.counts[it->second];
-  }
-  auto it = s.index_.find(t);
-  return it == s.index_.end() ? 0 : s.counts[it->second];
+  const std::optional<size_t> slot = SlotOf(s, t);
+  return slot ? s.counts[*slot] : 0;
 }
 
 uint32_t Relation::AddSupport(const Tuple& t) {
   Shard& s = shards_[ShardOf(t)];
-  if (columnar_) {
-    thread_local CodeKey ck;
-    EncodeLookup(t, &ck);
-    if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return 0;
-    auto it = s.cindex_.find(ck);
-    if (it == s.cindex_.end()) return 0;
-    return ++s.counts[it->second];
-  }
-  auto it = s.index_.find(t);
-  if (it == s.index_.end()) return 0;
-  return ++s.counts[it->second];
+  const std::optional<size_t> slot = SlotOf(s, t);
+  return slot ? ++s.counts[*slot] : 0;
 }
 
 void Relation::SetSupport(const Tuple& t, uint32_t count) {
   Shard& s = shards_[ShardOf(t)];
-  if (columnar_) {
-    thread_local CodeKey ck;
-    EncodeLookup(t, &ck);
-    if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return;
-    auto it = s.cindex_.find(ck);
-    if (it != s.cindex_.end()) s.counts[it->second] = count;
-    return;
-  }
-  auto it = s.index_.find(t);
-  if (it != s.index_.end()) s.counts[it->second] = count;
+  const std::optional<size_t> slot = SlotOf(s, t);
+  if (slot) s.counts[*slot] = count;
 }
 
 std::optional<Tuple> Relation::ReplaceFunctional(const Tuple& t) {
@@ -388,7 +279,7 @@ std::optional<Tuple> Relation::ReplaceFunctional(const Tuple& t) {
   const Tuple* existing = LookupByKeys(keys, &scratch);
   std::optional<Tuple> displaced;
   if (existing) {
-    displaced = *existing;  // materialized before Erase invalidates it
+    displaced = *existing;
     if (*displaced == t) return std::nullopt;  // no change
     Erase(*displaced);
   }
@@ -397,14 +288,7 @@ std::optional<Tuple> Relation::ReplaceFunctional(const Tuple& t) {
 }
 
 bool Relation::Contains(const Tuple& t) const {
-  const Shard& s = shards_[ShardOf(t)];
-  if (columnar_) {
-    thread_local CodeKey ck;
-    EncodeLookup(t, &ck);
-    if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return false;
-    return s.cindex_.count(ck) > 0;
-  }
-  return s.index_.count(t) > 0;
+  return SlotOf(shards_[ShardOf(t)], t).has_value();
 }
 
 const Tuple* Relation::LookupByKeys(const Tuple& keys, Tuple* scratch) const {
@@ -413,28 +297,22 @@ const Tuple* Relation::LookupByKeys(const Tuple& keys, Tuple* scratch) const {
       shards_.size() == 1
           ? shards_[0]
           : shards_[MixShardHash(HashValues(keys, ~0u)) % shards_.size()];
-  if (columnar_) {
-    thread_local CodeKey ck;
-    EncodeLookup(keys, &ck);
-    if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return nullptr;
-    auto it = s.cfd_index_.find(ck);
-    if (it == s.cfd_index_.end()) return nullptr;
-    const size_t slot = it->second;
-    scratch->clear();
-    scratch->reserve(s.cols.size());
-    for (size_t c = 0; c < s.cols.size(); ++c) {
-      scratch->push_back(dicts_[c].values[s.cols[c][slot]]);
-    }
-    return scratch;
-  }
-  auto it = s.fd_index_.find(keys);
+  thread_local CodeKey ck;
+  EncodeLookup(keys, &ck);
+  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return nullptr;
+  auto it = s.fd_index_.find(ck);
   if (it == s.fd_index_.end()) return nullptr;
-  return &s.tuples[it->second];
+  const size_t slot = it->second;
+  scratch->clear();
+  scratch->reserve(s.cols.size());
+  for (size_t c = 0; c < s.cols.size(); ++c) {
+    scratch->push_back(dicts_[c].values[s.cols[c][slot]]);
+  }
+  return scratch;
 }
 
 Tuple Relation::MaterializeTuple(size_t shard, size_t slot) const {
   const Shard& s = shards_[shard];
-  if (!columnar_) return s.tuples[slot];
   Tuple out;
   out.reserve(s.cols.size());
   for (size_t c = 0; c < s.cols.size(); ++c) {
@@ -446,15 +324,9 @@ Tuple Relation::MaterializeTuple(size_t shard, size_t slot) const {
 std::vector<Tuple> Relation::AllTuples() const {
   std::vector<Tuple> out;
   out.reserve(total_size_);
-  if (columnar_) {
-    for (size_t sh = 0; sh < shards_.size(); ++sh) {
-      const size_t rows = shards_[sh].counts.size();
-      for (size_t r = 0; r < rows; ++r) out.push_back(MaterializeTuple(sh, r));
-    }
-    return out;
-  }
-  for (const Shard& s : shards_) {
-    out.insert(out.end(), s.tuples.begin(), s.tuples.end());
+  for (size_t sh = 0; sh < shards_.size(); ++sh) {
+    const size_t rows = shards_[sh].counts.size();
+    for (size_t r = 0; r < rows; ++r) out.push_back(MaterializeTuple(sh, r));
   }
   return out;
 }
@@ -465,11 +337,6 @@ std::optional<uint32_t> Relation::CodeOf(size_t col,
   auto it = d.codes.find(v);
   if (it == d.codes.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<size_t> Relation::ColumnDistinct(size_t col) const {
-  if (!columnar_) return std::nullopt;
-  return dicts_[col].live;
 }
 
 bool Relation::EncodeTuple(const Tuple& t, std::vector<uint32_t>* out) const {
@@ -487,7 +354,6 @@ bool Relation::EncodeTuple(const Tuple& t, std::vector<uint32_t>* out) const {
 }
 
 void Relation::EnsureSortedRuns(size_t col) {
-  if (!columnar_) return;
   for (Shard& s : shards_) {
     if (s.runs_.size() < s.cols.size()) s.runs_.resize(s.cols.size());
     RunCache& rc = s.runs_[col];
@@ -516,14 +382,6 @@ const std::vector<uint32_t>* Relation::SortedRunBoundsIfWarm(
   return &rc.bounds;
 }
 
-Tuple Relation::Project(const Tuple& t, uint32_t mask) {
-  Tuple out;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (mask & (1u << i)) out.push_back(t[i]);
-  }
-  return out;
-}
-
 Relation::CodeKey Relation::ProjectCodes(const Shard& s, size_t slot,
                                          uint32_t mask) {
   CodeKey out;
@@ -536,22 +394,14 @@ Relation::CodeKey Relation::ProjectCodes(const Shard& s, size_t slot,
 void Relation::EnsureShardIndex(Shard& shard, uint32_t mask) {
   SecondaryIndex& idx = shard.secondary_[mask];
   if (idx.built_at_version == version_) return;
-  const size_t rows = columnar_ ? shard.counts.size() : shard.tuples.size();
+  const size_t rows = shard.counts.size();
   // Erases are patched in place, so only the appended tail is missing.
   if (idx.rows_indexed == 0 && rows != 0) {
     ++index_builds_;
-    if (columnar_) {
-      idx.cbuckets.reserve(rows);
-    } else {
-      idx.buckets.reserve(rows);
-    }
+    idx.buckets.reserve(rows);
   }
   for (size_t i = idx.rows_indexed; i < rows; ++i) {
-    if (columnar_) {
-      idx.cbuckets[ProjectCodes(shard, i, mask)].push_back(i);
-    } else {
-      idx.buckets[Project(shard.tuples[i], mask)].push_back(i);
-    }
+    idx.buckets[ProjectCodes(shard, i, mask)].push_back(i);
   }
   idx.rows_indexed = rows;
   idx.built_at_version = version_;
@@ -565,20 +415,18 @@ const std::vector<size_t>& Relation::ProbeShard(size_t shard, uint32_t mask,
                                                 const Tuple& key) {
   static const std::vector<size_t> kEmpty;
   Shard& s = shards_[shard];
+  // Encode the probe key through the column dictionaries. A value absent
+  // from its column's dictionary proves no row matches — answered here,
+  // before any index is consulted or built (the selective-filter fast
+  // negative). Pure dictionary reads, safe under concurrent probing.
   thread_local CodeKey ck;  // per-thread: workers probe concurrently
-  if (columnar_) {
-    // Encode the probe key through the column dictionaries. A value absent
-    // from its column's dictionary proves no row matches — answered here,
-    // before any index is consulted or built (the selective-filter fast
-    // negative). Pure dictionary reads, safe under concurrent probing.
-    ck.clear();
-    size_t ki = 0;
-    for (size_t i = 0; i < 32 && ki < key.size(); ++i) {
-      if (!(mask & (1u << i))) continue;
-      auto code = CodeOf(i, key[ki++]);
-      if (!code) return kEmpty;
-      ck.push_back(*code);
-    }
+  ck.clear();
+  size_t ki = 0;
+  for (size_t i = 0; i < 32 && ki < key.size(); ++i) {
+    if (!(mask & (1u << i))) continue;
+    auto code = CodeOf(i, key[ki++]);
+    if (!code) return kEmpty;
+    ck.push_back(*code);
   }
   auto sit = s.secondary_.find(mask);
   if (sit == s.secondary_.end() ||
@@ -587,11 +435,7 @@ const std::vector<size_t>& Relation::ProbeShard(size_t shard, uint32_t mask,
     sit = s.secondary_.find(mask);
   }
   const SecondaryIndex& idx = sit->second;
-  if (columnar_) {
-    auto it = idx.cbuckets.find(ck);
-    return it == idx.cbuckets.end() ? kEmpty : it->second;
-  }
-  auto it = idx.buckets.find(key);
+  auto it = idx.buckets.find(ck);
   return it == idx.buckets.end() ? kEmpty : it->second;
 }
 
@@ -610,42 +454,31 @@ void Relation::StatsErase(const Tuple& t) {
 }
 
 void Relation::EnsureKeyStat(uint32_t mask) {
-  // A single bound column in columnar mode is covered exactly by that
-  // column's dictionary live count — no hashed statistic to maintain.
-  if (columnar_ && SingleColumnMask(mask) &&
-      MaskColumn(mask) < dicts_.size()) {
-    return;
-  }
+  // A single bound column is covered exactly by that column's dictionary
+  // live count — no hashed statistic to maintain.
+  if (SingleColumnMask(mask) && MaskColumn(mask) < dicts_.size()) return;
   if (key_stats_.count(mask)) return;
   KeyStat& stat = key_stats_[mask];
   stat.counts.reserve(total_size_);
-  if (columnar_) {
-    // Seed by hashing the decoded column values with the same mixing
-    // StatsInsert/StatsErase apply to value tuples.
-    for (size_t sh = 0; sh < shards_.size(); ++sh) {
-      const Shard& s = shards_[sh];
-      const size_t rows = s.counts.size();
-      for (size_t r = 0; r < rows; ++r) {
-        size_t h = 0x811C9DC5;
-        for (size_t i = 0; i < s.cols.size() && i < 32; ++i) {
-          if (mask & (1u << i)) {
-            h ^= At(sh, r, i).Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
-          }
+  // Seed by hashing the decoded column values with the same mixing
+  // StatsInsert/StatsErase apply to value tuples.
+  for (size_t sh = 0; sh < shards_.size(); ++sh) {
+    const Shard& s = shards_[sh];
+    const size_t rows = s.counts.size();
+    for (size_t r = 0; r < rows; ++r) {
+      size_t h = 0x811C9DC5;
+      for (size_t i = 0; i < s.cols.size() && i < 32; ++i) {
+        if (mask & (1u << i)) {
+          h ^= At(sh, r, i).Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
         }
-        ++stat.counts[h];
       }
-    }
-    return;
-  }
-  for (const Shard& s : shards_) {
-    for (const Tuple& t : s.tuples) {
-      ++stat.counts[HashValues(t, mask)];
+      ++stat.counts[h];
     }
   }
 }
 
 std::optional<size_t> Relation::DistinctKeys(uint32_t mask) const {
-  if (columnar_ && SingleColumnMask(mask)) {
+  if (SingleColumnMask(mask)) {
     const size_t col = MaskColumn(mask);
     if (col < dicts_.size()) return dicts_[col].live;
   }
@@ -667,8 +500,7 @@ double Relation::EstimateMatches(uint32_t mask) const {
 
 EstimateSource Relation::EstimateSourceFor(uint32_t mask) const {
   if (mask == 0 || total_size_ == 0) return EstimateSource::kSize;
-  if (columnar_ && SingleColumnMask(mask) &&
-      MaskColumn(mask) < dicts_.size()) {
+  if (SingleColumnMask(mask) && MaskColumn(mask) < dicts_.size()) {
     return EstimateSource::kDict;
   }
   auto it = key_stats_.find(mask);
@@ -679,10 +511,10 @@ EstimateSource Relation::EstimateSourceFor(uint32_t mask) const {
 }
 
 Relation::MemoryFootprint Relation::Memory() const {
-  // Capacity-based approximation, O(containers) not O(rows): per-row value
-  // payloads are counted at sizeof(Value) (string heap excluded) and
-  // bucket vectors at one size_t per indexed row. Good enough for the
-  // relative layout comparisons the EngineStats gauges exist for.
+  // Capacity-based approximation, O(containers) not O(rows): dictionary
+  // values are counted at sizeof(Value) (string heap excluded) and bucket
+  // vectors at one size_t per indexed row. Good enough for the relative
+  // comparisons the EngineStats gauges exist for.
   MemoryFootprint m;
   const size_t arity = decl_->arity();
   for (const ColumnDict& d : dicts_) {
@@ -695,35 +527,19 @@ Relation::MemoryFootprint Relation::Memory() const {
     for (const auto& col : s.cols) {
       m.column_bytes += col.capacity() * sizeof(uint32_t);
     }
-    m.column_bytes += s.tuples.capacity() * sizeof(Tuple) +
-                      s.tuples.size() * arity * sizeof(datalog::Value);
     m.column_bytes += s.counts.capacity() * sizeof(uint32_t);
-    m.index_bytes +=
-        MapBytes(s.index_.bucket_count(), s.index_.size(),
-                 sizeof(Tuple) + arity * sizeof(datalog::Value) +
-                     sizeof(size_t));
-    m.index_bytes +=
-        MapBytes(s.fd_index_.bucket_count(), s.fd_index_.size(),
-                 sizeof(Tuple) +
-                     (arity == 0 ? 0 : arity - 1) * sizeof(datalog::Value) +
-                     sizeof(size_t));
-    m.index_bytes += MapBytes(s.cindex_.bucket_count(), s.cindex_.size(),
+    m.index_bytes += MapBytes(s.index_.bucket_count(), s.index_.size(),
                               sizeof(CodeKey) + arity * sizeof(uint32_t));
     m.index_bytes +=
-        MapBytes(s.cfd_index_.bucket_count(), s.cfd_index_.size(),
+        MapBytes(s.fd_index_.bucket_count(), s.fd_index_.size(),
                  sizeof(CodeKey) +
                      (arity == 0 ? 0 : arity - 1) * sizeof(uint32_t));
     for (const auto& [mask, idx] : s.secondary_) {
-      const size_t nbuckets =
-          columnar_ ? idx.cbuckets.size() : idx.buckets.size();
       const size_t key_cols =
           static_cast<size_t>(__builtin_popcount(mask));
-      m.index_bytes += MapBytes(
-          columnar_ ? idx.cbuckets.bucket_count() : idx.buckets.bucket_count(),
-          nbuckets,
-          sizeof(std::vector<size_t>) +
-              key_cols * (columnar_ ? sizeof(uint32_t)
-                                    : sizeof(datalog::Value)));
+      m.index_bytes +=
+          MapBytes(idx.buckets.bucket_count(), idx.buckets.size(),
+                   sizeof(std::vector<size_t>) + key_cols * sizeof(uint32_t));
       m.index_bytes += idx.rows_indexed * sizeof(size_t);
     }
     for (const RunCache& rc : s.runs_) {

@@ -1,44 +1,29 @@
-// Relation storage, hash-partitioned into shards, in one of two layouts:
+// Relation storage: hash-partitioned shards of dictionary-encoded column
+// segments.
 //
-//  * Row-major (the seed layout): each shard holds a dense tuple vector
-//    with a full-tuple hash index for set semantics, a key index enforcing
-//    functional dependencies, and lazily built secondary hash indexes
-//    keyed by bound-column masks for joins.
-//  * Columnar (FixpointOptions::columnar / SB_COLUMNAR, default on for
-//    workspace-created relations): each shard stores its rows as
-//    append-ordered column segments — one dictionary-encoded column per
-//    attribute. A relation-level dictionary per column maps each distinct
-//    Value to a dense u32 code (codes are append-only and never reused;
-//    live-row refcounts track exact per-column distinct counts), and each
-//    shard keeps one contiguous code vector per column. All indexes key on
-//    code vectors, so probes hash and compare u32 codes instead of values,
-//    and a probe value missing from a column's dictionary answers the
-//    probe (empty) before any shard or index is touched. Row-major
-//    consumers keep working through the accessor layer (At /
-//    MaterializeTuple / AllTuples / row); shard_tuples() remains the
-//    zero-overhead row-mode accessor and must not be used in columnar
-//    mode.
-//
-// The two layouts hold the identical logical content under the identical
-// mutation sequence: shard routing, slot assignment (insertion order +
-// swap-remove), duplicate/FD detection, support counts, secondary-bucket
-// order, and the per-mask statistics all behave the same, so the fixpoint
-// is byte-identical under either layout (tests/planner_test.cc pins this
-// across the SB_PLAN x SB_THREADS x SB_SHARDS matrix).
+// Each shard stores its rows as append-ordered column segments, one
+// dictionary-encoded column per attribute. A relation-level dictionary per
+// column maps each distinct Value to a dense u32 code (codes are
+// append-only and never reused; live-row refcounts track exact per-column
+// distinct counts), and each shard keeps one contiguous code vector per
+// column. All indexes key on code vectors, so probes hash and compare u32
+// codes instead of values, and a probe value missing from a column's
+// dictionary answers the probe (empty) before any shard or index is
+// touched. Row-at-a-time consumers read through the accessor layer (At /
+// MaterializeTuple / AllTuples / row), which decodes on demand.
 //
 // Sharding (scale-out seam): every tuple lives in exactly one shard,
 // chosen by a hash of the declared *shard-key columns* — the functional-
 // dependency key columns for functional predicates, the first column
 // otherwise (the join key in the paper's hash-join tables and path-vector
-// route sets). The shard hash is computed from the tuple's values in both
-// layouts, so shard choice is layout-independent. A probe whose
-// bound-column mask covers the shard key touches exactly one shard;
-// unbound scans iterate shards in ascending order. Shard count is fixed
-// per relation at construction (FixpointOptions::shards / SB_SHARDS);
-// 1 shard reproduces the unsharded layout exactly. Because set membership,
-// support counts, and FD slots are per-tuple properties, the logical
-// content of a relation is independent of the shard count — only storage
-// order changes.
+// route sets). The shard hash is computed from the tuple's values, never
+// its codes. A probe whose bound-column mask covers the shard key touches
+// exactly one shard; unbound scans iterate shards in ascending order.
+// Shard count is fixed per relation at construction
+// (FixpointOptions::shards / SB_SHARDS); 1 shard reproduces the unsharded
+// layout exactly. Because set membership, support counts, and FD slots are
+// per-tuple properties, the logical content of a relation is independent
+// of the shard count — only storage order changes.
 //
 // Each row additionally carries a derivation-support count used by the
 // counting-based incremental deletion path: the number of rule
@@ -95,7 +80,7 @@ enum class InsertOutcome {
 /// (SB_EXPLAIN surfaces this per plan step).
 enum class EstimateSource : uint8_t {
   kSize = 0,  // no usable statistic: the full relation size
-  kDict,      // exact per-column distinct count from a columnar dictionary
+  kDict,      // exact per-column distinct count from a column dictionary
   kStat,      // content-hashed distinct-key statistic (EnsureKeyStat)
 };
 
@@ -103,33 +88,25 @@ class Relation {
  public:
   /// Approximate heap bytes by storage component, from container
   /// capacities (string payloads excluded — the estimate is for relative
-  /// layout comparisons, not an allocator audit). Row-major relations
-  /// report their tuple vectors as column_bytes so the two layouts are
-  /// directly comparable.
+  /// comparisons, not an allocator audit).
   struct MemoryFootprint {
     size_t dict_bytes = 0;    // dictionaries: values, code maps, refcounts
-    size_t column_bytes = 0;  // code columns + support counts (or tuple rows)
+    size_t column_bytes = 0;  // code columns + support counts
     size_t index_bytes = 0;   // full-tuple/FD indexes + secondary buckets
   };
 
   /// `shards` is clamped to >= 1 and fixed for the relation's lifetime
   /// (re-hashing live data across a shard-count change is not supported).
-  /// `columnar` selects the dictionary-encoded column-segment layout; it
-  /// is likewise latched for the relation's lifetime.
-  explicit Relation(const datalog::PredicateDecl* decl, size_t shards = 1,
-                    bool columnar = false);
+  explicit Relation(const datalog::PredicateDecl* decl, size_t shards = 1);
 
   const datalog::PredicateDecl& decl() const { return *decl_; }
-  bool columnar() const { return columnar_; }
 
   /// Insert with set semantics and FD checking.
   InsertOutcome Insert(const Tuple& t);
 
   /// Remove a tuple; returns true if it was present. Built secondary
   /// indexes are patched in place (swap-remove aware, shard-local), never
-  /// invalidated. In columnar mode `t` must not alias this relation's
-  /// storage (accessors hand out materialized copies, so callers never
-  /// hold such a reference).
+  /// invalidated.
   bool Erase(const Tuple& t);
 
   /// For functional predicates: replace any existing tuple with the same
@@ -140,10 +117,9 @@ class Relation {
   bool Contains(const Tuple& t) const;
 
   /// Functional lookup: full tuple for `keys` (arity-1 values) or nullptr.
-  /// The keys determine the shard, so this is a single-shard probe. In
-  /// row mode the result points into storage (stable until the next
-  /// mutation); in columnar mode the row is materialized into `*scratch`
-  /// and the result points there — pass a reusable buffer on hot paths.
+  /// The keys determine the shard, so this is a single-shard probe. The
+  /// row is materialized into `*scratch` and the result points there —
+  /// pass a reusable buffer on hot paths.
   const Tuple* LookupByKeys(const Tuple& keys, Tuple* scratch) const;
 
   size_t size() const { return total_size_; }
@@ -154,32 +130,22 @@ class Relation {
   size_t shard_count() const { return shards_.size(); }
   /// Shard owning `t` (hash of the shard-key columns' values).
   size_t ShardOf(const Tuple& t) const;
-  /// Rows in one shard (both layouts).
+  /// Rows in one shard. Slots are in shard-local insertion order (stable
+  /// except for swap-remove erasure); full scans iterate shards in order.
   size_t shard_size(size_t shard) const {
-    const Shard& s = shards_[shard];
-    return columnar_ ? s.counts.size() : s.tuples.size();
+    return shards_[shard].counts.size();
   }
-  /// Tuples of one shard, in shard-local insertion order (stable except
-  /// for swap-remove erasure). Full scans iterate shards in order.
-  /// Row-major layout only — columnar consumers go through shard_codes()/
-  /// At()/MaterializeTuple().
-  const std::vector<Tuple>& shard_tuples(size_t shard) const {
-    return shards_[shard].tuples;
-  }
-  /// One column's value at (shard, slot). Columnar mode returns a
-  /// reference into the column dictionary (stable: dictionaries are
-  /// append-only).
+  /// One column's value at (shard, slot): a reference into the column
+  /// dictionary (stable: dictionaries are append-only).
   const datalog::Value& At(size_t shard, size_t slot, size_t col) const {
-    const Shard& s = shards_[shard];
-    return columnar_ ? dicts_[col].values[s.cols[col][slot]]
-                     : s.tuples[slot][col];
+    return dicts_[col].values[shards_[shard].cols[col][slot]];
   }
-  /// Materialized copy of the row at (shard, slot), either layout.
+  /// Materialized copy of the row at (shard, slot).
   Tuple MaterializeTuple(size_t shard, size_t slot) const;
   /// Materialized copy of every tuple, shard-by-shard (snapshots, reseeds).
   std::vector<Tuple> AllTuples() const;
 
-  // -- columnar access (dictionary-encoded layout only) ----------------------
+  // -- code access -----------------------------------------------------------
 
   /// Dense dictionary code of `v` in column `col`, or nullopt when the
   /// value was never inserted there — a miss proves no row matches on that
@@ -194,18 +160,16 @@ class Relation {
   const datalog::Value& Decode(size_t col, uint32_t code) const {
     return dicts_[col].values[code];
   }
-  /// Exact number of distinct values currently live in `col` (columnar
-  /// mode; nullopt in the row-major layout, which only tracks hashed
-  /// per-mask statistics).
-  std::optional<size_t> ColumnDistinct(size_t col) const;
+  /// Exact number of distinct values currently live in `col`.
+  size_t ColumnDistinct(size_t col) const { return dicts_[col].live; }
 
-  /// Append the dictionary code of each of `t`'s values to `out` (columnar
-  /// mode). Returns false — leaving `out` as it was passed in — when any
-  /// value is absent from its column's dictionary: such a tuple cannot be
-  /// stored in this relation, the executor's exclude-set fast negative.
+  /// Append the dictionary code of each of `t`'s values to `out`. Returns
+  /// false — leaving `out` as it was passed in — when any value is absent
+  /// from its column's dictionary: such a tuple cannot be stored in this
+  /// relation, the executor's exclude-set fast negative.
   bool EncodeTuple(const Tuple& t, std::vector<uint32_t>* out) const;
 
-  // -- sorted-run metadata (columnar layout only) ----------------------------
+  // -- sorted-run metadata ---------------------------------------------------
 
   /// Build or refresh the sorted-run cache for column `col` in every
   /// shard: the boundaries of the maximal non-decreasing runs of the
@@ -247,14 +211,14 @@ class Relation {
   /// retraction never leaves inflated cardinalities behind. Counting is by
   /// hash of the projected values (content-based), so the statistics are
   /// independent of shard count and insertion order — the property the
-  /// planner's determinism rests on. In columnar mode a single-column mask
-  /// is already covered exactly by the column dictionary's live count and
-  /// is not tracked. Single-threaded, like all mutations.
+  /// planner's determinism rests on. A single-column mask is already
+  /// covered exactly by the column dictionary's live count and is not
+  /// tracked. Single-threaded, like all mutations.
   void EnsureKeyStat(uint32_t mask);
 
   /// Distinct projections onto `mask` among the current rows: the exact
-  /// dictionary live count for a single-column mask in columnar mode, the
-  /// hashed statistic for a tracked mask, nullopt otherwise.
+  /// dictionary live count for a single-column mask, the hashed statistic
+  /// for a tracked mask, nullopt otherwise.
   std::optional<size_t> DistinctKeys(uint32_t mask) const;
 
   /// Estimated rows matching one probe on `mask`: size()/distinct when a
@@ -277,17 +241,16 @@ class Relation {
 
   /// Rows of `shard` whose columns selected by `mask` (bit i = column i)
   /// equal `key`. Returns shard-local indices into the shard's rows;
-  /// see the reference-stability contract in the file comment. In
-  /// columnar mode the key values are encoded through the column
-  /// dictionaries first, and any dictionary miss returns empty without
-  /// touching the index.
+  /// see the reference-stability contract in the file comment. The key
+  /// values are encoded through the column dictionaries first, and any
+  /// dictionary miss returns empty without touching the index.
   const std::vector<size_t>& ProbeShard(size_t shard, uint32_t mask,
                                         const Tuple& key);
 
   /// Flat probe across all shards: encoded row ids (decode with row()).
   /// Convenience for tests/debug only — the returned reference aliases an
   /// internal scratch buffer valid until the next Probe() call; hot paths
-  /// use ProbeShard()/shard_tuples()/shard_codes() instead.
+  /// use ProbeShard()/shard_codes() instead.
   const std::vector<size_t>& Probe(uint32_t mask, const Tuple& key);
 
   /// Decode a row id produced by Probe() into a materialized tuple. With
@@ -309,7 +272,7 @@ class Relation {
   uint64_t index_builds() const { return index_builds_; }
 
  private:
-  /// Projected dictionary codes, the columnar layout's index key.
+  /// Projected dictionary codes, the key of every index.
   using CodeKey = std::vector<uint32_t>;
   struct CodeKeyHash {
     size_t operator()(const CodeKey& k) const {
@@ -339,11 +302,9 @@ class Relation {
     size_t rows_indexed = 0;
     /// Bucket entries are kept sorted ascending (builds append in row
     /// order, erase patching re-inserts at the sort position), so probes
-    /// walk each shard's tuple array as a sorted run — forward in memory —
-    /// and enumeration order is independent of erase history. Exactly one
-    /// of the maps is populated, per the relation's layout.
-    std::unordered_map<Tuple, std::vector<size_t>, TupleHash> buckets;
-    std::unordered_map<CodeKey, std::vector<size_t>, CodeKeyHash> cbuckets;
+    /// walk each shard's code columns as a sorted run — forward in memory —
+    /// and enumeration order is independent of erase history.
+    std::unordered_map<CodeKey, std::vector<size_t>, CodeKeyHash> buckets;
   };
 
   /// Distinct-key statistics for one tracked mask: rows per projected-key
@@ -361,22 +322,16 @@ class Relation {
   };
 
   /// One hash partition: the pre-shard Relation layout in miniature. All
-  /// slot values (indexes, secondary buckets) are shard-local. Row mode
-  /// populates tuples/index_/fd_index_; columnar mode populates cols (one
-  /// code vector per column) and the code-keyed cindex_/cfd_index_.
+  /// slot values (indexes, secondary buckets) are shard-local.
   struct Shard {
-    std::vector<Tuple> tuples;
     std::vector<std::vector<uint32_t>> cols;  // [column][slot] -> code
     std::vector<uint32_t> counts;             // parallel to rows
-    std::unordered_map<Tuple, size_t, TupleHash> index_;     // tuple -> slot
-    std::unordered_map<Tuple, size_t, TupleHash> fd_index_;  // keys -> slot
-    std::unordered_map<CodeKey, size_t, CodeKeyHash> cindex_;
-    std::unordered_map<CodeKey, size_t, CodeKeyHash> cfd_index_;
+    std::unordered_map<CodeKey, size_t, CodeKeyHash> index_;     // row -> slot
+    std::unordered_map<CodeKey, size_t, CodeKeyHash> fd_index_;  // keys -> slot
     std::unordered_map<uint32_t, SecondaryIndex> secondary_;
     std::vector<RunCache> runs_;  // per column, sized on first EnsureSortedRuns
   };
 
-  static Tuple Project(const Tuple& t, uint32_t mask);
   static CodeKey ProjectCodes(const Shard& s, size_t slot, uint32_t mask);
   /// Hash of the shard-key columns of a full tuple.
   size_t ShardKeyHash(const Tuple& t) const;
@@ -387,9 +342,8 @@ class Relation {
   /// Lookup-only full-tuple encoding: out[i] = code of t[i], or kNoCode
   /// for a value absent from column i's dictionary.
   void EncodeLookup(const Tuple& t, CodeKey* out) const;
-  /// Columnar swap-remove erase of (shard, slot); mirrors the row-mode
-  /// bucket-patch and index-repoint sequence exactly.
-  void EraseColumnarSlot(Shard& s, size_t slot, const CodeKey& ck);
+  /// Slot of `t` in its shard `s`, or nullopt when `t` is not stored.
+  std::optional<size_t> SlotOf(const Shard& s, const Tuple& t) const;
   /// Maintain every tracked KeyStat for an inserted / erased tuple.
   void StatsInsert(const Tuple& t);
   void StatsErase(const Tuple& t);
@@ -397,12 +351,10 @@ class Relation {
   const datalog::PredicateDecl* decl_;
   /// Bit i set = column i participates in the shard key.
   uint32_t shard_key_mask_ = 0;
-  bool columnar_ = false;
   std::vector<Shard> shards_;
-  /// Relation-level per-column dictionaries (columnar mode; empty in the
-  /// row-major layout). Relation-level — not per shard — so codes are
-  /// shard-comparable and the live counts feeding planner estimates are
-  /// independent of SB_SHARDS.
+  /// Per-column dictionaries. Relation-level — not per shard — so codes
+  /// are shard-comparable and the live counts feeding planner estimates
+  /// are independent of SB_SHARDS.
   std::vector<ColumnDict> dicts_;
   size_t total_size_ = 0;
   uint64_t version_ = 1;

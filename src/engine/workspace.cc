@@ -51,17 +51,6 @@ Workspace::Workspace() : catalog_(std::make_unique<Catalog>()) {
       fixpoint_options_.plan = n == 1;
     }
   }
-  // Columnar relation storage: SB_COLUMNAR=0 selects the row-major tuple
-  // layout, unset/1 the dictionary-encoded column segments. Either value
-  // computes the identical fixpoint; garbage keeps the default. Latched
-  // per relation at first touch, like SB_SHARDS.
-  if (const char* env = std::getenv("SB_COLUMNAR")) {
-    char* end = nullptr;
-    long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && (n == 0 || n == 1)) {
-      fixpoint_options_.columnar = n == 1;
-    }
-  }
   // Columnar filter kernels: SB_SIMD=0 forces the scalar loops, 1 the best
   // SIMD level the CPU supports, auto/unset runtime dispatch (the
   // default). Every value computes the identical fixpoint; garbage keeps
@@ -98,12 +87,10 @@ Relation* Workspace::GetRelation(PredId pred) {
     relations_.resize(pred + 1);
   }
   if (relations_[pred] == nullptr) {
-    // The shard count and storage layout are latched per relation at
-    // creation (first touch), so FixpointOptions::shards/columnar must be
-    // set before data arrives.
+    // The shard count is latched per relation at creation (first touch),
+    // so FixpointOptions::shards must be set before data arrives.
     relations_[pred] = std::make_unique<Relation>(&catalog_->decl(pred),
-                                                 fixpoint_options_.shards,
-                                                 fixpoint_options_.columnar);
+                                                 fixpoint_options_.shards);
   }
   return relations_[pred].get();
 }
@@ -305,9 +292,9 @@ Result<bool> Workspace::InsertTuple(PredId pred, const Tuple& tuple,
 
 Status Workspace::EraseTupleTx(PredId pred, const Tuple& tuple, TxState* tx) {
   Relation* rel = GetRelation(pred);
-  // `tuple` may alias the relation's own storage (aggregate replacement
-  // passes the LookupByKeys result); swap-remove would clobber it before
-  // the undo log and the delete delta read it.
+  // `tuple` may point into a caller's reusable lookup buffer (aggregate
+  // replacement passes the LookupByKeys result); work on a private copy so
+  // nothing below depends on that buffer staying unchanged.
   Tuple copy = tuple;
   uint32_t support = rel->SupportCount(copy);
   if (!rel->Erase(copy)) return Status::OK();
@@ -682,11 +669,7 @@ void Workspace::Rollback(TxState* tx) {
           Tuple scratch;
           const Tuple* occupant = rel->LookupByKeys(
               Tuple(it->tuple.begin(), it->tuple.end() - 1), &scratch);
-          if (occupant != nullptr) {
-            // Copy before Erase: in row mode the pointer aliases storage.
-            Tuple displaced = *occupant;
-            rel->Erase(displaced);
-          }
+          if (occupant != nullptr) rel->Erase(*occupant);
           outcome = rel->Insert(it->tuple);
         }
         if (outcome == InsertOutcome::kInserted) {

@@ -95,10 +95,8 @@ struct EngineStats {
   /// across repeated identical transactions.
   uint64_t eval_frame_allocs = 0;
   /// Storage-footprint gauges (not counters): approximate heap bytes
-  /// across all relations by component, recomputed at each commit from
-  /// Relation::Memory(). Dictionary bytes are zero under the row-major
-  /// layout; columnar savings on wide relations show up as column_bytes
-  /// (+ dictionary) undercutting the row layout's tuple storage.
+  /// across all relations by component — dictionaries, code columns and
+  /// indexes — recomputed at each commit from Relation::Memory().
   uint64_t relation_dict_bytes = 0;
   uint64_t relation_column_bytes = 0;
   uint64_t relation_index_bytes = 0;

@@ -220,50 +220,45 @@ TEST(WorkspaceTest, RepeatedVariableInBodyAtomMatchesDiagonal) {
   // Regression: a variable repeated within ONE body atom — link(X, X) —
   // used to compile its second occurrence as kBound, which read the
   // environment slot at match time, before the scan's accept step had
-  // bound it: a dereference of an unengaged optional. Row mode silently
-  // rejected every candidate (derived nothing); columnar mode handed the
-  // garbage value to the dictionary probe and could crash on stale heap
-  // contents. The repeated column now compiles to ArgPat::Kind::kSame, a
+  // bound it: a dereference of an unengaged optional, whose garbage value
+  // reached the dictionary probe and could crash on stale heap contents.
+  // The repeated column now compiles to ArgPat::Kind::kSame, a
   // row-vs-row equality against the atom's earlier column, in both the
   // compiler and the planner's reorder path.
-  for (bool columnar : {false, true}) {
-    SCOPED_TRACE(columnar ? "columnar" : "row");
-    Workspace ws;
-    ws.fixpoint_options().columnar = columnar;
-    Install(&ws, R"(
-      node(X) -> .
-      link(X, Y) -> node(X), node(Y).
-      self(X) -> node(X).
-      pair(X, Y) -> node(X), node(Y).
-      self(X) <- link(X, X).
-      pair(X, Y) <- link(X, Y), link(Y, Y).
-    )");
-    auto commit = ws.Apply({{"link", {Value::Str("a"), Value::Str("b")}},
-                            {"link", {Value::Str("b"), Value::Str("b")}},
-                            {"link", {Value::Str("c"), Value::Str("c")}}});
-    ASSERT_TRUE(commit.ok()) << commit.status().ToString();
-    EXPECT_EQ(QuerySet(ws, "self").size(), 2u);  // b, c
-    EXPECT_TRUE(ws.ContainsFact("self", {Value::Str("b")}).value());
-    EXPECT_TRUE(ws.ContainsFact("self", {Value::Str("c")}).value());
-    EXPECT_FALSE(ws.ContainsFact("self", {Value::Str("a")}).value());
-    // The diagonal filter also composes with a join: pair(X, Y) needs
-    // link(X, Y) where Y is a self-loop.
-    EXPECT_EQ(QuerySet(ws, "pair").size(), 3u);  // (a,b), (b,b), (c,c)
-    EXPECT_TRUE(
-        ws.ContainsFact("pair", {Value::Str("a"), Value::Str("b")}).value());
-    EXPECT_TRUE(
-        ws.ContainsFact("pair", {Value::Str("b"), Value::Str("b")}).value());
-    EXPECT_TRUE(
-        ws.ContainsFact("pair", {Value::Str("c"), Value::Str("c")}).value());
-    // Deletion walks the same patterns through the retraction variants.
-    auto del = ws.Apply({}, {{"link", {Value::Str("b"), Value::Str("b")}}});
-    ASSERT_TRUE(del.ok()) << del.status().ToString();
-    EXPECT_EQ(QuerySet(ws, "self").size(), 1u);  // c
-    EXPECT_TRUE(ws.ContainsFact("self", {Value::Str("c")}).value());
-    EXPECT_EQ(QuerySet(ws, "pair").size(), 1u);  // (c,c)
-    EXPECT_TRUE(
-        ws.ContainsFact("pair", {Value::Str("c"), Value::Str("c")}).value());
-  }
+  Workspace ws;
+  Install(&ws, R"(
+    node(X) -> .
+    link(X, Y) -> node(X), node(Y).
+    self(X) -> node(X).
+    pair(X, Y) -> node(X), node(Y).
+    self(X) <- link(X, X).
+    pair(X, Y) <- link(X, Y), link(Y, Y).
+  )");
+  auto commit = ws.Apply({{"link", {Value::Str("a"), Value::Str("b")}},
+                          {"link", {Value::Str("b"), Value::Str("b")}},
+                          {"link", {Value::Str("c"), Value::Str("c")}}});
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_EQ(QuerySet(ws, "self").size(), 2u);  // b, c
+  EXPECT_TRUE(ws.ContainsFact("self", {Value::Str("b")}).value());
+  EXPECT_TRUE(ws.ContainsFact("self", {Value::Str("c")}).value());
+  EXPECT_FALSE(ws.ContainsFact("self", {Value::Str("a")}).value());
+  // The diagonal filter also composes with a join: pair(X, Y) needs
+  // link(X, Y) where Y is a self-loop.
+  EXPECT_EQ(QuerySet(ws, "pair").size(), 3u);  // (a,b), (b,b), (c,c)
+  EXPECT_TRUE(
+      ws.ContainsFact("pair", {Value::Str("a"), Value::Str("b")}).value());
+  EXPECT_TRUE(
+      ws.ContainsFact("pair", {Value::Str("b"), Value::Str("b")}).value());
+  EXPECT_TRUE(
+      ws.ContainsFact("pair", {Value::Str("c"), Value::Str("c")}).value());
+  // Deletion walks the same patterns through the retraction variants.
+  auto del = ws.Apply({}, {{"link", {Value::Str("b"), Value::Str("b")}}});
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_EQ(QuerySet(ws, "self").size(), 1u);  // c
+  EXPECT_TRUE(ws.ContainsFact("self", {Value::Str("c")}).value());
+  EXPECT_EQ(QuerySet(ws, "pair").size(), 1u);  // (c,c)
+  EXPECT_TRUE(
+      ws.ContainsFact("pair", {Value::Str("c"), Value::Str("c")}).value());
 }
 
 TEST(WorkspaceTest, RolledBackTxnLeavesColumnarDictionariesClean) {
@@ -273,7 +268,6 @@ TEST(WorkspaceTest, RolledBackTxnLeavesColumnarDictionariesClean) {
   // row held — so live counts, CodeOf visibility, and estimates must all
   // read as if the transaction never ran.
   Workspace ws;
-  ws.fixpoint_options().columnar = true;
   Install(&ws, R"(
     node(X) -> .
     allowed(X) -> node(X).
@@ -285,7 +279,6 @@ TEST(WorkspaceTest, RolledBackTxnLeavesColumnarDictionariesClean) {
   const Relation* link = ws.GetRelationIfExists(
       ws.catalog().Lookup("link").value());
   ASSERT_NE(link, nullptr);
-  ASSERT_TRUE(link->columnar());
   const auto live0 = link->ColumnDistinct(0);
   const auto live1 = link->ColumnDistinct(1);
   // The violating batch interns novel entities into the dictionaries
@@ -300,7 +293,7 @@ TEST(WorkspaceTest, RolledBackTxnLeavesColumnarDictionariesClean) {
   // The surviving good row still commits afterwards, reviving any
   // retired code rather than minting a duplicate.
   ASSERT_TRUE(ws.Insert("link", {Value::Str("a"), Value::Str("fresh1")}).ok());
-  EXPECT_EQ(link->ColumnDistinct(1), *live1 + 1);
+  EXPECT_EQ(link->ColumnDistinct(1), live1 + 1);
   EXPECT_EQ(QuerySet(ws, "link").size(), 2u);
 }
 

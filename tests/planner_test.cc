@@ -1,9 +1,10 @@
 // Cost-based rule execution planning: online relation statistics stay
 // symmetric under insert/erase churn, worst-ordered rule bodies are
 // reordered selective-first, planner on/off computes the byte-identical
-// fixpoint at every SB_SIMD x SB_COLUMNAR x SB_THREADS x SB_SHARDS
-// combination, the Executor's probe and batch paths allocate nothing in
-// steady state, and the SB_EXPLAIN dump describes the chosen plan.
+// fixpoint at every SB_SIMD x SB_THREADS x SB_SHARDS combination (the
+// base run checked against a closure oracle), the Executor's probe and
+// batch paths allocate nothing in steady state, and the SB_EXPLAIN dump
+// describes the chosen plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,99 +88,108 @@ std::vector<uint64_t> SemanticCounters(const FixpointStats& fp) {
 // Online statistics: symmetric maintenance across Insert and Erase.
 // ---------------------------------------------------------------------------
 
+// Single-column masks read the column dictionary's exact live count, so
+// these pin the hashed KeyStat path on the two-column mask 0x3. Row
+// (i, j) projects onto 0x3 as (i, 10 * i): one key per i.
 TEST(RelationStatsTest, DistinctKeysSymmetricUnderEraseChurn) {
-  PredicateDecl decl = MakeDecl(2, false);
+  PredicateDecl decl = MakeDecl(3, false);
+  auto row = [](int i, int j) { return T({i, 10 * i, j}); };
   Relation r(&decl, /*shards=*/3);
-  EXPECT_FALSE(r.DistinctKeys(0x1).has_value());  // untracked
-  r.EnsureKeyStat(0x1);
+  EXPECT_FALSE(r.DistinctKeys(0x3).has_value());  // untracked
+  r.EnsureKeyStat(0x3);
   for (int i = 0; i < 8; ++i) {
-    for (int j = 0; j < 4; ++j) r.Insert(T({i, j}));
+    for (int j = 0; j < 4; ++j) r.Insert(row(i, j));
   }
-  ASSERT_TRUE(r.DistinctKeys(0x1).has_value());
-  EXPECT_EQ(*r.DistinctKeys(0x1), 8u);
-  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x1), 4.0);
+  ASSERT_TRUE(r.DistinctKeys(0x3).has_value());
+  EXPECT_EQ(*r.DistinctKeys(0x3), 8u);
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 4.0);
 
   // Heavy retraction: erase every odd key completely (swap-remove churn in
   // every shard). Stats must shrink with the data, never inflate.
   for (int i = 1; i < 8; i += 2) {
-    for (int j = 0; j < 4; ++j) EXPECT_TRUE(r.Erase(T({i, j})));
+    for (int j = 0; j < 4; ++j) EXPECT_TRUE(r.Erase(row(i, j)));
   }
-  EXPECT_EQ(*r.DistinctKeys(0x1), 4u);
-  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x1), 4.0);
+  EXPECT_EQ(*r.DistinctKeys(0x3), 4u);
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 4.0);
 
   // Partial erase of a surviving key: distinct count holds, estimate drops.
-  for (int j = 0; j < 3; ++j) EXPECT_TRUE(r.Erase(T({0, j})));
-  EXPECT_EQ(*r.DistinctKeys(0x1), 4u);
-  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x1), 13.0 / 4.0);
+  for (int j = 0; j < 3; ++j) EXPECT_TRUE(r.Erase(row(0, j)));
+  EXPECT_EQ(*r.DistinctKeys(0x3), 4u);
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 13.0 / 4.0);
 
   // Erase the last row of that key: the key disappears from the stats.
-  EXPECT_TRUE(r.Erase(T({0, 3})));
-  EXPECT_EQ(*r.DistinctKeys(0x1), 3u);
+  EXPECT_TRUE(r.Erase(row(0, 3)));
+  EXPECT_EQ(*r.DistinctKeys(0x3), 3u);
 
   // Reinsert-after-erase must recount from the live data, not resurrect
   // stale counts.
-  r.Insert(T({0, 0}));
-  EXPECT_EQ(*r.DistinctKeys(0x1), 4u);
-  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x1), 13.0 / 4.0);
+  r.Insert(row(0, 0));
+  EXPECT_EQ(*r.DistinctKeys(0x3), 4u);
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 13.0 / 4.0);
 
   // A stat seeded *after* the same churn agrees with the incrementally
   // maintained one (seed-vs-maintain equivalence).
   Relation fresh(&decl, /*shards=*/3);
   for (int i = 0; i < 8; ++i) {
-    for (int j = 0; j < 4; ++j) fresh.Insert(T({i, j}));
+    for (int j = 0; j < 4; ++j) fresh.Insert(row(i, j));
   }
   for (int i = 1; i < 8; i += 2) {
-    for (int j = 0; j < 4; ++j) fresh.Erase(T({i, j}));
+    for (int j = 0; j < 4; ++j) fresh.Erase(row(i, j));
   }
-  for (int j = 0; j < 3; ++j) fresh.Erase(T({0, j}));
-  fresh.Erase(T({0, 3}));
-  fresh.Insert(T({0, 0}));
-  fresh.EnsureKeyStat(0x1);
-  EXPECT_EQ(*fresh.DistinctKeys(0x1), *r.DistinctKeys(0x1));
-  EXPECT_DOUBLE_EQ(fresh.EstimateMatches(0x1), r.EstimateMatches(0x1));
+  for (int j = 0; j < 3; ++j) fresh.Erase(row(0, j));
+  fresh.Erase(row(0, 3));
+  fresh.Insert(row(0, 0));
+  fresh.EnsureKeyStat(0x3);
+  EXPECT_EQ(*fresh.DistinctKeys(0x3), *r.DistinctKeys(0x3));
+  EXPECT_DOUBLE_EQ(fresh.EstimateMatches(0x3), r.EstimateMatches(0x3));
 }
 
 TEST(RelationStatsTest, EmptyAndUntrackedMasksFallBackToSize) {
-  PredicateDecl decl = MakeDecl(2, false);
+  PredicateDecl decl = MakeDecl(3, false);
   Relation r(&decl);
-  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x1), 0.0);  // empty relation
-  r.Insert(T({1, 2}));
-  r.Insert(T({1, 3}));
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 0.0);  // empty relation
+  r.Insert(T({1, 2, 5}));
+  r.Insert(T({1, 3, 5}));
   EXPECT_DOUBLE_EQ(r.EstimateMatches(0), 2.0);    // mask 0 = full scan
-  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x2), 2.0);  // untracked mask
-  r.EnsureKeyStat(0x2);
-  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x2), 1.0);  // 2 rows / 2 values
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 2.0);  // untracked mask
+  EXPECT_EQ(r.EstimateSourceFor(0x3), EstimateSource::kSize);
+  r.EnsureKeyStat(0x3);
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 1.0);  // 2 rows / 2 keys
+  EXPECT_EQ(r.EstimateSourceFor(0x3), EstimateSource::kStat);
 }
 
 TEST(RelationStatsTest, EstimateMatchesFiniteOnJustEmptiedRelation) {
   // Pins the division guards in Relation::EstimateMatches (audit: the
   // total_size_ == 0 early return and the distinct == 0 fallback keep
   // every path off 0/0): a relation emptied AFTER its stats were seeded
-  // must estimate 0 matches — finite, never NaN/inf — for tracked masks,
-  // untracked masks, and the columnar dictionary path, and the planner's
-  // wide-match ratio (EstimateMatches * 4 >= size) must stay well-defined.
+  // must estimate 0 matches — finite, never NaN/inf — for the tracked
+  // mask (0x3), the dictionary masks (0x1, 0x2) and mask 0, and the
+  // planner's wide-match ratio (EstimateMatches * 4 >= size) must stay
+  // well-defined.
   PredicateDecl decl = MakeDecl(2, false);
-  for (bool columnar : {false, true}) {
-    Relation r(&decl, /*shards=*/3, columnar);
-    r.EnsureKeyStat(0x1);
-    for (int i = 0; i < 6; ++i) r.Insert(T({i, i * 10}));
-    ASSERT_GT(r.EstimateMatches(0x1), 0.0);
-    for (int i = 0; i < 6; ++i) ASSERT_TRUE(r.Erase(T({i, i * 10})));
-    ASSERT_EQ(r.size(), 0u);
-    for (uint32_t mask : {0x0u, 0x1u, 0x2u, 0x3u}) {
-      const double est = r.EstimateMatches(mask);
-      EXPECT_TRUE(std::isfinite(est))
-          << "columnar=" << columnar << " mask=" << mask;
-      EXPECT_DOUBLE_EQ(est, 0.0);
-    }
-    // The just-emptied dictionary reports zero live keys (columnar) or an
-    // empty count map (row stats); neither may reach the division.
-    if (auto d = r.DistinctKeys(0x1)) EXPECT_EQ(*d, 0u);
-    // Refill after the empty phase: estimates recover from live data.
-    r.Insert(T({1, 2}));
-    r.Insert(T({1, 3}));
-    EXPECT_DOUBLE_EQ(r.EstimateMatches(0x1), 2.0);
+  Relation r(&decl, /*shards=*/3);
+  r.EnsureKeyStat(0x3);
+  for (int i = 0; i < 6; ++i) r.Insert(T({i, i * 10}));
+  ASSERT_GT(r.EstimateMatches(0x1), 0.0);
+  ASSERT_GT(r.EstimateMatches(0x3), 0.0);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(r.Erase(T({i, i * 10})));
+  ASSERT_EQ(r.size(), 0u);
+  for (uint32_t mask : {0x0u, 0x1u, 0x2u, 0x3u}) {
+    const double est = r.EstimateMatches(mask);
+    EXPECT_TRUE(std::isfinite(est)) << "mask=" << mask;
+    EXPECT_DOUBLE_EQ(est, 0.0);
   }
+  // The just-emptied dictionary reports zero live keys and the tracked
+  // stat an empty count map; neither may reach the division.
+  ASSERT_TRUE(r.DistinctKeys(0x1).has_value());
+  EXPECT_EQ(*r.DistinctKeys(0x1), 0u);
+  ASSERT_TRUE(r.DistinctKeys(0x3).has_value());
+  EXPECT_EQ(*r.DistinctKeys(0x3), 0u);
+  // Refill after the empty phase: estimates recover from live data.
+  r.Insert(T({1, 2}));
+  r.Insert(T({1, 3}));
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x1), 2.0);
+  EXPECT_DOUBLE_EQ(r.EstimateMatches(0x3), 1.0);
 }
 
 TEST(RelationStatsTest, ProbeBucketsStaySortedAcrossEraseChurn) {
@@ -201,7 +211,7 @@ TEST(RelationStatsTest, ProbeBucketsStaySortedAcrossEraseChurn) {
     EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()))
         << "bucket for key " << who << " lost its sort order";
     for (size_t slot : rows) {
-      EXPECT_EQ(r.shard_tuples(0)[slot][0], Value::Int(who));
+      EXPECT_EQ(r.At(0, slot, 0), Value::Int(who));
     }
   }
 }
@@ -308,7 +318,8 @@ TEST(PlannerTest, PlansReplanWhenStatsDrift) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: SB_PLAN={0,1} x SB_THREADS={1,4} x SB_SHARDS={1,7}.
+// Equivalence: SB_SIMD={0,1} x SB_PLAN={0,1} x SB_THREADS={1,4} x
+// SB_SHARDS={1,7}, anchored by a closure oracle.
 // ---------------------------------------------------------------------------
 
 // fig08-flavoured convergence plus deletion churn — recursion, a lattice
@@ -347,61 +358,112 @@ std::vector<FactUpdate> ConvergenceLinks(int nodes, int degree) {
   return links;
 }
 
+/// Test-local oracle for kConvergenceProgram over a set of live links,
+/// rendered like Snap's tuple strings (support counts are not modelled):
+/// `cost` is the links themselves, `reachable` the BFS closure (targets
+/// of paths of one or more links), and `dist[X]` the size of X's closure.
+std::map<std::string, std::set<std::string>> ClosureOracle(
+    const std::set<std::pair<std::string, std::string>>& links) {
+  auto node = [](const std::string& v) { return "node:" + v; };
+  std::map<std::string, std::vector<std::string>> succ;
+  std::map<std::string, std::set<std::string>> want;
+  for (const auto& [x, y] : links) {
+    succ[x].push_back(y);
+    want["cost"].insert("(" + node(x) + ", " + node(y) + ")");
+  }
+  for (const auto& [x, next] : succ) {
+    std::set<std::string> seen(next.begin(), next.end());
+    std::vector<std::string> queue(seen.begin(), seen.end());
+    for (size_t i = 0; i < queue.size(); ++i) {
+      auto it = succ.find(queue[i]);
+      if (it == succ.end()) continue;
+      for (const std::string& y : it->second) {
+        if (seen.insert(y).second) queue.push_back(y);
+      }
+    }
+    for (const std::string& y : seen) {
+      want["reachable"].insert("(" + node(x) + ", " + node(y) + ")");
+    }
+    want["dist"].insert("(" + node(x) + ", " + std::to_string(seen.size()) +
+                        ")");
+  }
+  return want;
+}
+
 TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
   struct Run {
     std::vector<Snapshot> trace;
     std::vector<std::vector<uint64_t>> counters;
   };
-  auto run = [&](bool plan, int threads, size_t shards, bool columnar,
-                 int simd) {
+  const std::vector<FactUpdate> links = ConvergenceLinks(40, 2);
+  // Deletion churn: counting path + group-local DRed for the recursive
+  // group, aggregate recompute on top.
+  std::vector<FactUpdate> churn;
+  for (int i = 0; i < 40; i += 7) {
+    churn.push_back({"link", {Value::Str(Label(i)),
+                              Value::Str(Label((i + 1) % 40))}});
+  }
+  auto run = [&](bool plan, int threads, size_t shards, int simd) {
     Run out;
     Workspace ws;
     ws.fixpoint_options().plan = plan;
     ws.fixpoint_options().threads = threads;
     ws.fixpoint_options().shards = shards;
-    ws.fixpoint_options().columnar = columnar;
     ws.fixpoint_options().simd = simd;
     Install(&ws, kConvergenceProgram);
-    auto seeded = ws.Apply(ConvergenceLinks(40, 2));
+    auto seeded = ws.Apply(links);
     EXPECT_TRUE(seeded.ok()) << seeded.status().ToString();
     out.trace.push_back(Snap(ws));
     out.counters.push_back(SemanticCounters(seeded->fixpoint));
-    // Deletion churn: counting path + group-local DRed for the recursive
-    // group, aggregate recompute on top.
-    for (int i = 0; i < 40; i += 7) {
-      auto del = ws.Apply({}, {{"link", {Value::Str(Label(i)),
-                                         Value::Str(Label((i + 1) % 40))}}});
+    for (const FactUpdate& del_link : churn) {
+      auto del = ws.Apply({}, {del_link});
       EXPECT_TRUE(del.ok()) << del.status().ToString();
       out.trace.push_back(Snap(ws));
       out.counters.push_back(SemanticCounters(del->fixpoint));
     }
     return out;
   };
-  Run base = run(false, 1, 1, /*columnar=*/false, /*simd=*/0);
-  ASSERT_FALSE(base.trace.empty());
-  ASSERT_FALSE(base.trace[0].empty());
+  // Base: planner off, scalar kernels, one thread, one shard. Its tuple
+  // sets must match the closure oracle at every step.
+  Run base = run(false, 1, 1, /*simd=*/0);
+  ASSERT_EQ(base.trace.size(), churn.size() + 1);
+  std::set<std::pair<std::string, std::string>> live;
+  for (const FactUpdate& l : links) {
+    live.emplace(l.values[0].AsString(), l.values[1].AsString());
+  }
+  for (size_t step = 0; step < base.trace.size(); ++step) {
+    if (step > 0) {
+      live.erase({churn[step - 1].values[0].AsString(),
+                  churn[step - 1].values[1].AsString()});
+    }
+    const auto want = ClosureOracle(live);
+    for (const char* pred : {"reachable", "cost", "dist"}) {
+      std::set<std::string> got;
+      auto it = base.trace[step].find(pred);
+      if (it != base.trace[step].end()) {
+        for (const auto& [tuple, support] : it->second) got.insert(tuple);
+      }
+      auto wit = want.find(pred);
+      ASSERT_NE(wit, want.end());
+      EXPECT_EQ(got, wit->second) << pred << " at step " << step;
+    }
+  }
   for (int simd : {0, 1}) {
-    for (bool columnar : {false, true}) {
-      for (bool plan : {false, true}) {
-        for (int threads : {1, 4}) {
-          for (size_t shards : {size_t{1}, size_t{7}}) {
-            if (simd == 0 && !columnar && !plan && threads == 1 &&
-                shards == 1) {
-              continue;
-            }
-            Run other = run(plan, threads, shards, columnar, simd);
-            ASSERT_EQ(base.trace.size(), other.trace.size());
-            for (size_t step = 0; step < base.trace.size(); ++step) {
-              EXPECT_EQ(base.trace[step], other.trace[step])
-                  << "fixpoint diverged at step " << step << " plan=" << plan
-                  << " threads=" << threads << " shards=" << shards
-                  << " columnar=" << columnar << " simd=" << simd;
-              EXPECT_EQ(base.counters[step], other.counters[step])
-                  << "semantic counters diverged at step " << step
-                  << " plan=" << plan << " threads=" << threads
-                  << " shards=" << shards << " columnar=" << columnar
-                  << " simd=" << simd;
-            }
+    for (bool plan : {false, true}) {
+      for (int threads : {1, 4}) {
+        for (size_t shards : {size_t{1}, size_t{7}}) {
+          if (simd == 0 && !plan && threads == 1 && shards == 1) continue;
+          Run other = run(plan, threads, shards, simd);
+          ASSERT_EQ(base.trace.size(), other.trace.size());
+          for (size_t step = 0; step < base.trace.size(); ++step) {
+            EXPECT_EQ(base.trace[step], other.trace[step])
+                << "fixpoint diverged at step " << step << " plan=" << plan
+                << " threads=" << threads << " shards=" << shards
+                << " simd=" << simd;
+            EXPECT_EQ(base.counters[step], other.counters[step])
+                << "semantic counters diverged at step " << step
+                << " plan=" << plan << " threads=" << threads
+                << " shards=" << shards << " simd=" << simd;
           }
         }
       }
@@ -434,38 +496,34 @@ TEST(PlannerTest, PlanBuildCountsThreadAndShardInvariant) {
 // ---------------------------------------------------------------------------
 
 TEST(PlannerTest, SteadyStateEvaluationAllocatesNoFrames) {
-  // Both layouts: the row-major probe path and the columnar batch path
-  // (selection-vector kernels) must reuse pooled frames in steady state.
-  for (bool columnar : {false, true}) {
-    Workspace ws;
-    ws.fixpoint_options().threads = 1;
-    ws.fixpoint_options().columnar = columnar;
-    Install(&ws, R"(
-      e(X, Y) -> string(X), string(Y).
-      tc(X, Y) -> string(X), string(Y).
-      tc(X, Y) <- e(X, Y).
-      tc(X, Y) <- e(X, Z), tc(Z, Y).
-    )");
-    std::vector<FactUpdate> edges;
-    for (int i = 0; i < 10; ++i) {
-      edges.push_back({"e", {Value::Str(Label(i)), Value::Str(Label(i + 1))}});
-    }
-    ASSERT_TRUE(ws.Apply(edges).ok());
-    FactUpdate churn{"e", {Value::Str(Label(3)), Value::Str(Label(8))}};
-    // Warm-up: the first insert/delete pair reaches this workload's maximum
-    // body depth and fills the thread-local frame pool.
+  // The probe and batch paths (selection-vector kernels) must reuse
+  // pooled frames in steady state.
+  Workspace ws;
+  ws.fixpoint_options().threads = 1;
+  Install(&ws, R"(
+    e(X, Y) -> string(X), string(Y).
+    tc(X, Y) -> string(X), string(Y).
+    tc(X, Y) <- e(X, Y).
+    tc(X, Y) <- e(X, Z), tc(Z, Y).
+  )");
+  std::vector<FactUpdate> edges;
+  for (int i = 0; i < 10; ++i) {
+    edges.push_back({"e", {Value::Str(Label(i)), Value::Str(Label(i + 1))}});
+  }
+  ASSERT_TRUE(ws.Apply(edges).ok());
+  FactUpdate churn{"e", {Value::Str(Label(3)), Value::Str(Label(8))}};
+  // Warm-up: the first insert/delete pair reaches this workload's maximum
+  // body depth and fills the thread-local frame pool.
+  ASSERT_TRUE(ws.Apply({churn}).ok());
+  ASSERT_TRUE(ws.Apply({}, {churn}).ok());
+  const uint64_t warm = EvalFrameAllocs();
+  for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(ws.Apply({churn}).ok());
     ASSERT_TRUE(ws.Apply({}, {churn}).ok());
-    const uint64_t warm = EvalFrameAllocs();
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(ws.Apply({churn}).ok());
-      ASSERT_TRUE(ws.Apply({}, {churn}).ok());
-    }
-    EXPECT_EQ(EvalFrameAllocs(), warm)
-        << (columnar ? "batch" : "probe")
-        << " paths allocated evaluation frames in steady state";
-    EXPECT_EQ(ws.stats().eval_frame_allocs, EvalFrameAllocs());
   }
+  EXPECT_EQ(EvalFrameAllocs(), warm)
+      << "evaluation frames allocated in steady state";
+  EXPECT_EQ(ws.stats().eval_frame_allocs, EvalFrameAllocs());
 }
 
 // ---------------------------------------------------------------------------
@@ -474,9 +532,6 @@ TEST(PlannerTest, SteadyStateEvaluationAllocatesNoFrames) {
 
 TEST(PlannerTest, ExplainDescribesChosenPlan) {
   Workspace ws;
-  // Pin the layout: the provenance assertions below distinguish
-  // dictionary-sourced estimates from hashed-mask statistics.
-  ws.fixpoint_options().columnar = true;
   Install(&ws, kWorstOrderedProgram);
   std::vector<FactUpdate> facts;
   for (int i = 0; i < 50; ++i) {
@@ -507,8 +562,8 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
             std::string::npos)
       << dump;
   // Estimate provenance: big's single-column probe estimate comes straight
-  // from the dictionary's live distinct count under the columnar layout;
-  // the unkeyed filt scan falls back to relation size.
+  // from the dictionary's live distinct count; the unkeyed filt scan falls
+  // back to relation size.
   EXPECT_NE(dump.find("via=dict"), std::string::npos) << dump;
   EXPECT_NE(dump.find("via=size"), std::string::npos) << dump;
   EXPECT_NE(dump.find("distinct=50"), std::string::npos) << dump;
@@ -517,38 +572,49 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
   EXPECT_NE(delta_dump.find("variant=d0"), std::string::npos);
   EXPECT_NE(delta_dump.find("est=delta"), std::string::npos);
 
-  // The row-major layout sources the same estimate from the hashed-mask
-  // statistic instead of the dictionary.
-  Workspace row_ws;
-  row_ws.fixpoint_options().columnar = false;
-  Install(&row_ws, kWorstOrderedProgram);
-  ASSERT_TRUE(row_ws.Apply(facts).ok());
-  const CompiledRule* row_rule = nullptr;
-  for (const CompiledRule& r : row_ws.compiled_rules()) {
-    if (r.num_scan_occurrences == 2) row_rule = &r;
+  // A two-column bound probe has no single dictionary to read: its
+  // estimate comes from the hashed-mask statistic the planner seeds. The
+  // one-row sel scan leads and binds both of pair's key columns.
+  Workspace pair_ws;
+  Install(&pair_ws, R"(
+    pair(X, Y, Z) -> int(X), int(Y), int(Z).
+    sel(X, Y) -> int(X), int(Y).
+    hit(Z) -> int(Z).
+    hit(Z) <- pair(X, Y, Z), sel(X, Y).
+  )");
+  std::vector<FactUpdate> pairs;
+  for (int i = 0; i < 50; ++i) {
+    pairs.push_back(
+        {"pair", {Value::Int(i), Value::Int(i % 5), Value::Int(i + 100)}});
   }
-  ASSERT_NE(row_rule, nullptr);
-  ExecPlanner row_planner(&row_ws.catalog(), &row_ws,
-                          &row_ws.fixpoint_options());
-  const VariantPlan* rvp =
-      row_planner.PlanFor(*row_rule, ExecPlanner::kFullBody);
-  ASSERT_NE(rvp, nullptr);
-  const std::string row_dump =
-      row_planner.Explain(*row_rule, ExecPlanner::kFullBody, *rvp);
-  EXPECT_NE(row_dump.find("via=stat"), std::string::npos) << row_dump;
-  EXPECT_NE(row_dump.find("distinct=50"), std::string::npos) << row_dump;
+  pairs.push_back({"sel", {Value::Int(7), Value::Int(2)}});
+  ASSERT_TRUE(pair_ws.Apply(pairs).ok());
+  const CompiledRule* pair_rule = nullptr;
+  for (const CompiledRule& r : pair_ws.compiled_rules()) {
+    if (r.num_scan_occurrences == 2) pair_rule = &r;
+  }
+  ASSERT_NE(pair_rule, nullptr);
+  ExecPlanner pair_planner(&pair_ws.catalog(), &pair_ws,
+                           &pair_ws.fixpoint_options());
+  const VariantPlan* pvp =
+      pair_planner.PlanFor(*pair_rule, ExecPlanner::kFullBody);
+  ASSERT_NE(pvp, nullptr);
+  const std::string pair_dump =
+      pair_planner.Explain(*pair_rule, ExecPlanner::kFullBody, *pvp);
+  EXPECT_NE(pair_dump.find("scan pair (occ 0) est=1 via=stat distinct=50 "
+                           "probe=shard mask=0x3"),
+            std::string::npos)
+      << pair_dump;
 }
 
 TEST(PlannerTest, EnvironmentKnobsParsed) {
   ASSERT_EQ(setenv("SB_PLAN", "0", 1), 0);
   ASSERT_EQ(setenv("SB_EXPLAIN", "1", 1), 0);
-  ASSERT_EQ(setenv("SB_COLUMNAR", "0", 1), 0);
   ASSERT_EQ(setenv("SB_SIMD", "0", 1), 0);
   {
     Workspace ws;
     EXPECT_FALSE(ws.fixpoint_options().plan);
     EXPECT_TRUE(ws.fixpoint_options().explain);
-    EXPECT_FALSE(ws.fixpoint_options().columnar);
     EXPECT_EQ(ws.fixpoint_options().simd, 0);
   }
   ASSERT_EQ(setenv("SB_SIMD", "1", 1), 0);
@@ -562,20 +628,16 @@ TEST(PlannerTest, EnvironmentKnobsParsed) {
     EXPECT_EQ(ws.fixpoint_options().simd, 2);
   }
   ASSERT_EQ(setenv("SB_PLAN", "garbage", 1), 0);
-  ASSERT_EQ(setenv("SB_COLUMNAR", "2", 1), 0);
   ASSERT_EQ(setenv("SB_SIMD", "7", 1), 0);
   ASSERT_EQ(unsetenv("SB_EXPLAIN"), 0);
   {
     Workspace ws;
     EXPECT_TRUE(ws.fixpoint_options().plan) << "garbage keeps the default";
     EXPECT_FALSE(ws.fixpoint_options().explain);
-    EXPECT_TRUE(ws.fixpoint_options().columnar)
-        << "out-of-range keeps the default";
     EXPECT_EQ(ws.fixpoint_options().simd, 2)
         << "out-of-range keeps the auto default";
   }
   ASSERT_EQ(unsetenv("SB_PLAN"), 0);
-  ASSERT_EQ(unsetenv("SB_COLUMNAR"), 0);
   ASSERT_EQ(unsetenv("SB_SIMD"), 0);
 }
 

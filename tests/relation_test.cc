@@ -1,8 +1,10 @@
 // Relation storage: set semantics, functional dependencies, erasure,
-// replacement, secondary-index probing, and hash-partitioned shards
-// (logical content and point lookups are shard-count invariant).
+// replacement, secondary-index probing, hash-partitioned shards (logical
+// content and point lookups are shard-count invariant), and the
+// dictionary-encoded column segments checked against a map model.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,8 +31,8 @@ Tuple T(std::initializer_list<int64_t> vals) {
   return t;
 }
 
-// LookupByKeys needs caller-provided materialization space under the
-// columnar layout; row-mode tests just want the pointer.
+// LookupByKeys materializes into caller-provided space; these tests just
+// want the pointer.
 const Tuple* Lookup(const Relation& r, const Tuple& keys) {
   static Tuple scratch;
   return r.LookupByKeys(keys, &scratch);
@@ -237,8 +239,7 @@ TEST(ShardedRelationTest, BoundKeyProbeTouchesExactlyOneShard) {
                                     T({k}));
     EXPECT_EQ(rows.size(), 20u);
     for (size_t slot : rows) {
-      EXPECT_EQ(r.shard_tuples(static_cast<size_t>(shard))[slot][0].AsInt(),
-                k);
+      EXPECT_EQ(r.At(static_cast<size_t>(shard), slot, 0).AsInt(), k);
     }
   }
   // Column 1 alone does not cover the shard key: fan-out.
@@ -323,13 +324,13 @@ TEST(ShardedRelationTest, ProbeShardReferenceSurvivesForeignIndexWork) {
   }
   EXPECT_EQ(rows.size(), before);
   EXPECT_EQ(rows[0], first);
-  EXPECT_EQ(r.shard_tuples(static_cast<size_t>(shard))[rows[0]][0].AsInt(),
-            1);
+  EXPECT_EQ(r.At(static_cast<size_t>(shard), rows[0], 0).AsInt(), 1);
 }
 
 // ---------------------------------------------------------------------------
-// Columnar storage: dictionary-encoded column segments must agree with the
-// row-major layout under churn, at every shard count.
+// Column segments: codes round-trip through the dictionaries, live counts
+// stay exact, and content matches a plain map model under churn, at every
+// shard count.
 // ---------------------------------------------------------------------------
 
 Tuple Mixed(int64_t k, int64_t tag) {
@@ -343,8 +344,7 @@ Tuple Mixed(int64_t k, int64_t tag) {
 TEST(ColumnarRelationTest, DictionaryRoundTripUnderChurn) {
   PredicateDecl decl = MakeDecl(3, false);
   for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
-    Relation r(&decl, shards, /*columnar=*/true);
-    ASSERT_TRUE(r.columnar());
+    Relation r(&decl, shards);
     for (int64_t i = 0; i < 150; ++i) r.Insert(Mixed(i, i % 5));
     // Every stored code decodes back to the value the accessor reports,
     // and MaterializeTuple reassembles the logical row.
@@ -387,7 +387,7 @@ TEST(ColumnarRelationTest, DictionaryRoundTripUnderChurn) {
 
 TEST(ColumnarRelationTest, ColumnDistinctTracksLiveValuesExactly) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 4, /*columnar=*/true);
+  Relation r(&decl, 4);
   auto expect_distinct = [&](int64_t upto) {
     std::set<std::string> c0, c1, c2;
     for (size_t sh = 0; sh < r.shard_count(); ++sh) {
@@ -412,31 +412,68 @@ TEST(ColumnarRelationTest, ColumnDistinctTracksLiveValuesExactly) {
   expect_distinct(120);
 }
 
-TEST(ColumnarRelationTest, ContentMatchesRowLayoutAcrossShardCounts) {
+TEST(ColumnarRelationTest, ContentMatchesModelAcrossShardCounts) {
+  // The oracle is a map from tuple to support count, driven by the same
+  // operation stream: Insert adds an absent tuple at support 0, AddSupport
+  // counts only present tuples, Erase drops the tuple with its support.
+  // The stream revisits a small domain, so it produces duplicate inserts,
+  // supports on absent tuples, erases of absent tuples and reinserts of
+  // erased ones (which must come back at support 0).
   PredicateDecl decl = MakeDecl(3, false);
-  auto fill = [&](Relation* r) {
-    for (int64_t i = 0; i < 200; ++i) {
-      r->Insert(Mixed(i % 31, i));
-      if (i % 4 == 0) r->AddSupport(Mixed(i % 31, i));
-    }
-    for (int64_t i = 0; i < 200; i += 5) r->Erase(Mixed(i % 31, i));
-  };
-  Relation rows(&decl, 1, /*columnar=*/false);
-  fill(&rows);
   for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
-    Relation cols(&decl, shards, /*columnar=*/true);
-    fill(&cols);
-    EXPECT_EQ(cols.size(), rows.size());
-    EXPECT_EQ(Contents(cols), Contents(rows)) << "shards=" << shards;
-    for (int64_t i = 0; i < 200; ++i) {
-      EXPECT_EQ(cols.Contains(Mixed(i % 31, i)), rows.Contains(Mixed(i % 31, i)));
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Relation r(&decl, shards);
+    std::map<Tuple, uint32_t> model;
+    auto check = [&] {
+      EXPECT_EQ(r.size(), model.size());
+      std::multiset<std::string> want;
+      for (const auto& [t, support] : model) {
+        std::string line;
+        for (const Value& v : t) line += v.ToString() + ",";
+        want.insert(line + "#" + std::to_string(support));
+      }
+      EXPECT_EQ(Contents(r), want);
+      for (int64_t k = 0; k < 23; ++k) {
+        for (int64_t tag = 0; tag < 6; ++tag) {
+          const Tuple t = Mixed(k, tag);
+          auto it = model.find(t);
+          EXPECT_EQ(r.Contains(t), it != model.end());
+          EXPECT_EQ(r.SupportCount(t), it != model.end() ? it->second : 0u);
+        }
+      }
+    };
+    uint64_t seed = 0x5eedULL;
+    for (int op = 0; op < 600; ++op) {
+      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+      const uint64_t draw = seed >> 33;
+      const Tuple t = Mixed(static_cast<int64_t>(draw % 23),
+                            static_cast<int64_t>((draw / 23) % 6));
+      auto it = model.find(t);
+      switch ((draw / 138) % 5) {
+        case 0:
+        case 1:
+          EXPECT_EQ(r.Insert(t), it == model.end() ? InsertOutcome::kInserted
+                                                   : InsertOutcome::kDuplicate);
+          model.emplace(t, 0);
+          break;
+        case 2:
+        case 3:
+          EXPECT_EQ(r.AddSupport(t), it == model.end() ? 0u : ++it->second);
+          break;
+        default:
+          EXPECT_EQ(r.Erase(t), it != model.end());
+          if (it != model.end()) model.erase(it);
+          break;
+      }
+      if (op % 100 == 99) check();
     }
+    ASSERT_FALSE(model.empty());
   }
 }
 
 TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
   PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
-  Relation r(&decl, 7, /*columnar=*/true);
+  Relation r(&decl, 7);
   for (int64_t i = 0; i < 60; ++i) r.Insert(Mixed(i, i * 10));
   EXPECT_EQ(r.Insert(Mixed(3, 999)), InsertOutcome::kFdConflict);
   for (int64_t i = 0; i < 60; ++i) {
@@ -449,7 +486,7 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
   ASSERT_TRUE(displaced.has_value());
   EXPECT_EQ(displaced->back().AsInt(), 30);
   EXPECT_EQ(r.size(), 60u);
-  // Support moves with swap-removed rows, same as the row layout.
+  // Support moves with swap-removed rows.
   for (int64_t i = 0; i < 8; ++i) {
     for (int64_t j = 0; j <= i; ++j) r.AddSupport(Mixed(i, i * 10));
   }
@@ -462,7 +499,7 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
 
 TEST(ColumnarRelationTest, ProbeComparesCodesAndMissesFast) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 4, /*columnar=*/true);
+  Relation r(&decl, 4);
   for (int64_t i = 0; i < 100; ++i) r.Insert(Mixed(i % 5, i));
   const auto& rows = r.Probe(0b001, T({2}));
   EXPECT_EQ(rows.size(), 20u);
@@ -470,11 +507,11 @@ TEST(ColumnarRelationTest, ProbeComparesCodesAndMissesFast) {
   // A key absent from the dictionary answers without touching buckets.
   EXPECT_TRUE(r.Probe(0b001, T({77})).empty());
   EXPECT_FALSE(r.CodeOf(0, Value::Int(77)).has_value());
-  // Bound-key single-shard probes agree with the row layout's routing.
+  // Bound-key single-shard probes route by the values' shard hash.
   int shard = r.ProbeShardOf(0b001, T({2}));
   ASSERT_GE(shard, 0);
   EXPECT_EQ(static_cast<size_t>(shard), r.ShardOf(T({2, 0, 0})));
-  // Erase churn patches columnar buckets in place, no rebuilds.
+  // Erase churn patches code-keyed buckets in place, no rebuilds.
   r.EnsureIndex(0b001);
   uint64_t builds = r.index_builds();
   for (int64_t i = 0; i < 50; ++i) r.Erase(Mixed(i % 5, i));
@@ -488,23 +525,16 @@ TEST(ColumnarRelationTest, ProbeComparesCodesAndMissesFast) {
 
 TEST(ColumnarRelationTest, MemoryFootprintReportsDictionaryAndColumns) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation rows(&decl, 2, /*columnar=*/false);
-  Relation cols(&decl, 2, /*columnar=*/true);
-  for (int64_t i = 0; i < 64; ++i) {
-    rows.Insert(Mixed(i % 4, i % 8));
-    cols.Insert(Mixed(i % 4, i % 8));
-  }
-  Relation::MemoryFootprint rm = rows.Memory();
-  Relation::MemoryFootprint cm = cols.Memory();
-  EXPECT_EQ(rm.dict_bytes, 0u);
-  EXPECT_GT(rm.column_bytes, 0u);  // row storage reported as column bytes
-  EXPECT_GT(cm.dict_bytes, 0u);
-  EXPECT_GT(cm.column_bytes, 0u);
+  Relation r(&decl, 2);
+  for (int64_t i = 0; i < 64; ++i) r.Insert(Mixed(i % 4, i % 8));
+  Relation::MemoryFootprint m = r.Memory();
+  EXPECT_GT(m.dict_bytes, 0u);
+  EXPECT_GT(m.column_bytes, 0u);
 }
 
 TEST(ColumnarRelationTest, EncodeTupleRoundTripsAndReportsMisses) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 3, /*columnar=*/true);
+  Relation r(&decl, 3);
   for (int64_t i = 0; i < 40; ++i) r.Insert(Mixed(i % 6, i));
   std::vector<uint32_t> codes = {123u};  // pre-existing content survives
   Tuple present = Mixed(4, 17);
@@ -526,7 +556,7 @@ TEST(ColumnarRelationTest, EncodeTupleRoundTripsAndReportsMisses) {
 
 TEST(ColumnarRelationTest, SortedRunBoundsWarmStaleAndCorrect) {
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 2, /*columnar=*/true);
+  Relation r(&decl, 2);
   // Cold cache: nothing warm before the first EnsureSortedRuns.
   for (int64_t i = 0; i < 90; ++i) r.Insert(Mixed(i % 7, i));
   EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 1), nullptr);
@@ -571,7 +601,7 @@ TEST(ColumnarRelationTest, SortedRunsStaleAfterEraseChurnAndRewarm) {
   // silently mis-delimit runs rather than crash. After a re-warm the
   // bounds must describe the post-churn vectors exactly.
   PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 2, /*columnar=*/true);
+  Relation r(&decl, 2);
   for (int64_t i = 0; i < 80; ++i) r.Insert(Mixed(i % 11, i));
   r.EnsureSortedRuns(2);
   ASSERT_NE(r.SortedRunBoundsIfWarm(0, 2), nullptr);
@@ -610,7 +640,7 @@ TEST(ColumnarRelationTest, RejectedInsertsLeaveDictionaryRefcountsClean) {
   // afterwards must still retire every code to zero live values.
   {
     PredicateDecl decl = MakeDecl(3, false);
-    Relation r(&decl, 3, /*columnar=*/true);
+    Relation r(&decl, 3);
     for (int64_t i = 0; i < 30; ++i) {
       ASSERT_EQ(r.Insert(Mixed(i % 6, i)), InsertOutcome::kInserted);
     }
@@ -631,7 +661,7 @@ TEST(ColumnarRelationTest, RejectedInsertsLeaveDictionaryRefcountsClean) {
   }
   {
     PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
-    Relation r(&decl, 3, /*columnar=*/true);
+    Relation r(&decl, 3);
     for (int64_t i = 0; i < 20; ++i) {
       ASSERT_EQ(r.Insert(Mixed(i, i)), InsertOutcome::kInserted);
     }
