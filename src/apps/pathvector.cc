@@ -160,6 +160,7 @@ Result<PathVectorResult> RunPathVector(const PathVectorConfig& config) {
   result.best_costs.resize(config.num_nodes);
   for (size_t i = 0; i < config.num_nodes; ++i) {
     auto& ws = cluster->node(static_cast<net::NodeIndex>(i)).workspace();
+    result.engine_stats.push_back(ws.stats());
     SB_ASSIGN_OR_RETURN(auto rows, ws.Query("bestcost"));
     const auto& catalog = ws.catalog();
     for (const auto& row : rows) {

@@ -14,6 +14,7 @@
 
 #include "common/status.h"
 #include "dist/cluster.h"
+#include "engine/workspace.h"
 #include "policy/says_policy.h"
 
 namespace secureblox::apps {
@@ -57,6 +58,8 @@ struct PathVectorResult {
   dist::SimCluster::Metrics metrics;
   /// bestcost[self, dst] rows per node: hop counts for verification.
   std::vector<std::vector<std::pair<size_t, int64_t>>> best_costs;
+  /// Each node's cumulative engine counters after the run.
+  std::vector<engine::EngineStats> engine_stats;
 };
 
 /// Build the cluster, run the protocol to a distributed fixpoint on a

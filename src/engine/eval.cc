@@ -407,6 +407,36 @@ class BodyPlanner {
   std::vector<bool>& bound_;
 };
 
+/// Fill CompiledRule::neg_preds and flip_steps from the compiled body. The
+/// flipped atom's scan sits where its negation did, so every argument is
+/// already bound there and the scan filters the flipped tuples; the
+/// planner hoists it to the front (ExecPlanner::PlanForFlip).
+void BuildFlipSteps(CompiledRule* rule) {
+  if (std::none_of(rule->steps.begin(), rule->steps.end(), [](const Step& s) {
+        return s.kind == Step::Kind::kNegCheck;
+      })) {
+    return;
+  }
+  const int n = rule->num_scan_occurrences;
+  std::vector<Step> base = rule->steps;
+  for (Step& s : base) {
+    if (s.kind != Step::Kind::kNegCheck) continue;
+    s.occurrence = n + static_cast<int>(rule->neg_preds.size());
+    rule->neg_preds.push_back(s.pred);
+  }
+  for (size_t i = 0; i < base.size(); ++i) {
+    if (base[i].kind != Step::Kind::kNegCheck) continue;
+    std::vector<Step> steps = base;
+    Step scan = base[i];
+    scan.kind = Step::Kind::kScan;
+    scan.occurrence = rule->flip_occurrence();
+    steps.insert(steps.begin() + static_cast<std::ptrdiff_t>(i),
+                 std::move(scan));
+    ComputeProbeInfo(&steps);
+    rule->flip_steps.push_back(std::move(steps));
+  }
+}
+
 }  // namespace
 
 void ComputeProbeInfo(std::vector<Step>* steps) {
@@ -450,6 +480,7 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
     }
   }
   ComputeProbeInfo(&out.steps);
+  BuildFlipSteps(&out);
 
   if (rule.agg.has_value()) {
     if (rule.heads.size() != 1 || !rule.heads[0].functional) {
@@ -1022,6 +1053,16 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
     }
 
     case Step::Kind::kNegCheck: {
+      // A flip variant's view probes the relation as it stood before a
+      // pending change: `extra` tuples count as present, `exclude` tuples
+      // as absent.
+      const OccView* view = ViewFor(delta, step);
+      if (view != nullptr && view->extra != nullptr) {
+        for (const Tuple& t : *view->extra) {
+          if (TupleMatches(step.args, t, env)) return Status::OK();
+        }
+      }
+      const TupleSet* exclude = view != nullptr ? view->exclude : nullptr;
       Relation* rel = store_.GetRelation(step.pred);
       if (rel == nullptr || rel->empty()) {
         return RunFrom(steps, idx + 1, env, delta, on_match);
@@ -1029,7 +1070,11 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       const uint32_t mask = step.probe_mask;
       bool exists;
       if (mask == 0) {
-        exists = !rel->empty();
+        size_t hidden = 0;
+        if (exclude != nullptr) {
+          for (const Tuple& t : *exclude) hidden += rel->Contains(t) ? 1 : 0;
+        }
+        exists = rel->size() > hidden;
       } else {
         Tuple& key = t_frames[frame_base_ + idx].key;
         key.clear();
@@ -1046,7 +1091,17 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
             only >= 0 ? static_cast<size_t>(only) + 1 : rel->shard_count();
         exists = false;
         for (size_t sh = begin; sh < end && !exists; ++sh) {
-          exists = !rel->ProbeShard(sh, mask, key).empty();
+          const std::vector<size_t>& rows = rel->ProbeShard(sh, mask, key);
+          if (exclude == nullptr) {
+            exists = !rows.empty();
+            continue;
+          }
+          for (size_t slot : rows) {
+            if (!exclude->count(rel->MaterializeTuple(sh, slot))) {
+              exists = true;
+              break;
+            }
+          }
         }
       }
       if (exists) return Status::OK();  // negation fails

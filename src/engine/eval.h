@@ -133,7 +133,8 @@ struct VariantPlan {
 };
 
 /// Per-rule plan cache, attached to CompiledRule: slot 0 holds the
-/// full-body plan, slot occ+1 the occurrence-`occ` variant. Sized once
+/// full-body plan, slot occ+1 the occurrence-`occ` variant, and slot
+/// num_scan_occurrences+1+k the negation-flip variant k. Sized once
 /// (plans hand out interior pointers) and mutated only by the planner from
 /// the fixpoint's single-threaded merge phase.
 struct RulePlanCache {
@@ -165,6 +166,20 @@ struct CompiledRule {
   std::optional<CompiledAgg> agg;
   int num_scan_occurrences = 0;
   std::vector<datalog::PredId> scan_preds;    // indexed by occurrence
+  /// Negated predicate per kNegCheck step, in `steps` order (the step's
+  /// *negation ordinal*).
+  std::vector<datalog::PredId> neg_preds;
+  /// Negation-flip variants, one per negation ordinal k: `steps` with
+  /// negated step k also read as a positive scan, in place, over the
+  /// flipped tuples (occurrence flip_occurrence()), followed by the kept
+  /// negation probe; every negated step j carries occurrence
+  /// num_scan_occurrences + j so the driver can give its probe a view.
+  /// Executing one enumerates exactly the instantiations a change to the
+  /// negated predicate blocks or unblocks (see FixpointDriver).
+  std::vector<std::vector<Step>> flip_steps;
+  int flip_occurrence() const {
+    return num_scan_occurrences + static_cast<int>(neg_preds.size());
+  }
   // Head existentials.
   std::vector<int> existential_slots;
   std::vector<datalog::PredId> existential_types;
@@ -217,6 +232,8 @@ using TupleSet = std::unordered_set<Tuple, TupleHash>;
 ///    derivations have not been counted yet);
 ///  - `extra`: tuples appended to the relation's contents (tuples already
 ///    erased, restored so retraction variants see the pre-delete state).
+/// Negation probes of a flip variant read `exclude` and `extra` the same
+/// way: they test the relation as it was before a pending change.
 struct OccView {
   const std::vector<Tuple>* only = nullptr;
   size_t only_begin = 0;

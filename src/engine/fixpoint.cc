@@ -5,6 +5,7 @@
 #include <thread>
 #include <tuple>
 
+#include "engine/placement.h"
 #include "engine/planner.h"
 
 namespace secureblox::engine {
@@ -67,10 +68,15 @@ struct FixpointDriver::EnumTask {
   size_t rule_idx = 0;
   int gid = 0;
   bool retract = false;
+  /// The rule has side effects (head existentials, thread-unsafe
+  /// builtins): run on the coordinating thread, after the pool drains.
+  bool inline_only = false;
   int occ = 0;
   /// Shared across the chunks of one variant (read-only while running).
   std::shared_ptr<std::vector<OccView>> base_views;
   std::shared_ptr<std::vector<TupleSet>> excl;
+  /// Flip variants: the deduplicated flipped tuples `only` points into.
+  std::shared_ptr<const std::vector<Tuple>> rows;
   /// Per-shard partition of the variant's delta as index lists into the
   /// round snapshot's delta vector — segment slices, no tuple copies
   /// (shared by the variant's tasks; null when the target relation has one
@@ -88,6 +94,9 @@ struct FixpointDriver::EnumTask {
   /// Instantiated head tuples (insert) / destroyed instantiations
   /// (retract), in enumeration order.
   std::vector<std::pair<PredId, Tuple>> pending;
+  /// Body instantiations enumerated (one per match, whatever the number
+  /// of heads; aggregate rules stage no head tuples).
+  uint64_t matches = 0;
   Status status = Status::OK();
 };
 
@@ -407,59 +416,59 @@ void FixpointDriver::StageVariantTasks(
     auto views = std::make_shared<std::vector<OccView>>(n);
     BuildVariantViews(rule, delta, unconsumed, occ, retract, views.get(),
                       excl.get());
-    // Chunks are cut on the delta relation's shard boundaries: one
-    // partition per shard (relative delta order preserved within each),
-    // windowed so a huge shard still spreads across workers. Staging order
-    // — and with it the merge order — is (occ, shard, window). With one
-    // shard the round snapshot's vector is windowed directly, exactly the
-    // pre-shard decomposition.
-    auto stage_windows =
-        [&](const std::vector<Tuple>* source,
-            const std::vector<uint32_t>* index,
-            const std::shared_ptr<std::vector<std::vector<uint32_t>>>&
-                parts) {
-          const size_t rows = index != nullptr ? index->size()
-                                               : source->size();
-          const size_t chunks = ChunkCountFor(rows);
-          for (size_t c = 0; c < chunks; ++c) {
-            auto task = std::make_unique<EnumTask>();
-            task->rule = &rule;
-            task->steps = steps;
-            task->rule_idx = rule_idx;
-            task->gid = gid;
-            task->retract = retract;
-            task->occ = occ;
-            task->base_views = views;
-            task->excl = excl;
-            task->shard_parts = parts;
-            task->only = source;
-            task->only_index = index;
-            task->lo = c * rows / chunks;
-            task->hi = (c + 1) * rows / chunks;
-            tasks->push_back(std::move(task));
-          }
-        };
-    const std::vector<Tuple>& only = it->second;
-    Relation* rel = store_.GetRelation(rule.scan_preds[occ]);
-    const size_t nshards = rel != nullptr ? rel->shard_count() : 1;
-    if (nshards <= 1) {
-      stage_windows(&only, nullptr, nullptr);
-    } else {
-      // Segment slices: partition the delta into per-shard index lists
-      // over the snapshot's one vector (relative order preserved within
-      // each shard) instead of materializing per-shard tuple copies. The
-      // partition sizes — and with them the window decomposition and merge
-      // order — are exactly those of the copying layout.
-      auto parts =
-          std::make_shared<std::vector<std::vector<uint32_t>>>(nshards);
-      for (size_t k = 0; k < only.size(); ++k) {
-        (*parts)[rel->ShardOf(only[k])].push_back(static_cast<uint32_t>(k));
-      }
-      for (size_t s = 0; s < nshards; ++s) {
-        if ((*parts)[s].empty()) continue;
-        stage_windows(&only, &(*parts)[s], parts);
-      }
-    }
+    EnumTask proto;
+    proto.rule = &rule;
+    proto.steps = steps;
+    proto.rule_idx = rule_idx;
+    proto.gid = gid;
+    proto.retract = retract;
+    proto.occ = occ;
+    proto.base_views = std::move(views);
+    proto.excl = std::move(excl);
+    StageChunks(proto, it->second, store_.GetRelation(rule.scan_preds[occ]),
+                tasks);
+  }
+}
+
+void FixpointDriver::StageChunks(
+    const EnumTask& proto, const std::vector<Tuple>& rows, Relation* rel,
+    std::vector<std::unique_ptr<EnumTask>>* tasks) {
+  // Chunks are cut on the delta relation's shard boundaries: one partition
+  // per shard (relative delta order preserved within each), windowed so a
+  // huge shard still spreads across workers. Staging order — and with it
+  // the merge order — is (shard, window). With one shard the vector is
+  // windowed directly, exactly the pre-shard decomposition.
+  auto stage_windows =
+      [&](const std::vector<uint32_t>* index,
+          const std::shared_ptr<std::vector<std::vector<uint32_t>>>& parts) {
+        const size_t n = index != nullptr ? index->size() : rows.size();
+        const size_t chunks = ChunkCountFor(n);
+        for (size_t c = 0; c < chunks; ++c) {
+          auto task = std::make_unique<EnumTask>(proto);
+          task->shard_parts = parts;
+          task->only = &rows;
+          task->only_index = index;
+          task->lo = c * n / chunks;
+          task->hi = (c + 1) * n / chunks;
+          tasks->push_back(std::move(task));
+        }
+      };
+  const size_t nshards = rel != nullptr ? rel->shard_count() : 1;
+  if (nshards <= 1) {
+    stage_windows(nullptr, nullptr);
+    return;
+  }
+  // Segment slices: partition the rows into per-shard index lists over the
+  // one vector instead of materializing per-shard tuple copies. The
+  // partition sizes — and with them the window decomposition and merge
+  // order — are exactly those of the copying layout.
+  auto parts = std::make_shared<std::vector<std::vector<uint32_t>>>(nshards);
+  for (size_t k = 0; k < rows.size(); ++k) {
+    (*parts)[rel->ShardOf(rows[k])].push_back(static_cast<uint32_t>(k));
+  }
+  for (size_t sh = 0; sh < nshards; ++sh) {
+    if ((*parts)[sh].empty()) continue;
+    stage_windows(&(*parts)[sh], parts);
   }
 }
 
@@ -528,6 +537,7 @@ Status FixpointDriver::RunStagedTasks(
     Env env(t.rule->num_slots);
     t.status = executor.Run(
         *t.steps, &env, &override, [&](Env& e) -> Status {
+          ++t.matches;
           return InstantiateHeads(*t.rule, e, &t.pending);
         });
   };
@@ -538,9 +548,15 @@ Status FixpointDriver::RunStagedTasks(
     std::vector<std::function<void()>> fns;
     fns.reserve(tasks->size());
     for (auto& t : *tasks) {
+      if (t->inline_only) continue;
       fns.push_back([&run_one, task = t.get()] { run_one(*task); });
     }
-    p->Run(fns);
+    if (!fns.empty()) p->Run(fns);
+    // Side-effecting rules (entity creation) enumerate here, in staging
+    // order, once no worker reads the catalog.
+    for (auto& t : *tasks) {
+      if (t->inline_only) run_one(*t);
+    }
   }
   for (const auto& t : *tasks) {
     SB_RETURN_IF_ERROR(t->status);
@@ -559,15 +575,33 @@ Status FixpointDriver::ApplyStagedTasks(
       }
     } else {
       for (auto& [pred, tuple] : t.pending) {
-        ++stats_.retractions;
-        SB_ASSIGN_OR_RETURN(bool erased, host_.RetractSupport(pred, tuple));
-        if (erased) {
-          ++stats_.deleted;
-        } else {
-          ++stats_.rescued;
-        }
+        SB_RETURN_IF_ERROR(RetractOne(pred, tuple));
       }
     }
+  }
+  return Status::OK();
+}
+
+Status FixpointDriver::RetractOne(PredId pred, const Tuple& tuple) {
+  ++stats_.retractions;
+  SB_ASSIGN_OR_RETURN(bool erased, host_.RetractSupport(pred, tuple));
+  if (erased) {
+    ++stats_.deleted;
+    return Status::OK();
+  }
+  ++stats_.rescued;
+  // A survivor of a recursively derived predicate may be held up only by
+  // derivations through itself (a cycle in a recursive group), which
+  // counting cannot tell. Queue it to the recursive producer as a delete
+  // delta: that group rederives, and its recompute supersedes the entry.
+  for (size_t r : graph_.producers_of(pred)) {
+    const int g = graph_.group_of_rule(r);
+    if (!graph_.group(g).recursive || active_.count(g)) continue;
+    Relation* rel = store_.GetRelation(pred);
+    if (rel->SupportCount(tuple) > 0) {
+      PushToDeltaMap(&delta_[g].dels, pred, tuple);
+    }
+    break;
   }
   return Status::OK();
 }
@@ -681,12 +715,20 @@ Status FixpointDriver::ProcessRetractions(int gid) {
     return Status::OK();
   }
 
-  // Recursive groups and flipped negation probes cannot be maintained by
-  // counting alone: rederive locally.
-  if (group.recursive || !neg_[gid].empty()) return RederiveCluster(gid);
+  // Counting cannot retract through a cycle: a delete delta reaching a
+  // recursive group rederives it locally (superseding its flips).
+  if (group.recursive && !delta_[gid].dels.empty()) {
+    return RederiveCluster(gid);
+  }
+  if (!neg_[gid].empty()) {
+    bool rederive = false;
+    SB_RETURN_IF_ERROR(ProcessFlips(gid, &rederive));
+    if (rederive) return RederiveCluster(gid);
+  }
 
   // Counting path: enumerate destroyed instantiations on the pool (same
-  // phase split as a wave round — the supports drop in the merge phase).
+  // phase split as a wave round — the supports drop in the merge phase),
+  // against the post-flip negation state.
   EnsureRelations();
   while (!delta_[gid].dels.empty()) {
     DeltaMap dels = std::move(delta_[gid].dels);
@@ -721,6 +763,250 @@ Status FixpointDriver::ProcessRetractions(int gid) {
     }
   }
   return Status::OK();
+}
+
+Status FixpointDriver::ProcessFlips(int gid, bool* rederive) {
+  const RuleGroup& group = graph_.group(gid);
+  EnsureRelations();
+  const ChangeQueue neg = std::move(neg_[gid]);
+  neg_[gid].clear();
+
+  // Flipped predicates fold in PredId order. For each, deletes go first
+  // (they can only unblock), then inserts (they can only block); every
+  // variant is enumerated against the frozen pre-flip database, its
+  // negation probes reading each predicate at its state for that step.
+  std::set<PredId> flipped;
+  for (const auto& [pred, tuples] : neg.adds) flipped.insert(pred);
+  for (const auto& [pred, tuples] : neg.dels) flipped.insert(pred);
+  std::map<PredId, std::shared_ptr<TupleSet>> added;
+  std::vector<std::unique_ptr<EnumTask>> tasks;
+  for (PredId pred : flipped) {
+    for (bool retract : {false, true}) {
+      const DeltaMap& changes = retract ? neg.adds : neg.dels;
+      auto it = changes.find(pred);
+      if (it == changes.end()) continue;
+      for (size_t idx : group.rules) {
+        const CompiledRule& rule = rules_[idx];
+        for (size_t k = 0; k < rule.neg_preds.size(); ++k) {
+          if (rule.neg_preds[k] != pred) continue;
+          StageFlipTasks(rule, idx, gid, k, retract, it->second, neg, &added,
+                         &tasks);
+        }
+      }
+    }
+  }
+  if (tasks.empty()) return Status::OK();
+  SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
+
+  // Counting cannot retract through a cycle, and lattice aggregates are
+  // not support-counted: a flip that blocks a live instantiation there
+  // leaves it to the local recompute.
+  for (const auto& t : tasks) {
+    if (t->retract && t->matches > 0 &&
+        (group.recursive || t->rule->agg.has_value())) {
+      *rederive = true;
+      return Status::OK();
+    }
+  }
+
+  // Merge in staging order. The group's own changes to predicates it
+  // negates are ignored, as in its waves (derivation-time negation).
+  ActiveSetGuard guard(&active_);
+  guard.Add(gid);
+  std::set<size_t> agg_rerun;
+  for (const auto& t : tasks) {
+    stats_.flip_matches += t->matches;
+    if (t->rule->agg.has_value() && t->matches > 0) {
+      agg_rerun.insert(t->rule_idx);
+    }
+  }
+  SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, 0, tasks.size()));
+  // An unblocked aggregate body binding can only improve a lattice value.
+  for (size_t idx : agg_rerun) {
+    ++stats_.agg_recomputes;
+    SB_RETURN_IF_ERROR(RecomputeAggregate(rules_[idx], /*lattice=*/true));
+  }
+  return CheckBudget(group);
+}
+
+void FixpointDriver::DropHeadlessRows(const CompiledRule& rule,
+                                      const Step& atom,
+                                      std::vector<Tuple>* rows) {
+  // Pick a head whose key the atom's variables fix: a functional head's
+  // key columns, or every column. Placed heads may live at another node.
+  for (const CompiledHead& head : rule.heads) {
+    if (options_.placement != nullptr &&
+        options_.placement->IsPlaced(head.pred)) {
+      continue;
+    }
+    const datalog::PredicateDecl& decl = ctx_.catalog->decl(head.pred);
+    // Per head column: the atom column that fixes it, -2 for a constant,
+    // -1 when the atom leaves it open.
+    std::vector<int> from(head.args.size(), -1);
+    for (size_t c = 0; c < head.args.size(); ++c) {
+      const ArgPat& p = head.args[c];
+      if (p.kind == ArgPat::Kind::kConst) {
+        from[c] = -2;
+        continue;
+      }
+      if (p.kind != ArgPat::Kind::kBound) continue;
+      for (size_t j = 0; j < atom.args.size(); ++j) {
+        if (atom.args[j].kind == ArgPat::Kind::kBound &&
+            atom.args[j].slot == p.slot) {
+          from[c] = static_cast<int>(j);
+          break;
+        }
+      }
+    }
+    auto fixed = [&](size_t cols) {
+      return std::all_of(from.begin(), from.begin() + cols,
+                         [](int f) { return f != -1; });
+    };
+    size_t width;
+    if (fixed(from.size())) {
+      width = from.size();
+    } else if (decl.functional && fixed(decl.num_keys())) {
+      width = decl.num_keys();
+    } else {
+      continue;
+    }
+    const Relation* rel = store_.GetRelation(head.pred);
+    Tuple probe;
+    Tuple scratch;
+    auto headless = [&](const Tuple& row) {
+      probe.clear();
+      for (size_t c = 0; c < width; ++c) {
+        probe.push_back(from[c] == -2 ? head.args[c].constant : row[from[c]]);
+      }
+      return width == from.size() ? !rel->Contains(probe)
+                                  : rel->LookupByKeys(probe, &scratch) ==
+                                        nullptr;
+    };
+    rows->erase(std::remove_if(rows->begin(), rows->end(), headless),
+                rows->end());
+    return;
+  }
+}
+
+void FixpointDriver::StageFlipTasks(
+    const CompiledRule& rule, size_t rule_idx, int gid, size_t k,
+    bool retract, const std::vector<Tuple>& changed, const ChangeQueue& neg,
+    std::map<PredId, std::shared_ptr<TupleSet>>* added,
+    std::vector<std::unique_ptr<EnumTask>>* tasks) {
+  const PredId pred = rule.neg_preds[k];
+  const int n = rule.num_scan_occurrences;
+  const size_t m = rule.neg_preds.size();
+  const int flip_occ = rule.flip_occurrence();
+
+  // Flipped tuples that agree on the negated atom's non-wildcard columns
+  // block or unblock the same instantiations: keep the first of each.
+  const std::vector<Step>& base = rule.flip_steps[k];
+  const Step& atom =
+      *std::find_if(base.begin(), base.end(),
+                    [&](const Step& s) { return s.occurrence == flip_occ; });
+  std::vector<size_t> key_cols;
+  for (size_t c = 0; c < atom.args.size(); ++c) {
+    if (atom.args[c].kind != ArgPat::Kind::kWild) key_cols.push_back(c);
+  }
+  auto rows = std::make_shared<std::vector<Tuple>>();
+  if (key_cols.size() == atom.args.size()) {
+    *rows = changed;
+  } else {
+    TupleSet seen;
+    for (const Tuple& t : changed) {
+      Tuple key;
+      key.reserve(key_cols.size());
+      for (size_t c : key_cols) key.push_back(t[c]);
+      if (seen.insert(std::move(key)).second) rows->push_back(t);
+    }
+  }
+  stats_.flip_probes += rows->size();
+  // A live instantiation supports every head it derives, so an insert
+  // can only block instantiations whose head tuples exist — unless a
+  // deletes pass staged before this one derives them first.
+  const bool unblocks_staged = std::any_of(
+      tasks->begin(), tasks->end(),
+      [](const std::unique_ptr<EnumTask>& t) { return !t->retract; });
+  if (retract && !rule.agg.has_value() && !unblocks_staged) {
+    DropHeadlessRows(rule, atom, rows.get());
+  }
+  if (rows->empty()) return;
+
+  // Positive occurrences read the state the supports were counted on:
+  // unconsumed insert deltas hidden, unprocessed delete deltas restored.
+  const ChangeQueue& pending = delta_[gid];
+  auto excl = std::make_shared<std::vector<TupleSet>>(n);
+  auto views = std::make_shared<std::vector<OccView>>(n + m + 1);
+  for (int j = 0; j < n; ++j) {
+    const PredId q = rule.scan_preds[j];
+    auto a = pending.adds.find(q);
+    if (a != pending.adds.end() && !a->second.empty()) {
+      (*excl)[j].insert(a->second.begin(), a->second.end());
+      (*views)[j].exclude = &(*excl)[j];
+    }
+    auto d = pending.dels.find(q);
+    if (d != pending.dels.end() && !d->second.empty()) {
+      (*views)[j].extra = &d->second;
+    }
+  }
+  // Negation probes. A predicate not yet folded in reads as before its
+  // change (inserts hidden, deletes restored), one already folded reads
+  // live. The flipped predicate itself: this variant's atom k, and the
+  // atoms after it, read it with its deletes applied and its inserts not
+  // yet; atoms before k read it as before the deletes (deletes pass) or
+  // live (inserts pass) — so an instantiation is enumerated once, at its
+  // first atom the change affects.
+  auto before = [&](OccView* v, PredId q, bool restore_deletes) {
+    auto a = neg.adds.find(q);
+    if (a != neg.adds.end()) {
+      std::shared_ptr<TupleSet>& set = (*added)[q];
+      if (set == nullptr) {
+        set = std::make_shared<TupleSet>(a->second.begin(), a->second.end());
+      }
+      v->exclude = set.get();
+    }
+    if (!restore_deletes) return;
+    auto d = neg.dels.find(q);
+    if (d != neg.dels.end() && !d->second.empty()) v->extra = &d->second;
+  };
+  for (size_t j = 0; j < m; ++j) {
+    OccView* v = &(*views)[n + j];
+    const PredId q = rule.neg_preds[j];
+    if (q == pred) {
+      if (j >= k) {
+        before(v, q, /*restore_deletes=*/false);
+      } else if (!retract) {
+        before(v, q, /*restore_deletes=*/true);
+      }
+    } else if (q > pred &&
+               (neg.adds.count(q) != 0 || neg.dels.count(q) != 0)) {
+      before(v, q, /*restore_deletes=*/true);
+    }
+  }
+
+  const std::vector<Step>* steps = &base;
+  ExecPlanner* pl = planner();
+  const VariantPlan* vp = pl != nullptr ? pl->PlanForFlip(rule, k) : nullptr;
+  if (vp != nullptr) {
+    steps = &vp->steps;
+    WarmPlanMasks(*vp);
+  } else {
+    WarmIndexes(rule, rule_idx);
+  }
+  WarmScanRuns(*steps);
+
+  EnumTask proto;
+  proto.rule = &rule;
+  proto.steps = steps;
+  proto.rule_idx = rule_idx;
+  proto.gid = gid;
+  proto.retract = retract;
+  proto.inline_only = !rule.parallel_safe;
+  proto.occ = flip_occ;
+  proto.base_views = std::move(views);
+  proto.excl = std::move(excl);
+  proto.rows = rows;
+  StageChunks(proto, *rows, store_.GetRelation(pred), tasks);
 }
 
 Status FixpointDriver::CheckBudget(const RuleGroup& group) {
@@ -831,13 +1117,7 @@ Status FixpointDriver::RunRetractVariants(const CompiledRule& rule,
   }
 
   for (auto& [pred, tuple] : pending) {
-    ++stats_.retractions;
-    SB_ASSIGN_OR_RETURN(bool erased, host_.RetractSupport(pred, tuple));
-    if (erased) {
-      ++stats_.deleted;
-    } else {
-      ++stats_.rescued;
-    }
+    SB_RETURN_IF_ERROR(RetractOne(pred, tuple));
   }
   return Status::OK();
 }

@@ -48,15 +48,25 @@
 //     at later occurrences) and drop one support per instantiation; a
 //     tuple whose support reaches zero — and that is not a base fact — is
 //     erased and cascades downstream; the destroyed-instantiation
-//     enumeration is chunked onto the pool like the insert path;
-//   - recursive groups, and groups whose negation probes flipped, fall
-//     back to group-local DRed: over-delete the closure of groups sharing
-//     head predicates, reseed just those groups from their body
-//     predicates, and re-run them to a local fixpoint (the reseed deltas
-//     are large, so this path gains the most from chunked enumeration).
-//     Rescued tuples annihilate against their own delete deltas in
-//     downstream queues, so downstream work is proportional to the net
-//     change.
+//     enumeration is chunked onto the pool like the insert path; a
+//     survivor of a predicate a recursive group also derives may rest on
+//     cyclic supports only, so it is handed to that group;
+//   - recursive groups fall back to group-local DRed: over-delete the
+//     closure of groups sharing head predicates, reseed just those groups
+//     from their body predicates, and re-run them to a local fixpoint (the
+//     reseed deltas are large, so this path gains the most from chunked
+//     enumeration). Rescued tuples annihilate against their own delete
+//     deltas in downstream queues, so downstream work is proportional to
+//     the net change.
+// A change to a negated predicate (a *flip*) is precise: each negating
+// rule runs a flip variant (CompiledRule::flip_steps) that reads the
+// negated atom as a positive occurrence over the flipped tuples, against
+// the state the group's supports were counted on. Each match is a live
+// instantiation an insert blocks (one support dropped) or a blocked one a
+// delete frees (one support added); no match means no work. Only a
+// recursive group in which a flip blocks a live instantiation rederives.
+// Under derivation-time negation a group ignores the flips its own
+// evaluation causes (see active_).
 //
 // The driver mutates the database exclusively through the FixpointHost
 // interface — only ever from the merge phase — so the workspace keeps
@@ -110,11 +120,19 @@ struct FixpointStats {
   /// Tuples kept alive by an alternative derivation or a base fact, plus
   /// over-deleted tuples rederived by group-local DRed.
   uint64_t rescued = 0;
-  /// Group-local DRed invocations (recursive groups / negation flips).
+  /// Group-local DRed invocations: delete deltas reaching a recursive
+  /// group, and flips that block a live instantiation in one.
   uint64_t group_rederives = 0;
   /// Tuples reseeded into rederived groups — the rederivation footprint,
   /// bounded by the affected groups instead of the whole database.
   uint64_t rederive_seeded = 0;
+  /// Flipped negated-predicate tuples probed against negating rules (per
+  /// flip variant, after merging tuples that agree on the atom's
+  /// non-wildcard columns).
+  uint64_t flip_probes = 0;
+  /// Instantiations a flip retracted (insert blocked them) or derived
+  /// (delete unblocked them).
+  uint64_t flip_matches = 0;
   // -- cost-based planning ---------------------------------------------------
   /// Execution plans built or rebuilt (stats drift) this transaction.
   /// Deterministic: planning inputs are thread- and shard-independent.
@@ -272,14 +290,42 @@ class FixpointDriver {
   /// rules with side effects, and the pre-parallel reference semantics.
   Status RunRuleVariants(const CompiledRule& rule, const DeltaMap& delta,
                          int gid);
-  /// Counting retraction / group-local DRed dispatch for one group's
-  /// pending delete deltas and negation flips.
+  /// One group's pending negation flips and delete deltas: precise flips
+  /// first (pending deletes restored), then counting retraction against
+  /// the post-flip state; group-local DRed for delete deltas reaching a
+  /// recursive group and for recursive flips that block something.
   Status ProcessRetractions(int gid);
+  /// Precise flips for one group: enumerate, per negating rule and
+  /// flipped predicate, the live instantiations the inserts block and the
+  /// blocked ones the deletes unblock, then retract / derive them. Sets
+  /// `*rederive` instead of applying anything when a block needs DRed (a
+  /// recursive group, or a lattice aggregate).
+  Status ProcessFlips(int gid, bool* rederive);
+  /// Stage the chunked flip-variant tasks of `rule`'s negated step `k`
+  /// over `changed` (inserts when `retract`, deletes otherwise) of its
+  /// predicate. `neg` is the group's whole pending flip set; `added`
+  /// caches its inserts as sets, for probing predicates not yet folded in.
+  void StageFlipTasks(
+      const CompiledRule& rule, size_t rule_idx, int gid, size_t k,
+      bool retract, const std::vector<Tuple>& changed, const ChangeQueue& neg,
+      std::map<datalog::PredId, std::shared_ptr<TupleSet>>* added,
+      std::vector<std::unique_ptr<EnumTask>>* tasks);
+  /// Drop flipped `rows` of negated `atom` that cannot block a live
+  /// instantiation of `rule`: when the atom's variables fix the key of a
+  /// locally stored head, a row whose head tuple is absent has none.
+  void DropHeadlessRows(const CompiledRule& rule, const Step& atom,
+                        std::vector<Tuple>* rows);
   Status RunRetractVariants(const CompiledRule& rule, const DeltaMap& dels,
                             int gid);
+  /// Drop one support of a destroyed instantiation's head tuple. A tuple
+  /// of a recursively derived predicate that survives queues its recursive
+  /// producer group for rederivation (its remaining supports may be
+  /// cyclic).
+  Status RetractOne(datalog::PredId pred, const Tuple& tuple);
   /// Group-local DRed: over-delete the head-sharing closure around `gid`,
   /// reseed those groups from their body predicates, re-run to a local
-  /// fixpoint.
+  /// fixpoint. Reached only from recursive groups (see
+  /// ProcessRetractions).
   Status RederiveCluster(int gid);
   Status InstantiateHeads(const CompiledRule& rule, Env& env,
                           std::vector<std::pair<datalog::PredId, Tuple>>*
@@ -311,7 +357,13 @@ class FixpointDriver {
   void StageVariantTasks(const CompiledRule& rule, size_t rule_idx, int gid,
                          const DeltaMap& delta, bool retract,
                          std::vector<std::unique_ptr<EnumTask>>* tasks);
-  /// Run staged tasks on the pool (inline when threads=1); fails with the
+  /// Copy `proto` into one task per chunk of `rows` (the variant's delta
+  /// occurrence input), cut on `rel`'s shard boundaries and windowed.
+  static void StageChunks(const EnumTask& proto,
+                          const std::vector<Tuple>& rows, Relation* rel,
+                          std::vector<std::unique_ptr<EnumTask>>* tasks);
+  /// Run staged tasks on the pool (inline when threads=1; tasks of rules
+  /// with side effects inline after the pool drains); fails with the
   /// first task error in staging order.
   Status RunStagedTasks(std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// The cost-based planner, created on first use; nullptr while
@@ -343,12 +395,14 @@ class FixpointDriver {
 
   /// Unconsumed insert/delete deltas, one queue pair per rule group.
   std::vector<ChangeQueue> delta_;
-  /// Net content changes to predicates a group negates (flip triggers);
-  /// only emptiness matters, but annihilation keeps transient over-delete/
-  /// rederive churn from re-arming the group.
+  /// Net content changes to predicates a group negates, not yet applied
+  /// to its supports (the flips ProcessFlips probes). Annihilation keeps
+  /// transient over-delete/rederive churn out.
   std::vector<ChangeQueue> neg_;
   /// Groups currently being (re)computed: their own erasure churn (lattice
-  /// improvement, over-delete) must not re-queue them.
+  /// improvement, over-delete) must not re-queue them, and changes they
+  /// make to predicates they negate are not flips for them — a negation
+  /// reads the state at derivation time.
   std::unordered_set<int> active_;
   /// Predicates touched (insert or erase) anywhere in the transaction —
   /// gates stratified-aggregate recomputation.

@@ -267,12 +267,12 @@ double ExecPlanner::EstimateBound(const Step& step,
   return rel->EstimateMatches(mask);
 }
 
-VariantPlan ExecPlanner::Build(const CompiledRule& rule, int occ) const {
+VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
+                               size_t num_slots, int occ) const {
   VariantPlan plan;
-  const std::vector<Step>& base = rule.steps;
   const size_t n = base.size();
   std::vector<bool> placed(n, false);
-  std::vector<bool> bound(rule.num_slots, false);
+  std::vector<bool> bound(num_slots, false);
   VariantPlan declined;  // empty steps = use the baseline order
 
   while (plan.steps.size() < n) {
@@ -394,18 +394,32 @@ bool ExecPlanner::Stale(const VariantPlan& plan) const {
 }
 
 const VariantPlan* ExecPlanner::PlanFor(const CompiledRule& rule, int occ) {
+  return PlanSlot(rule, static_cast<size_t>(occ + 1), rule.steps, occ);
+}
+
+const VariantPlan* ExecPlanner::PlanForFlip(const CompiledRule& rule,
+                                            size_t neg) {
+  if (neg >= rule.flip_steps.size()) return nullptr;
+  return PlanSlot(rule, rule.num_scan_occurrences + 1 + neg,
+                  rule.flip_steps[neg], rule.flip_occurrence());
+}
+
+const VariantPlan* ExecPlanner::PlanSlot(const CompiledRule& rule,
+                                         size_t slot,
+                                         const std::vector<Step>& base,
+                                         int occ) {
   RulePlanCache& cache = *rule.plan_cache;
   if (cache.variants.empty()) {
     // Sized exactly once: executing code holds interior pointers into the
     // slots, so the vector must never reallocate after this.
-    cache.variants.resize(static_cast<size_t>(rule.num_scan_occurrences) + 1);
+    cache.variants.resize(static_cast<size_t>(rule.num_scan_occurrences) +
+                          1 + rule.flip_steps.size());
   }
-  const size_t slot = static_cast<size_t>(occ + 1);  // kFullBody -> 0
   if (slot >= cache.variants.size()) return nullptr;
   std::optional<VariantPlan>& vp = cache.variants[slot];
   if (!vp.has_value() || Stale(*vp)) {
     const uint64_t builds = vp.has_value() ? vp->builds : 0;
-    VariantPlan fresh = Build(rule, occ);
+    VariantPlan fresh = Build(base, rule.num_slots, occ);
     fresh.builds = builds + 1;
     vp.emplace(std::move(fresh));
     ++plans_built_;
@@ -420,7 +434,13 @@ const VariantPlan* ExecPlanner::PlanFor(const CompiledRule& rule, int occ) {
 std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,
                                  const VariantPlan& plan) const {
   std::string out = "[plan] rule#" + std::to_string(rule.id) + " variant=";
-  out += occ < 0 ? "full" : "d" + std::to_string(occ);
+  if (occ < 0) {
+    out += "full";
+  } else if (occ >= rule.flip_occurrence()) {
+    out += "flip";
+  } else {
+    out += "d" + std::to_string(occ);
+  }
   out += " builds=" + std::to_string(plan.builds);
   // The kernel instruction set scans will run with (engine/kernels.h) —
   // a throughput property only; it never changes the plan or the result.

@@ -60,6 +60,12 @@ class ExecPlanner {
   /// relation statistics).
   const VariantPlan* PlanFor(const CompiledRule& rule, int occ);
 
+  /// The cached plan for `rule`'s negation-flip variant `neg` (see
+  /// CompiledRule::flip_steps): the flipped atom's scan first, the rest by
+  /// cost, so each flipped tuple becomes index probes on its bound
+  /// columns. Same contract as PlanFor.
+  const VariantPlan* PlanForFlip(const CompiledRule& rule, size_t neg);
+
   /// Plans built or rebuilt through this planner (EngineStats feed).
   uint64_t plans_built() const { return plans_built_; }
 
@@ -68,10 +74,17 @@ class ExecPlanner {
                       const VariantPlan& plan) const;
 
  private:
-  /// Greedy bound-cardinality ordering of `rule`'s baseline steps for one
-  /// variant. Returns a plan with empty steps when any step cannot be
+  /// Cache lookup / (re)build of plan-cache slot `slot`, planned from
+  /// `base` with occurrence `occ` forced first.
+  const VariantPlan* PlanSlot(const CompiledRule& rule, size_t slot,
+                              const std::vector<Step>& base, int occ);
+
+  /// Greedy bound-cardinality ordering of `base` (a rule's baseline or
+  /// flip steps) for one variant, occurrence `occ` first (kFullBody: no
+  /// forced step). Returns a plan with empty steps when any step cannot be
   /// rebound (defensive: cached so staleness governs retry).
-  VariantPlan Build(const CompiledRule& rule, int occ) const;
+  VariantPlan Build(const std::vector<Step>& base, size_t num_slots,
+                    int occ) const;
 
   /// Has any body relation grown or shrunk past the replan threshold since
   /// `plan` was built?

@@ -92,18 +92,20 @@ class RuleGraph {
   const std::vector<int>& consumer_groups_of(datalog::PredId pred) const;
 
   /// Group ids containing a rule that negates `pred`. Content changes to
-  /// `pred` (either direction) can flip those rules' negation probes, so
-  /// the groups must rederive (group-local DRed).
+  /// `pred` (either direction) can flip those rules' negation probes: the
+  /// driver probes the changed tuples against the groups' live
+  /// instantiations (FixpointDriver::ProcessFlips).
   const std::vector<int>& negator_groups_of(datalog::PredId pred) const;
 
   /// Rules with `pred` among their head predicates. Group-local DRed
   /// over-deletes a predicate and must re-fire every rule deriving it,
-  /// whichever group it lives in.
+  /// whichever group it lives in; a counting retraction that leaves a
+  /// tuple alive hands it to the recursive producer among them.
   const std::vector<size_t>& producers_of(datalog::PredId pred) const;
 
   /// Predicates appearing under negation in some rule body. Base insertions
-  /// into these invalidate existing derivations (the workspace routes such
-  /// transactions through delete-and-rederive).
+  /// into these can retract derived tuples (the workspace then checks
+  /// constraints in full rather than over the insert delta).
   const std::unordered_set<datalog::PredId>& negated_preds() const {
     return negated_preds_;
   }

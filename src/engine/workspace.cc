@@ -240,7 +240,7 @@ Status Workspace::EnsureEntityMembership(const Value& v, TxState* tx) {
     // Membership facts are base: they persist across delete-and-rederive.
     base_tuples_[type].insert(membership);
     tx->undo.push_back({UndoOp::Kind::kBaseAdded, type, membership});
-    tx->inserted[type].push_back(membership);
+    NoteInserted(type, membership, tx);
     driver_->NotifyInsert(type, membership);
   }
   return Status::OK();
@@ -282,7 +282,7 @@ Result<bool> Workspace::InsertTuple(PredId pred, const Tuple& tuple,
       tx->undo.push_back({UndoOp::Kind::kSupportAdded, pred, tuple, 0});
     }
   }
-  tx->inserted[pred].push_back(tuple);
+  NoteInserted(pred, tuple, tx);
   driver_->NotifyInsert(pred, tuple);
   for (const Value& v : tuple) {
     SB_RETURN_IF_ERROR(EnsureEntityMembership(v, tx));
@@ -304,13 +304,23 @@ Status Workspace::EraseTupleTx(PredId pred, const Tuple& tuple, TxState* tx) {
   if (base_it != base_tuples_.end() && base_it->second.erase(copy)) {
     tx->undo.push_back({UndoOp::Kind::kBaseRemoved, pred, copy, 0});
   }
+  bool born_in_tx = false;
   auto ins_it = tx->inserted.find(pred);
   if (ins_it != tx->inserted.end()) {
     auto& vec = ins_it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), copy), vec.end());
+    auto mid = std::remove(vec.begin(), vec.end(), copy);
+    born_in_tx = mid != vec.end();
+    vec.erase(mid, vec.end());
   }
+  if (!born_in_tx) tx->erased_preexisting[pred].insert(copy);
   driver_->NotifyDelete(pred, copy);
   return Status::OK();
+}
+
+void Workspace::NoteInserted(PredId pred, const Tuple& tuple, TxState* tx) {
+  auto it = tx->erased_preexisting.find(pred);
+  if (it != tx->erased_preexisting.end() && it->second.count(tuple)) return;
+  tx->inserted[pred].push_back(tuple);
 }
 
 Status Workspace::EnsureEntityMembershipRaw(const Value& v, TxState* tx) {
@@ -845,6 +855,9 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
   stats_.deleted_tuples += commit.fixpoint.deleted;
   stats_.rescued_tuples += commit.fixpoint.rescued;
   stats_.group_rederives += commit.fixpoint.group_rederives;
+  stats_.rederive_seeded += commit.fixpoint.rederive_seeded;
+  stats_.flip_probes += commit.fixpoint.flip_probes;
+  stats_.flip_matches += commit.fixpoint.flip_matches;
   stats_.plan_builds += commit.fixpoint.plans_built;
   stats_.eval_frame_allocs = EvalFrameAllocs();
   uint64_t index_builds = 0;

@@ -16,9 +16,12 @@
 // Deletions propagate incrementally (counting + group-local DRed): each
 // derived tuple carries a derivation-support count maintained by the
 // fixpoint driver, a base-fact delete seeds a delete delta, and only
-// tuples whose support reaches zero cascade. Recursive rule groups and
-// flipped negation probes rederive group-locally instead of reseeding the
-// whole database (see engine/fixpoint.h).
+// tuples whose support reaches zero cascade. A change to a negated
+// predicate retracts or derives just the instantiations it blocks or
+// unblocks; recursive rule groups hit by a delete (or by a flip that
+// blocks something) rederive group-locally instead of reseeding the whole
+// database (see engine/fixpoint.h). A commit reports as inserted only
+// tuples the transaction added, not ones it erased and rederived.
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
 #define SECUREBLOX_ENGINE_WORKSPACE_H_
 
@@ -51,7 +54,8 @@ struct FactUpdate {
 
 /// Committed transaction summary.
 struct TxCommit {
-  /// New tuples per predicate (base + derived) that survived the commit.
+  /// New tuples per predicate (base + derived) that survived the commit:
+  /// absent before the transaction, present after it.
   std::map<datalog::PredId, std::vector<Tuple>> inserted;
   /// Mutations staged for remote shard owners (placement mode; see
   /// engine/placement.h). The distribution layer ships these per owner
@@ -82,6 +86,9 @@ struct EngineStats {
   uint64_t deleted_tuples = 0;
   uint64_t rescued_tuples = 0;
   uint64_t group_rederives = 0;
+  uint64_t rederive_seeded = 0;
+  uint64_t flip_probes = 0;
+  uint64_t flip_matches = 0;
   /// Secondary-index bucket (re)constructions across all relations. With
   /// in-place erase maintenance this stays at one initial build per
   /// (relation, probe mask); benches watch it to catch regressions to
@@ -236,6 +243,10 @@ class Workspace : public RelationStore, private FixpointHost {
   struct TxState {
     std::vector<UndoOp> undo;
     std::map<datalog::PredId, std::vector<Tuple>> inserted;
+    /// Tuples that existed before the transaction and were erased in it:
+    /// one that comes back (a recursive group's rederivation) is not new,
+    /// so it stays out of `inserted`.
+    std::map<datalog::PredId, TupleSet> erased_preexisting;
     /// Mutations staged for remote shard owners (placement mode).
     std::vector<RemoteDelta> remote;
     size_t num_derived = 0;
@@ -254,6 +265,9 @@ class Workspace : public RelationStore, private FixpointHost {
   Result<bool> InsertTuple(datalog::PredId pred, const Tuple& tuple,
                            bool is_base, bool counted, TxState* tx);
   Status EraseTupleTx(datalog::PredId pred, const Tuple& tuple, TxState* tx);
+  // Record a newly stored tuple in tx->inserted unless it only came back.
+  static void NoteInserted(datalog::PredId pred, const Tuple& tuple,
+                           TxState* tx);
   Status EnsureEntityMembership(const datalog::Value& v, TxState* tx);
   // Handoff variant: installs membership rows without seeding deltas (the
   // snapshot's supports already include every shard-local derivation).

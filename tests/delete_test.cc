@@ -1,9 +1,13 @@
 // Counting-based incremental deletion: support counts keep tuples with
 // alternative derivations alive, recursive groups fall back to group-local
-// DRed, aggregate outputs retract with their inputs, and failed deletes
-// roll back exactly — including functional key slots.
+// DRed, negation flips retract or derive exactly the instantiations they
+// block or unblock (checked against a from-scratch oracle), aggregate
+// outputs retract with their inputs, and failed deletes roll back exactly
+// — including functional key slots.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <set>
 #include <string>
 
@@ -151,6 +155,34 @@ TEST(CountingDeleteTest, RecursiveGroupUsesGroupLocalDRed) {
   EXPECT_GE(del->fixpoint.group_rederives, 1u);
 }
 
+TEST(CountingDeleteTest, RederivedRowsAreNotReportedAsInserted) {
+  // The recursive delete recomputes the closure: every surviving
+  // reachable row is erased and derived again inside the transaction. The
+  // commit must not report those rows as new — the distribution layer
+  // would re-export them.
+  Workspace ws;
+  Install(&ws, R"(
+    node(X) -> .
+    link(X, Y) -> node(X), node(Y).
+    reachable(X, Y) -> node(X), node(Y).
+    reachable(X, Y) <- link(X, Y).
+    reachable(X, Y) <- link(X, Z), reachable(Z, Y).
+  )");
+  ASSERT_TRUE(ws.Apply({{"link", {Value::Str("a"), Value::Str("b")}},
+                        {"link", {Value::Str("b"), Value::Str("c")}},
+                        {"link", {Value::Str("c"), Value::Str("d")}}})
+                  .ok());
+  auto del = ws.Apply({}, {{"link", {Value::Str("c"), Value::Str("d")}}});
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_GE(del->fixpoint.group_rederives, 1u);
+  EXPECT_EQ(QuerySet(ws, "reachable").size(), 3u);  // a->b, b->c, a->c
+  auto reachable = ws.catalog().Lookup("reachable");
+  ASSERT_TRUE(reachable.ok());
+  auto it = del->inserted.find(reachable.value());
+  EXPECT_TRUE(it == del->inserted.end() || it->second.empty())
+      << it->second.size() << " rederived rows reported as inserted";
+}
+
 TEST(CountingDeleteTest, DeleteRetractsAggregateAndDownstream) {
   // A retraction must flow through an aggregate recompute point: the stale
   // total — and anything derived from it — cannot survive.
@@ -251,16 +283,57 @@ TEST(CountingDeleteTest, NegationFlipsOnDeleteAndInsert) {
   ASSERT_TRUE(commit.ok()) << commit.status().ToString();
   EXPECT_EQ(QuerySet(ws, "unlinked").size(), 4u);
 
-  // Insert into the negated predicate: unlinked(a,c) must retract.
-  ASSERT_TRUE(ws.Insert("link", {Value::Str("a"), Value::Str("c")}).ok());
+  // Insert into the negated predicate: unlinked(a,c) must retract — the
+  // one instantiation the new link blocks, without a recompute.
+  auto ins = ws.Apply({{"link", {Value::Str("a"), Value::Str("c")}}});
+  ASSERT_TRUE(ins.ok()) << ins.status().ToString();
   EXPECT_FALSE(Contains(ws, "unlinked", {Value::Str("a"), Value::Str("c")}));
   EXPECT_EQ(QuerySet(ws, "unlinked").size(), 3u);
+  EXPECT_EQ(ins->fixpoint.group_rederives, 0u);
+  EXPECT_EQ(ins->fixpoint.flip_matches, 1u);
 
   // Delete from the negated predicate: unlinked(a,b) must appear.
   auto del = ws.Apply({}, {{"link", {Value::Str("a"), Value::Str("b")}}});
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   EXPECT_TRUE(Contains(ws, "unlinked", {Value::Str("a"), Value::Str("b")}));
   EXPECT_EQ(QuerySet(ws, "unlinked").size(), 4u);
+  EXPECT_EQ(del->fixpoint.group_rederives, 0u);
+  EXPECT_EQ(del->fixpoint.flip_matches, 1u);
+}
+
+TEST(CountingDeleteTest, NegationFlipInLatticeAggregate) {
+  // The aggregate itself negates `closed`: a delete unblocks a binding,
+  // which can only improve the lattice value; an insert blocks one, which
+  // only the group's recompute can undo.
+  Workspace ws;
+  Install(&ws, R"(
+    node(X) -> .
+    edge(X, Y) -> node(X), node(Y).
+    start(X) -> node(X).
+    closed(X) -> node(X).
+    hop(Y, D) -> node(Y), int(D).
+    dist[Y] = D -> node(Y), int(D).
+    hop(X, 0) <- start(X).
+    hop(Y, D + 1) <- dist[X] = D, edge(X, Y).
+    dist[Y] = D <- agg<< D = min(Dx) >> hop(Y, Dx), !closed(Y).
+  )");
+  ASSERT_TRUE(ws.Apply({{"edge", {Value::Str("a"), Value::Str("b")}},
+                        {"edge", {Value::Str("b"), Value::Str("c")}},
+                        {"start", {Value::Str("a")}},
+                        {"closed", {Value::Str("b")}}})
+                  .ok());
+  EXPECT_EQ(QuerySet(ws, "dist").size(), 1u);  // a only: b is closed
+
+  auto open = ws.Apply({}, {{"closed", {Value::Str("b")}}});
+  ASSERT_TRUE(open.ok()) << open.status().ToString();
+  EXPECT_EQ(open->fixpoint.flip_matches, 1u);
+  EXPECT_TRUE(Contains(ws, "dist", {Value::Str("b"), Value::Int(1)}));
+  EXPECT_TRUE(Contains(ws, "dist", {Value::Str("c"), Value::Int(2)}));
+
+  auto close = ws.Apply({{"closed", {Value::Str("b")}}});
+  ASSERT_TRUE(close.ok()) << close.status().ToString();
+  EXPECT_GE(close->fixpoint.group_rederives, 1u);
+  EXPECT_EQ(QuerySet(ws, "dist").size(), 1u);
 }
 
 TEST(CountingDeleteTest, BaseFactWithDerivedSupportSurvivesBaseDelete) {
@@ -401,6 +474,166 @@ TEST(CountingDeleteTest, GroupLocalDRedDoesNotReseedUnrelatedPredicates) {
   // The reseed covers the reachable group's inputs (links + entity
   // membership), not the 400 unrelated pairs.
   EXPECT_LT(del->fixpoint.rederive_seeded, 50u);
+}
+
+// -- negation oracle ----------------------------------------------------------
+
+// Stratified negation in every shape the precise flip handles: two negated
+// atoms (one predicate negated twice), `_` wildcards, a negated atom inside
+// a recursive group, negation of a recursive predicate, and predicates
+// read both positively and negated.
+constexpr const char* kNegationProgram = R"(
+  site(X) -> string(X).
+  link(X, Y) -> string(X), string(Y).
+  blocked(X, Y) -> string(X), string(Y).
+  mark(X) -> string(X).
+  open(X, Y) -> string(X), string(Y).
+  stub(X) -> string(X).
+  oneway(X, Y) -> string(X), string(Y).
+  reach(X, Y) -> string(X), string(Y).
+  cut(X, Y) -> string(X), string(Y).
+  lone(X) -> string(X).
+  open(X, Y) <- link(X, Y), !blocked(X, Y), !mark(Y).
+  stub(X) <- mark(X), !link(X, _).
+  oneway(X, Y) <- link(X, Y), !link(Y, X), !blocked(Y, X), !blocked(X, Y).
+  reach(X, Y) <- open(X, Y).
+  reach(X, Y) <- reach(X, Z), link(Z, Y), !blocked(Z, Y).
+  cut(X, Y) <- site(X), site(Y), !reach(X, Y), !mark(X).
+  lone(X) <- site(X), !reach(X, _).
+)";
+
+using Snapshot =
+    std::map<std::string, std::set<std::pair<std::string, uint32_t>>>;
+
+/// Every stored tuple with its support count, by predicate name.
+Snapshot Snap(const Workspace& ws) {
+  Snapshot out;
+  const datalog::Catalog& catalog = ws.catalog();
+  for (size_t id = 0; id < catalog.num_predicates(); ++id) {
+    const auto pred = static_cast<datalog::PredId>(id);
+    const Relation* rel = ws.GetRelationIfExists(pred);
+    if (rel == nullptr || rel->empty()) continue;
+    auto& rows = out[catalog.decl(pred).name];
+    for (const Tuple& t : rel->AllTuples()) {
+      rows.emplace(TupleToString(t, catalog), rel->SupportCount(t));
+    }
+  }
+  return out;
+}
+
+struct OracleTx {
+  std::vector<FactUpdate> inserts;
+  std::vector<FactUpdate> deletes;
+};
+
+/// A seeded insert/delete stream over the base predicates. Transactions mix
+/// predicates, so a negated predicate and a positive body predicate often
+/// change together; deletes of absent facts and re-inserts are included.
+std::vector<OracleTx> OracleStream(uint64_t seed, size_t num_tx) {
+  std::mt19937_64 rng(seed);
+  const std::vector<std::string> sites = {"a", "b", "c", "d"};
+  auto site = [&] { return Value::Str(sites[rng() % sites.size()]); };
+  std::vector<OracleTx> out(num_tx);
+  for (OracleTx& tx : out) {
+    const size_t ops = 1 + rng() % 4;
+    for (size_t i = 0; i < ops; ++i) {
+      FactUpdate u;
+      const uint64_t kind = rng() % 8;
+      if (kind < 4) {
+        u = {"link", {site(), site()}};
+      } else if (kind < 6) {
+        u = {"blocked", {site(), site()}};
+      } else {
+        u = {"mark", {site()}};
+      }
+      (rng() % 3 == 0 ? tx.deletes : tx.inserts).push_back(std::move(u));
+    }
+  }
+  return out;
+}
+
+std::string FactKey(const FactUpdate& u) {
+  std::string key = u.pred;
+  for (const Value& v : u.values) key += "|" + v.AsString();
+  return key;
+}
+
+/// After every transaction of every stream, the incrementally maintained
+/// fixpoint — tuples and support counts — must equal a fresh workspace
+/// loaded with the surviving base facts, at every threads × shards × plan
+/// setting.
+TEST(NegationOracleTest, IncrementalMatchesFromScratch) {
+  constexpr size_t kSeeds = 200;
+  constexpr size_t kTx = 10;
+  struct Setting {
+    bool plan;
+    int threads;
+    size_t shards;
+  };
+  std::vector<Setting> settings;
+  for (bool plan : {false, true}) {
+    for (int threads : {1, 4}) {
+      for (size_t shards : {size_t{1}, size_t{7}}) {
+        settings.push_back({plan, threads, shards});
+      }
+    }
+  }
+  auto configure = [](Workspace* ws, const Setting& s) {
+    ws->fixpoint_options().plan = s.plan;
+    ws->fixpoint_options().threads = s.threads;
+    ws->fixpoint_options().shards = s.shards;
+  };
+  uint64_t flip_matches = 0;
+  uint64_t rederives = 0;
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    const std::vector<OracleTx> stream = OracleStream(seed, kTx);
+    // The from-scratch oracle after each transaction (setting-independent:
+    // one load, planner off, sequential).
+    std::vector<Snapshot> want;
+    std::map<std::string, FactUpdate> live;
+    for (const char* s : {"a", "b", "c", "d"}) {
+      FactUpdate u{"site", {Value::Str(s)}};
+      live[FactKey(u)] = u;
+    }
+    for (const OracleTx& tx : stream) {
+      for (const FactUpdate& d : tx.deletes) live.erase(FactKey(d));
+      for (const FactUpdate& i : tx.inserts) live[FactKey(i)] = i;
+      Workspace fresh;
+      configure(&fresh, {false, 1, 1});
+      Install(&fresh, kNegationProgram);
+      std::vector<FactUpdate> facts;
+      for (const auto& [key, u] : live) facts.push_back(u);
+      auto loaded = fresh.Apply(facts);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      want.push_back(Snap(fresh));
+    }
+    for (const Setting& s : settings) {
+      Workspace ws;
+      configure(&ws, s);
+      Install(&ws, kNegationProgram);
+      std::vector<FactUpdate> sites;
+      for (const char* x : {"a", "b", "c", "d"}) {
+        sites.push_back({"site", {Value::Str(x)}});
+      }
+      ASSERT_TRUE(ws.Apply(sites).ok());
+      for (size_t t = 0; t < stream.size(); ++t) {
+        auto commit = ws.Apply(stream[t].inserts, stream[t].deletes);
+        ASSERT_TRUE(commit.ok())
+            << "seed " << seed << " tx " << t << " plan=" << s.plan
+            << " threads=" << s.threads << " shards=" << s.shards << ": "
+            << commit.status().ToString();
+        ASSERT_EQ(Snap(ws), want[t])
+            << "seed " << seed << " tx " << t << " plan=" << s.plan
+            << " threads=" << s.threads << " shards=" << s.shards;
+        flip_matches += commit->fixpoint.flip_matches;
+        rederives += commit->fixpoint.group_rederives;
+      }
+    }
+  }
+  // The streams exercise both the precise flips and the recursive
+  // fallback.
+  EXPECT_GT(flip_matches, 0u);
+  EXPECT_GT(rederives, 0u);
 }
 
 }  // namespace

@@ -12,18 +12,17 @@ namespace {
 using policy::AuthScheme;
 using policy::EncScheme;
 
-void ExpectRoutesMatchBfs(const PathVectorConfig& config) {
-  auto result = RunPathVector(config);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->metrics.rejected_batches, 0u);
+void ExpectRoutesMatchBfs(const PathVectorConfig& config,
+                          const PathVectorResult& result) {
+  EXPECT_EQ(result.metrics.rejected_batches, 0u);
 
   auto edges = RandomConnectedGraph(config.num_nodes, config.avg_degree,
                                     config.graph_seed);
   auto reference = ReferenceHopCounts(config.num_nodes, edges);
 
   for (size_t i = 0; i < config.num_nodes; ++i) {
-    std::map<size_t, int64_t> got(result->best_costs[i].begin(),
-                                  result->best_costs[i].end());
+    std::map<size_t, int64_t> got(result.best_costs[i].begin(),
+                                  result.best_costs[i].end());
     for (size_t j = 0; j < config.num_nodes; ++j) {
       if (i == j) continue;
       ASSERT_TRUE(got.count(j))
@@ -32,6 +31,12 @@ void ExpectRoutesMatchBfs(const PathVectorConfig& config) {
           << "route " << i << "->" << j << " cost mismatch";
     }
   }
+}
+
+void ExpectRoutesMatchBfs(const PathVectorConfig& config) {
+  auto result = RunPathVector(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectRoutesMatchBfs(config, *result);
 }
 
 TEST(PathVectorTest, GraphGeneratorProperties) {
@@ -84,6 +89,30 @@ TEST(PathVectorTest, SmallGraphRsaAes) {
   config.graph_seed = 9;
   config.rsa_bits = 512;
   ExpectRoutesMatchBfs(config);
+}
+
+TEST(PathVectorTest, LoopCheckFlipsAreProbedNotRecomputed) {
+  // Every delivery adds pathlink rows, which flips the loop check
+  // !pathlink(P, U, _). Each flip is probed against the live extend
+  // instantiations; none is blocked, so nothing is retracted and no rule
+  // cluster is recomputed.
+  PathVectorConfig config;
+  config.num_nodes = 6;
+  config.auth = AuthScheme::kHmac;
+  config.graph_seed = 7;
+  config.rsa_bits = 512;
+  auto result = RunPathVector(config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  uint64_t rederives = 0, probes = 0, matches = 0;
+  for (const engine::EngineStats& s : result->engine_stats) {
+    rederives += s.group_rederives;
+    probes += s.flip_probes;
+    matches += s.flip_matches;
+  }
+  EXPECT_EQ(rederives, 0u);
+  EXPECT_EQ(matches, 0u);
+  EXPECT_GT(probes, 0u);
+  ExpectRoutesMatchBfs(config, *result);
 }
 
 class PathVectorSeedSweep : public ::testing::TestWithParam<uint64_t> {};
