@@ -676,7 +676,8 @@ Status FixpointDriver::RunWave(const std::vector<int>& wave) {
         if (!rule.agg.has_value() || !graph_.lattice(idx)) continue;
         if (HasDeltaFor(rule, delta)) {
           ++stats_.agg_recomputes;
-          SB_RETURN_IF_ERROR(RecomputeAggregate(rule, /*lattice=*/true));
+          SB_RETURN_IF_ERROR(
+              RecomputeAggregate(rule, /*lattice=*/true, &delta));
         } else {
           ++stats_.agg_skipped;
         }
@@ -1209,19 +1210,24 @@ Status FixpointDriver::RederiveCluster(int gid) {
 }
 
 Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
-                                          bool lattice) {
+                                          bool lattice,
+                                          const DeltaMap* delta) {
   const CompiledAgg& agg = *rule.agg;
   Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
   ExecPlanner* pl = planner();
-  const VariantPlan* vp =
-      pl != nullptr ? pl->PlanFor(rule, ExecPlanner::kFullBody) : nullptr;
+  // A lattice value already covers every binding of earlier rounds (each
+  // body tuple passes through exactly one round's delta), so after its
+  // first full pass only bindings touching this round's delta can improve
+  // it. min/max are idempotent: a binding met at two delta occurrences
+  // counts once.
+  const bool incremental =
+      lattice && delta != nullptr && lattice_seen_.count(rule.id) != 0;
+  if (lattice) lattice_seen_.insert(rule.id);
 
   // Group body bindings by the head keys.
   std::map<Tuple, int64_t> groups;
   Env env(rule.num_slots);
-  SB_RETURN_IF_ERROR(executor.Run(
-      vp != nullptr ? vp->steps : rule.steps, &env, nullptr,
-      [&](Env& e) -> Status {
+  const std::function<Status(Env&)> add_binding = [&](Env& e) -> Status {
         Tuple key;
         for (const ArgPat& p : agg.key_args) {
           key.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
@@ -1251,7 +1257,26 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
             break;
         }
         return Status::OK();
-      }));
+      };
+  if (!incremental) {
+    const VariantPlan* vp =
+        pl != nullptr ? pl->PlanFor(rule, ExecPlanner::kFullBody) : nullptr;
+    SB_RETURN_IF_ERROR(executor.Run(vp != nullptr ? vp->steps : rule.steps,
+                                    &env, nullptr, add_binding));
+  } else {
+    const int n = rule.num_scan_occurrences;
+    for (int occ = 0; occ < n; ++occ) {
+      auto it = delta->find(rule.scan_preds[occ]);
+      if (it == delta->end() || it->second.empty()) continue;
+      std::vector<OccView> views(n);
+      views[occ].only = &it->second;
+      DeltaOverride override;
+      override.views = &views;
+      const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
+      SB_RETURN_IF_ERROR(executor.Run(vp != nullptr ? vp->steps : rule.steps,
+                                      &env, &override, add_binding));
+    }
+  }
 
   Relation* rel = store_.GetRelation(agg.head_pred);
 

@@ -36,8 +36,9 @@
 // fixpoint — tuples, support counts, labels — is byte-identical at any
 // SB_SHARDS x SB_THREADS combination; only task counts change.
 //
-// Lattice aggregates re-run after each round of their group; stratified
-// aggregates recompute on stratum entry — their classical recompute points.
+// Lattice aggregates re-run after each round of their group (over the
+// round's delta once they have had a full pass); stratified aggregates
+// recompute on stratum entry — their classical recompute points.
 //
 // Deletions propagate incrementally. Every derived tuple carries a
 // derivation-support count (Relation::SupportCount) that insert rounds
@@ -330,7 +331,11 @@ class FixpointDriver {
   Status InstantiateHeads(const CompiledRule& rule, Env& env,
                           std::vector<std::pair<datalog::PredId, Tuple>>*
                               pending);
-  Status RecomputeAggregate(const CompiledRule& rule, bool lattice);
+  /// Re-run an aggregate and apply its new values. A lattice aggregate
+  /// given its group's round `delta` evaluates only the bindings that
+  /// touch it, once it has had one full pass (lattice_seen_).
+  Status RecomputeAggregate(const CompiledRule& rule, bool lattice,
+                            const DeltaMap* delta = nullptr);
   Status CheckBudget(const RuleGroup& group);
 
   // -- parallel enumeration machinery ---------------------------------------
@@ -404,6 +409,9 @@ class FixpointDriver {
   /// make to predicates they negate are not flips for them — a negation
   /// reads the state at derivation time.
   std::unordered_set<int> active_;
+  /// Lattice aggregate rules (by id) that had a full pass in this
+  /// driver; later rounds evaluate them over their delta only.
+  std::unordered_set<int> lattice_seen_;
   /// Predicates touched (insert or erase) anywhere in the transaction —
   /// gates stratified-aggregate recomputation.
   std::unordered_set<datalog::PredId> touched_;
