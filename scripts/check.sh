@@ -12,11 +12,12 @@ cmake -B "$build" -S "$repo"
 cmake --build "$build" -j "$(nproc)"
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
-# Smoke: engine microbenchmarks (single rep, tiny time budget) and the
-# fig04 harness on the CI-friendly sweep.
+# Smoke: engine microbenchmarks (single rep, tiny time budget), including
+# the filter-kernel tiers this CPU runs, and the fig04 harness on the
+# CI-friendly sweep.
 if [ -x "$build/micro_engine" ]; then
   "$build/micro_engine" --benchmark_min_time=0.01 \
-      --benchmark_filter='BM_(TransitiveClosureChain|FixpointDependencyIndex)'
+      --benchmark_filter='BM_(TransitiveClosureChain|FixpointDependencyIndex|FusedFilterRange)'
   # Parallel fixpoint scaling curves on the fig08/fig10 flavoured
   # workloads: 1/2/4/8 workers at the unsharded layout plus the
   # shard-scaling curve (SB_SHARDS 1/4/8 at one and four workers),
@@ -76,29 +77,9 @@ echo "wrote $build/BENCH_plan.json"
 SB_PLAN=0 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'engine_test|parallel_test|delete_test|planner_test'
 
-# Query serving (engine/query): magic-sets point queries vs the full
-# fixpoint on a five-family closure program, recorded as
-# BENCH_serve.json. The harness exits nonzero unless the cold point
-# query touches < 25% of the fixpoint's derived tuples and rule
-# firings, and its answers match the materialized reference; seed and
-# warm (epoch-validated snapshot) QPS are recorded alongside.
-SB_QUICK=1 SB_BENCH_OUT="$build/BENCH_serve.json" "$build/serve_qps"
-echo "wrote $build/BENCH_serve.json"
 # Query-path determinism smoke: the query/fixpoint differential suites
 # at a prime shard count.
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'query_test|query_fuzz_test|udp_cluster_test'
-
-# SIMD kernel A/B (SB_SIMD): wide selective batch scan plus a narrow
-# recursion, recorded as BENCH_simd.json. On AVX2 hosts the harness
-# exits nonzero unless auto beats scalar >= 1.25x on the wide scan; the
-# wide gate auto-skips (with a logged note) elsewhere. Everywhere, auto
-# must stay within 1.10x of scalar on the narrow workload.
-SB_QUICK=1 SB_TRIALS=3 SB_BENCH_OUT="$build/BENCH_simd.json" \
-    "$build/abl_simd_ab"
-echo "wrote $build/BENCH_simd.json"
-# Scalar-kernel smoke: the SB_SIMD=0 paths must stay green.
-SB_SIMD=0 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'engine_test|parallel_test|delete_test|relation_test|planner_test|kernels_test'
 
 echo "check.sh: OK"

@@ -242,6 +242,38 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
     return forward;
   };
 
+  // Admit one received item into its destination's held batch. A hostile
+  // or malformed datagram must not take down the loop — it is counted and
+  // the node keeps serving. A batch the tuple cap has filled closes before
+  // the item joins, so the sweep loop and the shutdown drain both honor
+  // max_batch_tuples. The item is held even when that flush fails, and
+  // both callers admit every item, keeping the first error.
+  auto admit = [&](RxItem& item) -> Status {
+    if (!item.envelope_ok) {
+      ++stats_.rejected;
+      return Status::OK();
+    }
+    if (item.hint_mismatch) {
+      // The payload may still verify and apply — only the unsealed
+      // envelope lied — but the lie is counted where operators look.
+      ++stats_.rejected;
+      ++stats_.hint_mismatches;
+    }
+    if (item.routing_mismatch) {
+      ++stats_.rejected;
+      ++stats_.routing_mismatches;
+    }
+    Status flushed = Status::OK();
+    PendingBatch& b = pending[item.dst];
+    if (!b.group.empty() && cap != 0 && b.tuples >= cap) {
+      flushed = flush(item.dst);
+    }
+    if (b.group.empty()) b.first = item.arrival;
+    b.group.push_back(std::move(item.opened));
+    b.tuples += item.tuple_count;
+    return flushed;
+  };
+
   int idle = 0;
   while (idle < config_.idle_sweeps && status.ok()) {
     std::vector<RxItem> items;
@@ -272,31 +304,9 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
       }
     }
 
-    // Enqueue new arrivals; a hostile or malformed datagram must not take
-    // down the loop — it is counted and the node keeps serving.
     for (RxItem& item : items) {
-      if (!item.envelope_ok) {
-        ++stats_.rejected;
-        continue;
-      }
-      if (item.hint_mismatch) {
-        // The payload may still verify and apply — only the unsealed
-        // envelope lied — but the lie is counted where operators look.
-        ++stats_.rejected;
-        ++stats_.hint_mismatches;
-      }
-      if (item.routing_mismatch) {
-        ++stats_.rejected;
-        ++stats_.routing_mismatches;
-      }
-      PendingBatch& b = pending[item.dst];
-      if (!b.group.empty() && cap != 0 && b.tuples >= cap) {
-        status = flush(item.dst);
-        if (!status.ok()) break;
-      }
-      if (b.group.empty()) b.first = item.arrival;
-      b.group.push_back(std::move(item.opened));
-      b.tuples += item.tuple_count;
+      Status admitted = admit(item);
+      if (status.ok()) status = std::move(admitted);
     }
     if (!status.ok()) break;
 
@@ -334,29 +344,16 @@ Result<UdpCluster::Stats> UdpCluster::Run() {
   // enqueued payloads between this loop's last sweep and the join —
   // residue left in rx_queue here is a verified message silently dropped
   // at shutdown. Fold it into the held batches first: everything still
-  // pending at stop time is *flushed, not dropped*.
+  // pending at stop time is *flushed, not dropped*. The first error is
+  // preserved.
   std::deque<RxItem> residue;
   {
     std::lock_guard<std::mutex> lock(mu);
     residue.swap(rx_queue);
   }
   for (RxItem& item : residue) {
-    if (!item.envelope_ok) {
-      ++stats_.rejected;
-      continue;
-    }
-    if (item.hint_mismatch) {
-      ++stats_.rejected;
-      ++stats_.hint_mismatches;
-    }
-    if (item.routing_mismatch) {
-      ++stats_.rejected;
-      ++stats_.routing_mismatches;
-    }
-    PendingBatch& b = pending[item.dst];
-    if (b.group.empty()) b.first = item.arrival;
-    b.group.push_back(std::move(item.opened));
-    b.tuples += item.tuple_count;
+    Status admitted = admit(item);
+    if (status.ok()) status = std::move(admitted);
   }
 
   // Drain everything still held open — unconditionally, so an error on

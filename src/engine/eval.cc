@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "engine/kernels.h"
+
 namespace secureblox::engine {
 
 using datalog::Atom;
@@ -933,8 +935,9 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
           // filters can cover more than the mask (arity > 32); refine
           // the slot list through the same fused kernels as full scans.
           frame.sel.clear();
-          FilterFusedSelect(simd_, shard_filters(sh), filters.size(),
-                            rows.data(), rows.size(), &frame.sel);
+          FilterFusedSelect(DetectSimdMode(), shard_filters(sh),
+                            filters.size(), rows.data(), rows.size(),
+                            &frame.sel);
           for (uint32_t slot : frame.sel) {
             SB_RETURN_IF_ERROR(emit_slot(sh, slot));
           }
@@ -971,7 +974,8 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
             }
           }
           if (!emitted) {
-            FilterFusedRange(simd_, shard_filters(sh), filters.size(), 0,
+            FilterFusedRange(DetectSimdMode(), shard_filters(sh),
+                             filters.size(), 0,
                              static_cast<uint32_t>(rows), &frame.sel);
           }
           for (uint32_t slot : frame.sel) {

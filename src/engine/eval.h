@@ -23,7 +23,6 @@
 #include "datalog/ast.h"
 #include "datalog/catalog.h"
 #include "engine/builtins.h"
-#include "engine/kernels.h"
 #include "engine/relation.h"
 
 namespace secureblox::engine {
@@ -262,12 +261,8 @@ struct DeltaOverride {
 /// Executes compiled step lists.
 class Executor {
  public:
-  /// `simd` picks the instruction set for the columnar filter kernels
-  /// (engine/kernels.h); the default resolves the CPU's best level. Every
-  /// mode enumerates the identical bindings in the identical order.
-  Executor(EvalContext* ctx, RelationStore* store,
-           SimdMode simd = ResolveSimdMode(2))
-      : ctx_(*ctx), store_(*store), simd_(simd) {}
+  Executor(EvalContext* ctx, RelationStore* store)
+      : ctx_(*ctx), store_(*store) {}
 
   /// Enumerate all bindings of `steps`; invoke `on_match` for each.
   /// `on_match` returning an error aborts enumeration.
@@ -293,9 +288,6 @@ class Executor {
 
   EvalContext& ctx_;
   RelationStore& store_;
-  /// Resolved kernel instruction set for columnar scans (never affects
-  /// enumeration order, only throughput).
-  SimdMode simd_ = SimdMode::kScalar;
   /// Base of this Run's window into the thread-local frame stack (see
   /// EvalFrame in eval.cc): depth `idx` uses frame `frame_base_ + idx`.
   /// Nested Run/Exists calls on the same thread — the constraint checker

@@ -533,7 +533,7 @@ Status FixpointDriver::RunStagedTasks(
     views[t.occ].only_end = t.hi;
     DeltaOverride override;
     override.views = &views;
-    Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
+    Executor executor(&ctx_, &store_);
     Env env(t.rule->num_slots);
     t.status = executor.Run(
         *t.steps, &env, &override, [&](Env& e) -> Status {
@@ -1054,7 +1054,7 @@ Status FixpointDriver::InstantiateHeads(
 
 Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
                                        const DeltaMap& delta, int gid) {
-  Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
+  Executor executor(&ctx_, &store_);
   std::vector<std::pair<PredId, Tuple>> pending;
   // Tuples born earlier in the current round (queued for the next one):
   // enumerating against them now would count their instantiations twice.
@@ -1090,7 +1090,7 @@ Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
 
 Status FixpointDriver::RunRetractVariants(const CompiledRule& rule,
                                           const DeltaMap& dels, int gid) {
-  Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
+  Executor executor(&ctx_, &store_);
   std::vector<std::pair<PredId, Tuple>> pending;
   // Insert deltas this group has not consumed yet: their instantiations
   // were never counted, so retraction must not see those tuples either.
@@ -1213,7 +1213,7 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
                                           bool lattice,
                                           const DeltaMap* delta) {
   const CompiledAgg& agg = *rule.agg;
-  Executor executor(&ctx_, &store_, ResolveSimdMode(options_.simd));
+  Executor executor(&ctx_, &store_);
   ExecPlanner* pl = planner();
   // A lattice value already covers every binding of earlier rounds (each
   // body tuple passes through exactly one round's delta), so after its

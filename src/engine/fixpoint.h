@@ -164,14 +164,6 @@ struct FixpointOptions {
   /// either way. Seeded from SB_PLAN (0/1) by Workspace; read live on
   /// every plan request, so A/B toggling between transactions works.
   bool plan = true;
-  /// SIMD level for the columnar filter kernels (engine/kernels.h):
-  /// 0 = scalar, 1 = the best level the CPU supports, 2 = auto (runtime
-  /// dispatch — the same resolution as 1, kept distinct so "explicitly
-  /// requested" and "defaulted" are distinguishable). The fixpoint is
-  /// byte-identical at every level: kernels only change how a selection
-  /// vector is computed, never its contents or order. Seeded from SB_SIMD
-  /// (0/1/auto) by Workspace.
-  int simd = 2;
   /// Dump each built plan to stderr (SB_EXPLAIN=1; format in
   /// docs/engine.md).
   bool explain = false;

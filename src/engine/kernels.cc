@@ -11,8 +11,6 @@ const char* SimdModeName(SimdMode mode) {
   switch (mode) {
     case SimdMode::kScalar:
       return "scalar";
-    case SimdMode::kSse2:
-      return "sse2";
     case SimdMode::kAvx2:
       return "avx2";
   }
@@ -22,9 +20,11 @@ const char* SimdModeName(SimdMode mode) {
 SimdMode DetectSimdMode() {
 #ifdef SB_KERNELS_X86
   static const SimdMode detected = [] {
-    if (__builtin_cpu_supports("avx2")) return SimdMode::kAvx2;
-    if (__builtin_cpu_supports("sse2")) return SimdMode::kSse2;
-    return SimdMode::kScalar;
+    // Initialize the CPU model first, so detection is also right when the
+    // first call comes from a static constructor.
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? SimdMode::kAvx2
+                                          : SimdMode::kScalar;
   }();
   return detected;
 #else
@@ -32,14 +32,9 @@ SimdMode DetectSimdMode() {
 #endif
 }
 
-SimdMode ResolveSimdMode(int knob) {
-  if (knob == 0) return SimdMode::kScalar;
-  return DetectSimdMode();
-}
-
 namespace {
 
-// The SIMD variants hoist each filter's broadcast code into a small stack
+// The AVX2 variants hoist each filter's broadcast code into a small stack
 // array; patterns wider than this (arity > 32 never survives probe-mask
 // compilation anyway) fall back to the scalar loop.
 constexpr size_t kMaxSimdFilters = 32;
@@ -83,40 +78,6 @@ void FusedSelectScalar(const CodeFilter* filters, size_t nf,
 }
 
 #ifdef SB_KERNELS_X86
-
-// Emit the slots a 4-lane comparison mask selected, lowest lane first, so
-// the output order matches the scalar loop exactly.
-inline void EmitMask4(int bits, uint32_t base, std::vector<uint32_t>* out) {
-  while (bits != 0) {
-    const int lane = __builtin_ctz(bits);
-    bits &= bits - 1;
-    out->push_back(base + static_cast<uint32_t>(lane));
-  }
-}
-
-__attribute__((target("sse2"))) void FusedRangeSse2(
-    const CodeFilter* filters, size_t nf, uint32_t begin, uint32_t end,
-    std::vector<uint32_t>* out) {
-  __m128i want[kMaxSimdFilters];
-  for (size_t i = 0; i < nf; ++i) {
-    want[i] = _mm_set1_epi32(static_cast<int>(filters[i].code));
-  }
-  uint32_t s = begin;
-  for (; s + 4 <= end; s += 4) {
-    __m128i m = _mm_cmpeq_epi32(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(filters[0].codes + s)),
-        want[0]);
-    for (size_t i = 1; i < nf; ++i) {
-      m = _mm_and_si128(
-          m, _mm_cmpeq_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                                 filters[i].codes + s)),
-                             want[i]));
-    }
-    EmitMask4(_mm_movemask_ps(_mm_castsi128_ps(m)), s, out);
-  }
-  FusedRangeScalar(filters, nf, s, end, out);
-}
 
 __attribute__((target("avx2"))) void FusedRangeAvx2(
     const CodeFilter* filters, size_t nf, uint32_t begin, uint32_t end,
@@ -196,15 +157,10 @@ void FilterFusedRange(SimdMode mode, const CodeFilter* filters, size_t nf,
     return;
   }
 #ifdef SB_KERNELS_X86
-  if (nf <= kMaxSimdFilters && end - begin >= kMinSimdInput) {
-    if (mode == SimdMode::kAvx2) {
-      FusedRangeAvx2(filters, nf, begin, end, out);
-      return;
-    }
-    if (mode == SimdMode::kSse2) {
-      FusedRangeSse2(filters, nf, begin, end, out);
-      return;
-    }
+  if (mode == SimdMode::kAvx2 && nf <= kMaxSimdFilters &&
+      end - begin >= kMinSimdInput) {
+    FusedRangeAvx2(filters, nf, begin, end, out);
+    return;
   }
 #else
   (void)mode;
@@ -230,7 +186,6 @@ void FilterFusedSelect(SimdMode mode, const CodeFilter* filters, size_t nf,
 #else
   (void)mode;
 #endif
-  // SSE2 has no gather; the slot-list shape stays scalar below AVX2.
   FusedSelectScalar(filters, nf, sel, n, out);
 }
 

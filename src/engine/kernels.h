@@ -13,14 +13,15 @@
 // Both shapes AND every filter in one pass ("fused"), so a multi-column
 // pattern touches each slot once. Output slots always appear in input
 // order (ascending for ranges, list order for slot lists), which is what
-// keeps the fixpoint byte-identical across SIMD levels: the selection
-// vector is exactly the sequence the scalar loop would have produced.
+// keeps the fixpoint byte-identical across tiers: the selection vector is
+// exactly the sequence the scalar loop would have produced.
 //
-// Dispatch: SSE2 and AVX2 variants are compiled with per-function target
-// attributes (no global -mavx2) and selected at runtime; SimdMode::kScalar
-// is always available and is the only mode on non-x86 builds. Kernels are
-// pure functions over const data — they share the relation probe paths'
-// read-only concurrency contract.
+// Dispatch: two tiers. The AVX2 variants are compiled with per-function
+// target attributes (no global -mavx2) and run when the CPU has AVX2;
+// otherwise, and on every non-x86 build, the scalar loops run. There is
+// no knob: callers pass DetectSimdMode(). Kernels are pure functions over
+// const data — they share the relation probe paths' read-only concurrency
+// contract.
 #ifndef SECUREBLOX_ENGINE_KERNELS_H_
 #define SECUREBLOX_ENGINE_KERNELS_H_
 
@@ -31,18 +32,14 @@
 namespace secureblox::engine {
 
 /// Instruction set the filter kernels execute with.
-enum class SimdMode : uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdMode : uint8_t { kScalar, kAvx2 };
 
-/// Lowercase name for SB_EXPLAIN and logs: "scalar" | "sse2" | "avx2".
+/// Lowercase name for SB_EXPLAIN and logs: "scalar" | "avx2".
 const char* SimdModeName(SimdMode mode);
 
-/// Best SIMD level this CPU supports (probed once, then cached).
+/// kAvx2 when this CPU supports AVX2, else kScalar (probed once, then
+/// cached). The fixpoint result is identical in either mode.
 SimdMode DetectSimdMode();
-
-/// Resolve the SB_SIMD knob (FixpointOptions::simd) to a concrete mode:
-/// 0 = scalar, 1 or 2 (auto, the default) = the best level DetectSimdMode
-/// reports. The fixpoint result is identical at every level.
-SimdMode ResolveSimdMode(int knob);
 
 /// One column's equality filter: the shard's contiguous code vector and
 /// the code a surviving slot must hold in it.

@@ -6,6 +6,8 @@
 #include <memory>
 #include <utility>
 
+#include "engine/kernels.h"
+
 namespace secureblox::engine {
 
 namespace {
@@ -445,7 +447,7 @@ std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,
   // The kernel instruction set scans will run with (engine/kernels.h) —
   // a throughput property only; it never changes the plan or the result.
   out += " simd=";
-  out += SimdModeName(ResolveSimdMode(options_.simd));
+  out += SimdModeName(DetectSimdMode());
   out += "\n";
   for (size_t i = 0; i < plan.steps.size(); ++i) {
     const Step& s = plan.steps[i];

@@ -134,14 +134,13 @@ std::vector<Tuple> QueryEngine::Probe(const ResolvedGoal& goal) const {
     if (!code) return out;
     filters[k].code = *code;
   }
-  const SimdMode simd = ResolveSimdMode(ws_->fixpoint_options().simd);
   std::vector<uint32_t> sel;
   for (size_t sh = 0; sh < rel->shard_count(); ++sh) {
     for (size_t k = 0; k < cols.size(); ++k) {
       filters[k].codes = rel->shard_codes(sh, cols[k]).data();
     }
     sel.clear();
-    FilterFusedRange(simd, filters.data(), filters.size(), 0,
+    FilterFusedRange(DetectSimdMode(), filters.data(), filters.size(), 0,
                      static_cast<uint32_t>(rel->shard_size(sh)), &sel);
     for (uint32_t slot : sel) out.push_back(rel->MaterializeTuple(sh, slot));
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <string_view>
 
 #include "common/bytes.h"
 #include "common/logging.h"
@@ -49,21 +48,6 @@ Workspace::Workspace() : catalog_(std::make_unique<Catalog>()) {
     long n = std::strtol(env, &end, 10);
     if (end != env && *end == '\0' && (n == 0 || n == 1)) {
       fixpoint_options_.plan = n == 1;
-    }
-  }
-  // Columnar filter kernels: SB_SIMD=0 forces the scalar loops, 1 the best
-  // SIMD level the CPU supports, auto/unset runtime dispatch (the
-  // default). Every value computes the identical fixpoint; garbage keeps
-  // the default.
-  if (const char* env = std::getenv("SB_SIMD")) {
-    if (std::string_view(env) == "auto") {
-      fixpoint_options_.simd = 2;
-    } else {
-      char* end = nullptr;
-      long n = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && (n == 0 || n == 1)) {
-        fixpoint_options_.simd = static_cast<int>(n);
-      }
     }
   }
   // SB_EXPLAIN=1 dumps every built plan to stderr (docs/engine.md).

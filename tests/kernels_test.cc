@@ -1,8 +1,8 @@
-// SIMD filter kernels: every variant (scalar, SSE2, AVX2 — as far as the
-// host CPU reaches) produces the byte-identical selection vector as a
-// reference scalar loop, across tail remainders, unaligned range starts,
-// empty/all/none-match inputs, fused multi-column filters, and the
-// slot-list (probe) shape. Also pins the SB_SIMD knob resolution.
+// SIMD filter kernels: both tiers (scalar always, AVX2 where the host CPU
+// has it) produce the byte-identical selection vector as a reference
+// loop, across tail remainders, unaligned range starts, empty/all/none-
+// match inputs, fused multi-column filters, and the slot-list (probe)
+// shape. Also pins the mode names and CPU detection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,12 +15,11 @@
 namespace secureblox::engine {
 namespace {
 
-/// Every mode the host can actually execute, weakest first.
+/// Every mode the host can actually execute: scalar, plus AVX2 when the
+/// CPU has it.
 std::vector<SimdMode> HostModes() {
   std::vector<SimdMode> modes = {SimdMode::kScalar};
-  const SimdMode best = DetectSimdMode();
-  if (best >= SimdMode::kSse2) modes.push_back(SimdMode::kSse2);
-  if (best >= SimdMode::kAvx2) modes.push_back(SimdMode::kAvx2);
+  if (DetectSimdMode() == SimdMode::kAvx2) modes.push_back(SimdMode::kAvx2);
   return modes;
 }
 
@@ -58,14 +57,16 @@ std::vector<uint32_t> Column(size_t n, uint32_t cardinality, uint64_t seed) {
   return col;
 }
 
-TEST(KernelsTest, ModeNamesAndKnobResolution) {
+TEST(KernelsTest, ModeNamesAndDetection) {
   EXPECT_STREQ(SimdModeName(SimdMode::kScalar), "scalar");
-  EXPECT_STREQ(SimdModeName(SimdMode::kSse2), "sse2");
   EXPECT_STREQ(SimdModeName(SimdMode::kAvx2), "avx2");
-  EXPECT_EQ(ResolveSimdMode(0), SimdMode::kScalar);
-  // 1 (explicit "best") and 2 (auto, the default) resolve identically.
-  EXPECT_EQ(ResolveSimdMode(1), DetectSimdMode());
-  EXPECT_EQ(ResolveSimdMode(2), DetectSimdMode());
+  // The CPU alone picks the tier: AVX2 exactly when it has AVX2.
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(DetectSimdMode() == SimdMode::kAvx2,
+            __builtin_cpu_supports("avx2") != 0);
+#else
+  EXPECT_EQ(DetectSimdMode(), SimdMode::kScalar);
+#endif
   // Detection is cached and stable.
   EXPECT_EQ(DetectSimdMode(), DetectSimdMode());
 }
@@ -73,8 +74,9 @@ TEST(KernelsTest, ModeNamesAndKnobResolution) {
 TEST(KernelsTest, RangeMatchesScalarReferenceAcrossTailsAndOffsets) {
   const std::vector<uint32_t> col = Column(131, /*cardinality=*/4, 0x5eed);
   const std::vector<CodeFilter> filters = {{col.data(), 2}};
-  // Lengths straddle both lane widths (4 and 8) plus remainders, and
-  // begins are deliberately unaligned relative to the vector width.
+  // Lengths straddle the lane width (8), the SIMD input floor (16) and
+  // remainders, and begins are deliberately unaligned relative to the
+  // vector width.
   for (uint32_t begin : {0u, 1u, 3u, 5u, 7u, 9u}) {
     for (uint32_t len : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u,
                          31u, 64u, 100u}) {

@@ -1,8 +1,8 @@
 // Cost-based rule execution planning: online relation statistics stay
 // symmetric under insert/erase churn, worst-ordered rule bodies are
 // reordered selective-first, planner on/off computes the byte-identical
-// fixpoint at every SB_SIMD x SB_THREADS x SB_SHARDS combination (the
-// base run checked against a closure oracle), the Executor's probe and
+// fixpoint at every SB_THREADS x SB_SHARDS combination (the base run
+// checked against a closure oracle), the Executor's probe and
 // batch paths allocate nothing in steady state, and the SB_EXPLAIN dump
 // describes the chosen plan.
 #include <gtest/gtest.h>
@@ -318,8 +318,8 @@ TEST(PlannerTest, PlansReplanWhenStatsDrift) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: SB_SIMD={0,1} x SB_PLAN={0,1} x SB_THREADS={1,4} x
-// SB_SHARDS={1,7}, anchored by a closure oracle.
+// Equivalence: SB_PLAN={0,1} x SB_THREADS={1,4} x SB_SHARDS={1,7},
+// anchored by a closure oracle.
 // ---------------------------------------------------------------------------
 
 // fig08-flavoured convergence plus deletion churn — recursion, a lattice
@@ -403,13 +403,12 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
     churn.push_back({"link", {Value::Str(Label(i)),
                               Value::Str(Label((i + 1) % 40))}});
   }
-  auto run = [&](bool plan, int threads, size_t shards, int simd) {
+  auto run = [&](bool plan, int threads, size_t shards) {
     Run out;
     Workspace ws;
     ws.fixpoint_options().plan = plan;
     ws.fixpoint_options().threads = threads;
     ws.fixpoint_options().shards = shards;
-    ws.fixpoint_options().simd = simd;
     Install(&ws, kConvergenceProgram);
     auto seeded = ws.Apply(links);
     EXPECT_TRUE(seeded.ok()) << seeded.status().ToString();
@@ -423,9 +422,9 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
     }
     return out;
   };
-  // Base: planner off, scalar kernels, one thread, one shard. Its tuple
-  // sets must match the closure oracle at every step.
-  Run base = run(false, 1, 1, /*simd=*/0);
+  // Base: planner off, one thread, one shard. Its tuple sets must match
+  // the closure oracle at every step.
+  Run base = run(false, 1, 1);
   ASSERT_EQ(base.trace.size(), churn.size() + 1);
   std::set<std::pair<std::string, std::string>> live;
   for (const FactUpdate& l : links) {
@@ -448,23 +447,20 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
       EXPECT_EQ(got, wit->second) << pred << " at step " << step;
     }
   }
-  for (int simd : {0, 1}) {
-    for (bool plan : {false, true}) {
-      for (int threads : {1, 4}) {
-        for (size_t shards : {size_t{1}, size_t{7}}) {
-          if (simd == 0 && !plan && threads == 1 && shards == 1) continue;
-          Run other = run(plan, threads, shards, simd);
-          ASSERT_EQ(base.trace.size(), other.trace.size());
-          for (size_t step = 0; step < base.trace.size(); ++step) {
-            EXPECT_EQ(base.trace[step], other.trace[step])
-                << "fixpoint diverged at step " << step << " plan=" << plan
-                << " threads=" << threads << " shards=" << shards
-                << " simd=" << simd;
-            EXPECT_EQ(base.counters[step], other.counters[step])
-                << "semantic counters diverged at step " << step
-                << " plan=" << plan << " threads=" << threads
-                << " shards=" << shards << " simd=" << simd;
-          }
+  for (bool plan : {false, true}) {
+    for (int threads : {1, 4}) {
+      for (size_t shards : {size_t{1}, size_t{7}}) {
+        if (!plan && threads == 1 && shards == 1) continue;
+        Run other = run(plan, threads, shards);
+        ASSERT_EQ(base.trace.size(), other.trace.size());
+        for (size_t step = 0; step < base.trace.size(); ++step) {
+          EXPECT_EQ(base.trace[step], other.trace[step])
+              << "fixpoint diverged at step " << step << " plan=" << plan
+              << " threads=" << threads << " shards=" << shards;
+          EXPECT_EQ(base.counters[step], other.counters[step])
+              << "semantic counters diverged at step " << step
+              << " plan=" << plan << " threads=" << threads
+              << " shards=" << shards;
         }
       }
     }
@@ -555,10 +551,8 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
   EXPECT_NE(dump.find("scan big"), std::string::npos);
   EXPECT_NE(dump.find("probe="), std::string::npos);
   EXPECT_NE(dump.find("est="), std::string::npos);
-  // The header names the resolved kernel level for this process.
-  EXPECT_NE(dump.find(std::string("simd=") +
-                      SimdModeName(ResolveSimdMode(
-                          ws.fixpoint_options().simd))),
+  // The header names the kernel tier this CPU runs.
+  EXPECT_NE(dump.find(std::string("simd=") + SimdModeName(DetectSimdMode())),
             std::string::npos)
       << dump;
   // Estimate provenance: big's single-column probe estimate comes straight
@@ -610,35 +604,19 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
 TEST(PlannerTest, EnvironmentKnobsParsed) {
   ASSERT_EQ(setenv("SB_PLAN", "0", 1), 0);
   ASSERT_EQ(setenv("SB_EXPLAIN", "1", 1), 0);
-  ASSERT_EQ(setenv("SB_SIMD", "0", 1), 0);
   {
     Workspace ws;
     EXPECT_FALSE(ws.fixpoint_options().plan);
     EXPECT_TRUE(ws.fixpoint_options().explain);
-    EXPECT_EQ(ws.fixpoint_options().simd, 0);
-  }
-  ASSERT_EQ(setenv("SB_SIMD", "1", 1), 0);
-  {
-    Workspace ws;
-    EXPECT_EQ(ws.fixpoint_options().simd, 1);
-  }
-  ASSERT_EQ(setenv("SB_SIMD", "auto", 1), 0);
-  {
-    Workspace ws;
-    EXPECT_EQ(ws.fixpoint_options().simd, 2);
   }
   ASSERT_EQ(setenv("SB_PLAN", "garbage", 1), 0);
-  ASSERT_EQ(setenv("SB_SIMD", "7", 1), 0);
   ASSERT_EQ(unsetenv("SB_EXPLAIN"), 0);
   {
     Workspace ws;
     EXPECT_TRUE(ws.fixpoint_options().plan) << "garbage keeps the default";
     EXPECT_FALSE(ws.fixpoint_options().explain);
-    EXPECT_EQ(ws.fixpoint_options().simd, 2)
-        << "out-of-range keeps the auto default";
   }
   ASSERT_EQ(unsetenv("SB_PLAN"), 0);
-  ASSERT_EQ(unsetenv("SB_SIMD"), 0);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Query-driven evaluation (engine/query): magic-sets answers pinned
 // byte-identical against the materialized fixpoint across the planner /
-// SIMD / threads / shards knob matrix, including after
-// delete-delta churn; memo warm hits; install-after-query reconciliation;
-// fallback slices for aggregates and negation; and the NodeRuntime
-// query-serving front end under concurrent readers.
+// threads / shards knob matrix, including after delete-delta churn; a
+// cold point query touching only its slice; memo warm hits;
+// install-after-query reconciliation; fallback slices for aggregates and
+// negation; and the NodeRuntime query-serving front end under concurrent
+// readers.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -171,8 +172,8 @@ TEST(QueryTest, AllFreeGoalFallsBackToFullSlice) {
 }
 
 // The acceptance gate: answers are byte-identical (same rendered strings,
-// same sorted order) across planner x SIMD x threads x shards,
-// including after delete-delta churn.
+// same sorted order) across planner x threads x shards, including after
+// delete-delta churn.
 TEST(QueryTest, KnobMatrixDifferential) {
   Workspace mat;
   Install(&mat, kGraphSchema);
@@ -204,13 +205,12 @@ TEST(QueryTest, KnobMatrixDifferential) {
   bool have_first = false;
   for (int threads : {1, 4}) {
     for (size_t shards : {size_t{1}, size_t{7}}) {
-      for (int mask = 0; mask < 4; ++mask) {
+      for (bool plan : {false, true}) {
         Workspace qws;
         qws.set_defer_rules(true);
         qws.fixpoint_options().threads = threads;
         qws.fixpoint_options().shards = shards;
-        qws.fixpoint_options().plan = (mask & 1) != 0;
-        qws.fixpoint_options().simd = (mask & 2) ? 1 : 0;
+        qws.fixpoint_options().plan = plan;
         Install(&qws, kGraphSchema);
         ASSERT_TRUE(qws.Apply(LineLinks(6)).ok());
         QueryEngine qe(&qws);
@@ -240,12 +240,81 @@ TEST(QueryTest, KnobMatrixDifferential) {
         } else {
           EXPECT_EQ(r_bf, first_bf) << "threads=" << threads
                                     << " shards=" << shards
-                                    << " mask=" << mask;
+                                    << " plan=" << plan;
           EXPECT_EQ(r_fb, first_fb);
         }
       }
     }
   }
+}
+
+// A cold point query installs and runs only its goal's slice. Five
+// independent closure families share one node domain: left-recursive
+// reachability over link, and four tag families over their own edge
+// relations, each a chain of 80 nodes plus sparse skip edges. Answering
+// reachable(v10, _) must derive under a quarter of the full fixpoint's
+// tuples and fire under a quarter of its rules, and must answer exactly
+// the materialized extension.
+TEST(QueryTest, ColdPointQueryTouchesOnlyItsSlice) {
+  constexpr size_t kNodes = 80;
+  constexpr size_t kTagFamilies = 4;
+  std::string program = R"(
+node(X) -> .
+link(X, Y) -> node(X), node(Y).
+reachable(X, Y) -> node(X), node(Y).
+reachable(X, Y) <- link(X, Y).
+reachable(X, Y) <- reachable(X, Z), link(Z, Y).
+)";
+  std::vector<std::string> edge_preds = {"link"};
+  for (size_t f = 0; f < kTagFamilies; ++f) {
+    const std::string e = "attr" + std::to_string(f);
+    const std::string t = "tag" + std::to_string(f);
+    program += e + "(X, Y) -> node(X), node(Y).\n";
+    program += t + "(X, Y) -> node(X), node(Y).\n";
+    program += t + "(X, Y) <- " + e + "(X, Y).\n";
+    program += t + "(X, Y) <- " + t + "(X, Z), " + e + "(Z, Y).\n";
+    edge_preds.push_back(e);
+  }
+  auto label = [](size_t i) { return Value::Str("v" + std::to_string(i)); };
+  std::vector<FactUpdate> edges;
+  for (size_t p = 0; p < edge_preds.size(); ++p) {
+    for (size_t i = 0; i + 1 < kNodes; ++i) {
+      edges.push_back({edge_preds[p], {label(i), label(i + 1)}});
+    }
+    for (size_t i = 0; i < kNodes / 4; ++i) {
+      edges.push_back({edge_preds[p],
+                       {label((i * 7 + p) % kNodes),
+                        label((i * 13 + 5 + 3 * p) % kNodes)}});
+    }
+  }
+
+  Workspace mat;
+  Install(&mat, program);
+  ASSERT_TRUE(mat.Apply(edges).ok());
+  const uint64_t full_derived = mat.stats().derived_tuples;
+  const uint64_t full_firings = mat.stats().rule_firings;
+
+  Workspace qws;
+  qws.set_defer_rules(true);
+  Install(&qws, program);
+  ASSERT_TRUE(qws.Apply(edges).ok());
+  QueryEngine qe(&qws);
+  const std::vector<std::optional<Value>> goal = {label(kNodes / 8),
+                                                  std::nullopt};
+  const uint64_t derived_before = qws.stats().derived_tuples;
+  const uint64_t firings_before = qws.stats().rule_firings;
+  const std::set<std::string> answers =
+      QueryAnswers(&qe, qws, {"reachable", goal});
+  const uint64_t cold_derived = qws.stats().derived_tuples - derived_before;
+  const uint64_t cold_firings = qws.stats().rule_firings - firings_before;
+
+  EXPECT_FALSE(answers.empty());
+  EXPECT_EQ(answers, ExpectedSet(mat, "reachable", goal));
+  EXPECT_GT(cold_derived, 0u);
+  EXPECT_LT(cold_derived * 4, full_derived)
+      << "cold query derived " << cold_derived << " of " << full_derived;
+  EXPECT_LT(cold_firings * 4, full_firings)
+      << "cold query fired " << cold_firings << " of " << full_firings;
 }
 
 TEST(QueryTest, DeleteChurnInvalidatesMemo) {

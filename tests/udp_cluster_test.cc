@@ -2,6 +2,8 @@
 // sockets, with authenticated batches.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dist/udp_cluster.h"
 #include "policy/says_policy.h"
 
@@ -177,40 +179,61 @@ TEST(UdpClusterTest, ShutdownDrainsSocketBufferedDatagrams) {
   // delivery is deterministic (loopback sendto buffers synchronously).
   // The apply loop's cv wait uses a predicate, so spurious wakeups only
   // cost an empty sweep — they cannot fake traffic or skip the drain.
-  policy::SaysPolicyOptions popts;
-  popts.accept = policy::AcceptMode::kBenign;
+  //
+  // The drain must also honor the tuple cap: at max_batch_tuples = 1 each
+  // datagram is its own transaction. That run sets idle_sweeps = 0, so the
+  // apply loop runs no sweep at all and both datagrams reach it through
+  // the drain every time (one zero-timeout sweep only usually loses the
+  // race to the receive thread).
+  struct Case {
+    size_t max_batch_tuples;
+    int idle_sweeps;
+  };
+  for (const Case& c : {Case{0, 1}, Case{1, 0}}) {
+    SCOPED_TRACE("max_batch_tuples=" + std::to_string(c.max_batch_tuples));
+    policy::SaysPolicyOptions popts;
+    popts.accept = policy::AcceptMode::kBenign;
 
-  UdpCluster::Config cfg;
-  cfg.num_nodes = 2;
-  cfg.sources = {policy::PreludeSource(), kApp,
-                 policy::SaysPolicySource(popts)};
-  cfg.batch_security.auth = policy::AuthScheme::kHmac;
-  cfg.credentials.rsa_bits = 512;
-  cfg.credentials.seed = "udp-shutdown-drain";
-  cfg.poll_timeout_ms = 0;
-  cfg.idle_sweeps = 1;
+    UdpCluster::Config cfg;
+    cfg.num_nodes = 2;
+    cfg.sources = {policy::PreludeSource(), kApp,
+                   policy::SaysPolicySource(popts)};
+    cfg.batch_security.auth = policy::AuthScheme::kHmac;
+    cfg.credentials.rsa_bits = 512;
+    cfg.credentials.seed = "udp-shutdown-drain";
+    cfg.poll_timeout_ms = 0;
+    cfg.idle_sweeps = c.idle_sweeps;
+    cfg.max_batch_tuples = c.max_batch_tuples;
 
-  auto cluster = UdpCluster::Create(std::move(cfg));
-  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    auto cluster = UdpCluster::Create(std::move(cfg));
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
 
-  // Sealed exports buffered on node 1's socket before the loops start.
-  ASSERT_TRUE((*cluster)
-                  ->Insert(0, {{"link", {Value::Str("p0"), Value::Str("p1")}}})
-                  .ok());
-  ASSERT_TRUE((*cluster)
-                  ->Insert(0, {{"link", {Value::Str("p1"), Value::Str("p0")}}})
-                  .ok());
+    // Sealed exports buffered on node 1's socket before the loops start.
+    ASSERT_TRUE(
+        (*cluster)
+            ->Insert(0, {{"link", {Value::Str("p0"), Value::Str("p1")}}})
+            .ok());
+    ASSERT_TRUE(
+        (*cluster)
+            ->Insert(0, {{"link", {Value::Str("p1"), Value::Str("p0")}}})
+            .ok());
 
-  auto stats = (*cluster)->Run();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->messages_delivered, 2u);
-  EXPECT_EQ(stats->rejected, 0u);
+    auto stats = (*cluster)->Run();
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats->messages_delivered, 2u);
+    EXPECT_EQ(stats->rejected, 0u);
+    if (c.max_batch_tuples == 1) {
+      EXPECT_EQ(stats->apply_transactions, 2u);
+      EXPECT_EQ(stats->coalesced_messages, 0u);
+    }
 
-  // The exported closure committed on the receiver despite the immediate
-  // shutdown: reachable(p0,p1) from the first insert, then the three new
-  // closure tuples (p1,p0), (p0,p0), (p1,p1) from the second.
-  auto rows = (*cluster)->node(1).workspace().Query("reachable").value();
-  EXPECT_EQ(rows.size(), 4u);
+    // The exported closure committed on the receiver despite the
+    // immediate shutdown: reachable(p0,p1) from the first insert, then
+    // the three new closure tuples (p1,p0), (p0,p0), (p1,p1) from the
+    // second.
+    auto rows = (*cluster)->node(1).workspace().Query("reachable").value();
+    EXPECT_EQ(rows.size(), 4u);
+  }
 }
 
 // Co-shardable app for the placement fuzz tests (tests/placement_test.cc
