@@ -1,8 +1,8 @@
 // Microbenchmarks for counting-based incremental deletion: deleting one
 // base fact from a large derived database must cost work proportional to
 // the affected tuples, not the database size. The reported counters come
-// from FixpointStats — `seeded` staying flat (and near zero) as N grows is
-// the difference from the old over-delete-and-rederive engine, which
+// from FixpointStats — `seeded` staying flat (zero off cycles) as N grows
+// is the difference from the old over-delete-and-rederive engine, which
 // replayed every derived tuple on every delete.
 #include <benchmark/benchmark.h>
 
@@ -58,14 +58,12 @@ void BM_CountingDeleteFlat(benchmark::State& state) {
 BENCHMARK(BM_CountingDeleteFlat)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
-// A recursive group forces group-local DRed, but the rederivation stays
-// inside the (small, fixed-size) transitive-closure group while the
-// unrelated predicate family grows with N.
-void BM_GroupLocalDRedScoped(benchmark::State& state) {
-  const int64_t n = state.range(0);
+// The transitive closure over a 12-link chain c0 -> ... -> c12 (closed
+// into a ring by c12 -> c0 when `ring`), next to an unrelated predicate
+// family of `n` pairs.
+void LoadClosure(Workspace* ws, int64_t n, bool ring) {
   const int64_t chain = 12;
-  Workspace ws;
-  (void)ws.Install(Parse(R"(
+  (void)ws->Install(Parse(R"(
     node(X) -> .
     link(X, Y) -> node(X), node(Y).
     reachable(X, Y) -> node(X), node(Y).
@@ -81,29 +79,58 @@ void BM_GroupLocalDRedScoped(benchmark::State& state) {
                        {Value::Str("k" + std::to_string(i)),
                         Value::Str("v" + std::to_string(i))}});
   }
-  for (int64_t i = 0; i + 1 < chain; ++i) {
+  for (int64_t i = 0; i < chain; ++i) {
     inserts.push_back({"link",
                        {Value::Str("c" + std::to_string(i)),
                         Value::Str("c" + std::to_string(i + 1))}});
   }
-  (void)ws.Apply(inserts);
+  if (ring) {
+    inserts.push_back(
+        {"link", {Value::Str("c" + std::to_string(chain)), Value::Str("c0")}});
+  }
+  (void)ws->Apply(inserts);
+}
 
-  uint64_t seeded = 0, rederives = 0;
+// Deletes and re-inserts link c5 -> c6, reporting the delete's counters.
+void ChurnClosureEdge(benchmark::State& state, Workspace& ws) {
+  uint64_t seeded = 0, rederives = 0, deleted = 0;
   for (auto _ : state) {
     std::vector<Value> edge = {Value::Str("c5"), Value::Str("c6")};
     auto del = ws.Apply({}, {{"link", edge}});
     benchmark::DoNotOptimize(del);
     seeded += del->fixpoint.rederive_seeded;
     rederives += del->fixpoint.group_rederives;
+    deleted += del->fixpoint.deleted;
     (void)ws.Apply({{"link", edge}});
   }
-  state.counters["seeded/iter"] =
-      static_cast<double>(seeded) / static_cast<double>(state.iterations());
-  state.counters["rederives/iter"] =
-      static_cast<double>(rederives) /
-      static_cast<double>(state.iterations());
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["seeded/iter"] = static_cast<double>(seeded) / iters;
+  state.counters["rederives/iter"] = static_cast<double>(rederives) / iters;
+  state.counters["deleted/iter"] = static_cast<double>(deleted) / iters;
 }
-BENCHMARK(BM_GroupLocalDRedScoped)->Arg(256)->Arg(1024)->Arg(4096)
+
+// A delete from an acyclic chain retracts by counting through the
+// recursive group: it erases just the closure rows through the edge
+// (deleted/iter) and recomputes nothing (rederives/iter and seeded/iter
+// 0), while the unrelated predicate family grows with N.
+void BM_RecursiveCountingDelete(benchmark::State& state) {
+  Workspace ws;
+  LoadClosure(&ws, state.range(0), /*ring=*/false);
+  ChurnClosureEdge(state, ws);
+}
+BENCHMARK(BM_RecursiveCountingDelete)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+// The same chain closed into a ring: survivors may rest on the cycle, so
+// the delete recomputes the cluster (rederives/iter 1), and the reseed
+// stays inside the (small, fixed-size) closure group's inputs while the
+// unrelated predicate family grows with N.
+void BM_RecursiveRingRecompute(benchmark::State& state) {
+  Workspace ws;
+  LoadClosure(&ws, state.range(0), /*ring=*/true);
+  ChurnClosureEdge(state, ws);
+}
+BENCHMARK(BM_RecursiveRingRecompute)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 // Sanity: a delete whose cascade really is large costs proportionally to

@@ -35,10 +35,11 @@ fi
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'relation_test|parallel_test|engine_test|delete_test'
 # Counting-deletion smoke: per-delete work must not scale with the
-# database (see the seeded/iter and retract_firings/iter counters).
+# database (see the seeded/iter and retract_firings/iter counters), on the
+# counting cascade through a recursive group and on a ring's recompute.
 if [ -x "$build/micro_delete" ]; then
   "$build/micro_delete" --benchmark_min_time=0.01 \
-      --benchmark_filter='BM_(CountingDeleteFlat|GroupLocalDRedScoped)'
+      --benchmark_filter='BM_(CountingDeleteFlat|RecursiveCountingDelete|RecursiveRingRecompute)'
 fi
 SB_QUICK=1 SB_MAX_NODES=6 "$build/fig04_fixpoint_latency"
 

@@ -16,14 +16,14 @@ using datalog::ValueKind;
 
 namespace {
 
-/// Marks groups as actively (re)computing for a scope; removes only the
-/// ids it added so nested scopes compose.
-class ActiveSetGuard {
+/// Adds groups to one of the driver's group sets (active_, retracting_)
+/// for a scope; removes only the ids it added so nested scopes compose.
+class GroupSetGuard {
  public:
-  explicit ActiveSetGuard(std::unordered_set<int>* set) : set_(set) {}
-  ActiveSetGuard(const ActiveSetGuard&) = delete;
-  ActiveSetGuard& operator=(const ActiveSetGuard&) = delete;
-  ~ActiveSetGuard() {
+  explicit GroupSetGuard(std::unordered_set<int>* set) : set_(set) {}
+  GroupSetGuard(const GroupSetGuard&) = delete;
+  GroupSetGuard& operator=(const GroupSetGuard&) = delete;
+  ~GroupSetGuard() {
     for (int id : added_) set_->erase(id);
   }
   void Add(int id) {
@@ -113,7 +113,9 @@ FixpointDriver::~FixpointDriver() = default;
 void FixpointDriver::Begin() {
   delta_.assign(graph_.groups().size(), {});
   neg_.assign(graph_.groups().size(), {});
+  suspects_.assign(graph_.groups().size(), {});
   active_.clear();
+  retracting_.clear();
   touched_.clear();
   stats_ = {};
   plans_built_at_begin_ =
@@ -155,7 +157,8 @@ void FixpointDriver::NotifyInsert(PredId pred, const Tuple& tuple) {
     PushToDeltaMap(&q.adds, pred, tuple);
   }
   for (int g : graph_.negator_groups_of(pred)) {
-    if (active_.count(g)) continue;  // being recomputed against this state
+    // Being recomputed or retracted against this state.
+    if (active_.count(g) || retracting_.count(g)) continue;
     ChangeQueue& q = neg_[g];
     if (!EraseFromDeltaMap(&q.dels, pred, tuple)) {
       PushToDeltaMap(&q.adds, pred, tuple);
@@ -175,7 +178,7 @@ void FixpointDriver::NotifyDelete(PredId pred, const Tuple& tuple) {
     PushToDeltaMap(&q.dels, pred, tuple);
   }
   for (int g : graph_.negator_groups_of(pred)) {
-    if (active_.count(g)) continue;
+    if (active_.count(g) || retracting_.count(g)) continue;
     ChangeQueue& q = neg_[g];
     if (!EraseFromDeltaMap(&q.adds, pred, tuple)) {
       PushToDeltaMap(&q.dels, pred, tuple);
@@ -185,13 +188,16 @@ void FixpointDriver::NotifyDelete(PredId pred, const Tuple& tuple) {
 
 bool FixpointDriver::HasPendingWork() const {
   for (size_t g = 0; g < delta_.size(); ++g) {
-    if (!delta_[g].empty() || !neg_[g].empty()) return true;
+    if (!delta_[g].empty() || !neg_[g].empty() || !suspects_[g].empty()) {
+      return true;
+    }
   }
   return false;
 }
 
 bool FixpointDriver::HasRetractWork(int gid) const {
-  return !delta_[gid].dels.empty() || !neg_[gid].empty();
+  return !delta_[gid].dels.empty() || !neg_[gid].empty() ||
+         !suspects_[gid].empty();
 }
 
 bool FixpointDriver::HasDeltaFor(const CompiledRule& rule,
@@ -212,7 +218,7 @@ bool FixpointDriver::TouchedAny(const CompiledRule& rule) const {
 
 Status FixpointDriver::Run() {
   // The budget bounds *new* work: tuples seeded before the run (base
-  // updates) and tuples reseeded by group-local rederivation extend the
+  // updates) and tuples reseeded by a cluster recompute extend the
   // limit so routine maintenance of a large database never trips it.
   budget_limit_ = options_.max_derivations;
   for (const ChangeQueue& q : delta_) {
@@ -590,24 +596,28 @@ Status FixpointDriver::RetractOne(PredId pred, const Tuple& tuple) {
     return Status::OK();
   }
   ++stats_.rescued;
+  NoteSuspect(pred, tuple);
+  return Status::OK();
+}
+
+void FixpointDriver::NoteSuspect(PredId pred, const Tuple& tuple) {
   // A survivor of a recursively derived predicate may be held up only by
   // derivations through itself (a cycle in a recursive group), which
-  // counting cannot tell. Queue it to the recursive producer as a delete
-  // delta: that group rederives, and its recompute supersedes the entry.
+  // counting cannot tell. It becomes a suspect of the recursive producer,
+  // checked when that group's counting cascade ends.
   for (size_t r : graph_.producers_of(pred)) {
     const int g = graph_.group_of_rule(r);
     if (!graph_.group(g).recursive || active_.count(g)) continue;
     Relation* rel = store_.GetRelation(pred);
     if (rel->SupportCount(tuple) > 0) {
-      PushToDeltaMap(&delta_[g].dels, pred, tuple);
+      PushToDeltaMap(&suspects_[g], pred, tuple);
     }
     break;
   }
-  return Status::OK();
 }
 
 Status FixpointDriver::RunWave(const std::vector<int>& wave) {
-  ActiveSetGuard guard(&active_);
+  GroupSetGuard guard(&active_);
   for (int gid : wave) guard.Add(gid);
   ++stats_.waves;
   EnsureRelations();
@@ -716,9 +726,14 @@ Status FixpointDriver::ProcessRetractions(int gid) {
     return Status::OK();
   }
 
-  // Counting cannot retract through a cycle: a delete delta reaching a
-  // recursive group rederives it locally (superseding its flips).
-  if (group.recursive && !delta_[gid].dels.empty()) {
+  // Lattice aggregate outputs carry no support count: a delete delta or a
+  // suspect reaching a recursive group that holds one recomputes the
+  // cluster (superseding its flips).
+  if (group.recursive &&
+      (!delta_[gid].dels.empty() || !suspects_[gid].empty()) &&
+      std::any_of(group.rules.begin(), group.rules.end(), [&](size_t idx) {
+        return rules_[idx].agg.has_value() && graph_.lattice(idx);
+      })) {
     return RederiveCluster(gid);
   }
   if (!neg_[gid].empty()) {
@@ -729,8 +744,13 @@ Status FixpointDriver::ProcessRetractions(int gid) {
 
   // Counting path: enumerate destroyed instantiations on the pool (same
   // phase split as a wave round — the supports drop in the merge phase),
-  // against the post-flip negation state.
+  // against the post-flip negation state. A recursive group's erasures of
+  // its own head tuples come back as the next round's delete delta (the
+  // group is not active), and the flips they cause on predicates it
+  // negates are ignored, as in its waves (derivation-time negation).
   EnsureRelations();
+  GroupSetGuard retracting(&retracting_);
+  retracting.Add(gid);
   while (!delta_[gid].dels.empty()) {
     DeltaMap dels = std::move(delta_[gid].dels);
     delta_[gid].dels.clear();
@@ -760,6 +780,21 @@ Status FixpointDriver::ProcessRetractions(int gid) {
         SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, end));
       } else {
         SB_RETURN_IF_ERROR(RunRetractVariants(rule, dels, gid));
+      }
+    }
+  }
+
+  // The supports are exact now. A survivor that lost every well-founded
+  // derivation sits above a suspect that is still live (docs/engine.md,
+  // "Deletion semantics"), so none left means every survivor has a proof;
+  // a base fact is founded whatever its support.
+  DeltaMap suspects = std::move(suspects_[gid]);
+  suspects_[gid].clear();
+  for (const auto& [pred, tuples] : suspects) {
+    const Relation* rel = store_.GetRelation(pred);
+    for (const Tuple& t : tuples) {
+      if (rel->SupportCount(t) > 0 && !host_.IsBaseFact(pred, t)) {
+        return RederiveCluster(gid);
       }
     }
   }
@@ -812,7 +847,7 @@ Status FixpointDriver::ProcessFlips(int gid, bool* rederive) {
 
   // Merge in staging order. The group's own changes to predicates it
   // negates are ignored, as in its waves (derivation-time negation).
-  ActiveSetGuard guard(&active_);
+  GroupSetGuard guard(&active_);
   guard.Add(gid);
   std::set<size_t> agg_rerun;
   for (const auto& t : tasks) {
@@ -1144,13 +1179,14 @@ Status FixpointDriver::RederiveCluster(int gid) {
     }
   }
 
-  ActiveSetGuard guard(&active_);
+  GroupSetGuard guard(&active_);
   for (int g : cluster) guard.Add(g);
-  // Pending deltas and flips for cluster members are superseded by the
-  // full local recompute.
+  // Pending deltas, flips and suspects for cluster members are superseded
+  // by the full local recompute.
   for (int g : cluster) {
     delta_[g].clear();
     neg_[g].clear();
+    suspects_[g].clear();
   }
   for (PredId p : cpreds) {
     SB_ASSIGN_OR_RETURN(uint64_t over_deleted, host_.OverDeleteDerived(p));

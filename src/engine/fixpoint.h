@@ -43,22 +43,26 @@
 // Deletions propagate incrementally. Every derived tuple carries a
 // derivation-support count (Relation::SupportCount) that insert rounds
 // keep exact via mixed semi-naïve variants. A delete delta is processed
-// per group:
-//   - non-recursive groups enumerate exactly the destroyed rule
-//     instantiations (the delta at one occurrence, erased tuples restored
-//     at later occurrences) and drop one support per instantiation; a
-//     tuple whose support reaches zero — and that is not a base fact — is
-//     erased and cascades downstream; the destroyed-instantiation
-//     enumeration is chunked onto the pool like the insert path; a
-//     survivor of a predicate a recursive group also derives may rest on
-//     cyclic supports only, so it is handed to that group;
-//   - recursive groups fall back to group-local DRed: over-delete the
-//     closure of groups sharing head predicates, reseed just those groups
-//     from their body predicates, and re-run them to a local fixpoint (the
-//     reseed deltas are large, so this path gains the most from chunked
-//     enumeration). Rescued tuples annihilate against their own delete
-//     deltas in downstream queues, so downstream work is proportional to
-//     the net change.
+// per group by counting: the group enumerates exactly the destroyed rule
+// instantiations (the delta at one occurrence, erased tuples restored at
+// later occurrences) and drops one support per instantiation; a tuple
+// whose support reaches zero — and that is not a base fact — is erased
+// and cascades downstream (into a recursive group's own next round, too);
+// the destroyed-instantiation enumeration is chunked onto the pool like
+// the insert path. Counting is unsound only through a cycle: a live,
+// non-base tuple of a recursively derived predicate whose support dropped
+// but did not reach zero, or that lost its base assertion while support
+// kept it (a *suspect*), may rest on cyclic supports alone. When a
+// recursive group's cascade ends with a suspect still live, the group
+// falls back to a cluster recompute (RederiveCluster): over-delete the
+// closure of groups sharing head predicates, reseed just those groups
+// from their body predicates, and re-run them to a local fixpoint (the
+// reseed deltas are large, so this path gains the most from chunked
+// enumeration). Rescued tuples annihilate against their own delete
+// deltas in downstream queues, so downstream work is proportional to the
+// net change. A recursive group holding a lattice aggregate (whose
+// outputs carry no support count) recomputes on every delete or suspect
+// that reaches it instead.
 // A change to a negated predicate (a *flip*) is precise: each negating
 // rule runs a flip variant (CompiledRule::flip_steps) that reads the
 // negated atom as a positive occurrence over the flipped tuples, against
@@ -67,7 +71,7 @@
 // delete frees (one support added); no match means no work. Only a
 // recursive group in which a flip blocks a live instantiation rederives.
 // Under derivation-time negation a group ignores the flips its own
-// evaluation causes (see active_).
+// evaluation causes (see active_ and retracting_).
 //
 // The driver mutates the database exclusively through the FixpointHost
 // interface — only ever from the merge phase — so the workspace keeps
@@ -118,14 +122,19 @@ struct FixpointStats {
   uint64_t retractions = 0;
   /// Tuples erased by delete propagation (support exhausted, no base fact).
   uint64_t deleted = 0;
-  /// Tuples kept alive by an alternative derivation or a base fact, plus
-  /// over-deleted tuples rederived by group-local DRed.
+  /// Tuples a dropped support left alive (an alternative derivation or a
+  /// base fact), plus erased tuples that came back before a consumer
+  /// looked (insert/delete annihilation, e.g. after a cluster recompute).
   uint64_t rescued = 0;
-  /// Group-local DRed invocations: delete deltas reaching a recursive
-  /// group, and flips that block a live instantiation in one.
+  /// Cluster recomputes (RederiveCluster): a recursive group's counting
+  /// cascade that ended with a live suspect, a delete reaching a recursive
+  /// group that holds a lattice aggregate, and a flip that blocks a live
+  /// instantiation in a recursive group. 0 when counting settled every
+  /// delete.
   uint64_t group_rederives = 0;
-  /// Tuples reseeded into rederived groups — the rederivation footprint,
-  /// bounded by the affected groups instead of the whole database.
+  /// Tuples reseeded into recomputed clusters — the recompute footprint,
+  /// bounded by the affected groups instead of the whole database (0 when
+  /// no cluster recomputed).
   uint64_t rederive_seeded = 0;
   /// Flipped negated-predicate tuples probed against negating rules (per
   /// flip variant, after merging tuples that agree on the atom's
@@ -143,7 +152,7 @@ struct FixpointStats {
 struct FixpointOptions {
   /// Abort the transaction once a fixpoint derives more than this many
   /// tuples *beyond* the seeded deltas (guards non-terminating programs
-  /// without capping group-local rederivation). The error names the
+  /// without capping a cluster recompute). The error names the
   /// stratum, rule group, and the rules still producing deltas.
   uint64_t max_derivations = 1000000;
   /// Worker threads for the enumeration phases (including the calling
@@ -195,7 +204,10 @@ class FixpointHost {
   /// not a base fact. Returns true when the tuple was erased.
   virtual Result<bool> RetractSupport(datalog::PredId pred,
                                       const Tuple& tuple) = 0;
-  /// Group-local DRed over-delete: erase every non-base tuple of `pred`
+  /// True when `tuple` is asserted as a base fact of `pred` (founded
+  /// whatever its derivation support).
+  virtual bool IsBaseFact(datalog::PredId pred, const Tuple& tuple) const = 0;
+  /// Cluster-recompute over-delete: erase every non-base tuple of `pred`
   /// (cascading delete deltas) and zero the support of surviving base
   /// facts, so rederivation recounts from scratch. Returns the number of
   /// tuples erased — rederiving them is not runaway work and extends the
@@ -228,6 +240,11 @@ class FixpointDriver {
   /// Route an erased tuple as a delete delta; cancels a matching unconsumed
   /// insert delta instead (the tuple never fired downstream).
   void NotifyDelete(datalog::PredId pred, const Tuple& tuple);
+  /// A live tuple whose foundation may be gone while derivation support
+  /// keeps it: a retraction survivor, or a base fact that lost its
+  /// assertion. When a recursive group derives its predicate, that support
+  /// may be cyclic, so the tuple becomes a suspect of the group.
+  void NoteSuspect(datalog::PredId pred, const Tuple& tuple);
 
   /// Run installed rules to fixpoint over the queued deltas.
   Status Run();
@@ -283,10 +300,13 @@ class FixpointDriver {
   /// rules with side effects, and the pre-parallel reference semantics.
   Status RunRuleVariants(const CompiledRule& rule, const DeltaMap& delta,
                          int gid);
-  /// One group's pending negation flips and delete deltas: precise flips
-  /// first (pending deletes restored), then counting retraction against
-  /// the post-flip state; group-local DRed for delete deltas reaching a
-  /// recursive group and for recursive flips that block something.
+  /// One group's pending negation flips, delete deltas and suspects:
+  /// precise flips first (pending deletes restored), then rounds of
+  /// counting retraction against the post-flip state until the group's own
+  /// erasures stop, then the suspect check. Recomputes the cluster when a
+  /// suspect is still live, for deletes reaching a recursive group that
+  /// holds a lattice aggregate, and for recursive flips that block
+  /// something.
   Status ProcessRetractions(int gid);
   /// Precise flips for one group: enumerate, per negating rule and
   /// flipped predicate, the live instantiations the inserts block and the
@@ -311,14 +331,16 @@ class FixpointDriver {
   Status RunRetractVariants(const CompiledRule& rule, const DeltaMap& dels,
                             int gid);
   /// Drop one support of a destroyed instantiation's head tuple. A tuple
-  /// of a recursively derived predicate that survives queues its recursive
-  /// producer group for rederivation (its remaining supports may be
-  /// cyclic).
+  /// of a recursively derived predicate that survives with support left
+  /// becomes a suspect of its recursive producer group (its remaining
+  /// supports may be cyclic), checked when that group's cascade ends.
   Status RetractOne(datalog::PredId pred, const Tuple& tuple);
-  /// Group-local DRed: over-delete the head-sharing closure around `gid`,
-  /// reseed those groups from their body predicates, re-run to a local
-  /// fixpoint. Reached only from recursive groups (see
-  /// ProcessRetractions).
+  /// Cluster recompute, the fallback for cycles: over-delete the
+  /// head-sharing closure around `gid`, reseed those groups from their
+  /// body predicates, re-run to a local fixpoint; clears the members'
+  /// pending deltas, flips and suspects. Reached only from recursive
+  /// groups, for a live suspect, a lattice aggregate or a blocking flip
+  /// (see ProcessRetractions).
   Status RederiveCluster(int gid);
   Status InstantiateHeads(const CompiledRule& rule, Env& env,
                           std::vector<std::pair<datalog::PredId, Tuple>>*
@@ -396,11 +418,23 @@ class FixpointDriver {
   /// to its supports (the flips ProcessFlips probes). Annihilation keeps
   /// transient over-delete/rederive churn out.
   std::vector<ChangeQueue> neg_;
+  /// Suspects per recursive group: live tuples of its head predicates
+  /// whose support a retraction dropped without exhausting it, or that
+  /// lost a base assertion while support kept them, so they may rest on
+  /// cyclic supports only (NoteSuspect). Checked (and cleared) when the
+  /// group's counting cascade ends; a cluster recompute clears its
+  /// members'.
+  std::vector<DeltaMap> suspects_;
   /// Groups currently being (re)computed: their own erasure churn (lattice
-  /// improvement, over-delete) must not re-queue them, and changes they
-  /// make to predicates they negate are not flips for them — a negation
-  /// reads the state at derivation time.
+  /// improvement, over-delete) must not re-queue them, survivors are not
+  /// handed to them as suspects, and changes they make to predicates they
+  /// negate are not flips for them — a negation reads the state at
+  /// derivation time.
   std::unordered_set<int> active_;
+  /// The group running its counting cascade. Only the flip rule of active_
+  /// applies: its own erasures re-queue it as the next round's delete
+  /// delta, and its survivors become its own suspects.
+  std::unordered_set<int> retracting_;
   /// Lattice aggregate rules (by id) that had a full pass in this
   /// driver; later rounds evaluate them over their delta only.
   std::unordered_set<int> lattice_seen_;

@@ -23,7 +23,8 @@
 //
 // Memo invalidation is therefore *inherited*: magic and answer relations
 // are ordinary counted relations, so the existing delete-delta machinery
-// (counting + group-local DRed) maintains them incrementally under churn.
+// (counting, recomputing a cluster only on a cycle) maintains them
+// incrementally under churn.
 // No cache protocol exists to get wrong — only the per-query answer
 // snapshot carries an epoch (the sum of the slice relations' version
 // stamps) so a warm repeat query is a pure read.

@@ -68,6 +68,9 @@ Relation::Relation(const datalog::PredicateDecl* decl, size_t shards)
   }
   // Zero-key cases (arity 0, functional arity 1) hash an empty projection:
   // every tuple lands in one shard and probes never fan out.
+  if (arity >= 1 && arity <= 32) {
+    whole_mask_ = arity == 32 ? ~0u : (1u << arity) - 1;
+  }
   dicts_.resize(arity);
   for (Shard& s : shards_) s.cols.resize(arity);
 }
@@ -392,6 +395,7 @@ Relation::CodeKey Relation::ProjectCodes(const Shard& s, size_t slot,
 }
 
 void Relation::EnsureShardIndex(Shard& shard, uint32_t mask) {
+  if (WholeTuple(mask)) return;  // the set index answers it
   SecondaryIndex& idx = shard.secondary_[mask];
   if (idx.built_at_version == version_) return;
   const size_t rows = shard.counts.size();
@@ -428,6 +432,16 @@ const std::vector<size_t>& Relation::ProbeShard(size_t shard, uint32_t mask,
     if (!code) return kEmpty;
     ck.push_back(*code);
   }
+  if (WholeTuple(mask)) {
+    // A membership test: the shard's set index holds the one possible
+    // row, so no secondary index duplicates it (per-thread result, see
+    // the reference-stability contract).
+    auto it = s.index_.find(ck);
+    if (it == s.index_.end()) return kEmpty;
+    thread_local std::vector<size_t> one(1);
+    one[0] = it->second;
+    return one;
+  }
   auto sit = s.secondary_.find(mask);
   if (sit == s.secondary_.end() ||
       sit->second.built_at_version != version_) {
@@ -457,7 +471,7 @@ void Relation::EnsureKeyStat(uint32_t mask) {
   // A single bound column is covered exactly by that column's dictionary
   // live count — no hashed statistic to maintain.
   if (SingleColumnMask(mask) && MaskColumn(mask) < dicts_.size()) return;
-  if (key_stats_.count(mask)) return;
+  if (WholeTuple(mask) || key_stats_.count(mask)) return;
   KeyStat& stat = key_stats_[mask];
   stat.counts.reserve(total_size_);
   // Seed by hashing the decoded column values with the same mixing
@@ -482,6 +496,7 @@ std::optional<size_t> Relation::DistinctKeys(uint32_t mask) const {
     const size_t col = MaskColumn(mask);
     if (col < dicts_.size()) return dicts_[col].live;
   }
+  if (WholeTuple(mask)) return total_size_;  // every row is distinct
   auto it = key_stats_.find(mask);
   if (it == key_stats_.end()) return std::nullopt;
   return it->second.counts.size();
@@ -503,6 +518,7 @@ EstimateSource Relation::EstimateSourceFor(uint32_t mask) const {
   if (SingleColumnMask(mask) && MaskColumn(mask) < dicts_.size()) {
     return EstimateSource::kDict;
   }
+  if (WholeTuple(mask)) return EstimateSource::kStat;
   auto it = key_stats_.find(mask);
   if (it == key_stats_.end() || it->second.counts.empty()) {
     return EstimateSource::kSize;

@@ -49,11 +49,16 @@
 // executor relies on exactly the safe window: a rule body holds probe
 // results across nested probes of the same enumeration, and the fixpoint
 // drivers never mutate relations while an enumeration runs (derived heads
-// are buffered and applied between runs). Probe() — the flat convenience
-// used by tests and debug paths — additionally gathers matches across
-// shards into an internal scratch buffer, so its reference is only valid
-// until the *next* Probe() call on this relation; do not use it where
-// nested probes of the same relation can occur.
+// are buffered and applied between runs). A whole-tuple probe (a mask that
+// binds every column) is a membership test answered from the shard's set
+// index instead: its result — at most one slot — lives in a per-thread
+// buffer that stays valid only until the calling thread's next
+// ProbeShard() call on any relation; the executor uses each probe result
+// up (copies the slots it keeps) before it probes again. Probe() — the
+// flat convenience used by tests and debug paths — additionally gathers
+// matches across shards into an internal scratch buffer, so its reference
+// is only valid until the *next* Probe() call on this relation; do not
+// use it where nested probes of the same relation can occur.
 #ifndef SECUREBLOX_ENGINE_RELATION_H_
 #define SECUREBLOX_ENGINE_RELATION_H_
 
@@ -212,13 +217,15 @@ class Relation {
   /// hash of the projected values (content-based), so the statistics are
   /// independent of shard count and insertion order — the property the
   /// planner's determinism rests on. A single-column mask is already
-  /// covered exactly by the column dictionary's live count and is not
+  /// covered exactly by the column dictionary's live count, and a
+  /// whole-tuple mask by size() (every row is distinct); neither is
   /// tracked. Single-threaded, like all mutations.
   void EnsureKeyStat(uint32_t mask);
 
   /// Distinct projections onto `mask` among the current rows: the exact
-  /// dictionary live count for a single-column mask, the hashed statistic
-  /// for a tracked mask, nullopt otherwise.
+  /// dictionary live count for a single-column mask, size() for a
+  /// whole-tuple mask, the hashed statistic for a tracked mask, nullopt
+  /// otherwise.
   std::optional<size_t> DistinctKeys(uint32_t mask) const;
 
   /// Estimated rows matching one probe on `mask`: size()/distinct when a
@@ -243,7 +250,8 @@ class Relation {
   /// equal `key`. Returns shard-local indices into the shard's rows;
   /// see the reference-stability contract in the file comment. The key
   /// values are encoded through the column dictionaries first, and any
-  /// dictionary miss returns empty without touching the index.
+  /// dictionary miss returns empty without touching the index. A
+  /// whole-tuple mask reads the shard's set index (at most one slot).
   const std::vector<size_t>& ProbeShard(size_t shard, uint32_t mask,
                                         const Tuple& key);
 
@@ -263,6 +271,7 @@ class Relation {
   /// Bring every shard's secondary index for `mask` up to the current
   /// version (indexing only the appended tail — erases are patched in
   /// place). Called single-threaded before a parallel phase probes `mask`.
+  /// A whole-tuple mask needs none: the set index answers it.
   void EnsureIndex(uint32_t mask);
 
   /// Bucket-map (re)constructions for this relation: first builds plus any
@@ -333,6 +342,10 @@ class Relation {
   };
 
   static CodeKey ProjectCodes(const Shard& s, size_t slot, uint32_t mask);
+  /// True when `mask` binds every column (a membership test).
+  bool WholeTuple(uint32_t mask) const {
+    return whole_mask_ != 0 && mask == whole_mask_;
+  }
   /// Hash of the shard-key columns of a full tuple.
   size_t ShardKeyHash(const Tuple& t) const;
   /// Shard for a probe key (bound values in column order) — only valid
@@ -351,6 +364,8 @@ class Relation {
   const datalog::PredicateDecl* decl_;
   /// Bit i set = column i participates in the shard key.
   uint32_t shard_key_mask_ = 0;
+  /// Every column's bit (0 for arity 0 or above 32: no mask covers it).
+  uint32_t whole_mask_ = 0;
   std::vector<Shard> shards_;
   /// Per-column dictionaries. Relation-level — not per shard — so codes
   /// are shard-comparable and the live counts feeding planner estimates

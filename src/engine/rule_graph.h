@@ -97,10 +97,11 @@ class RuleGraph {
   /// instantiations (FixpointDriver::ProcessFlips).
   const std::vector<int>& negator_groups_of(datalog::PredId pred) const;
 
-  /// Rules with `pred` among their head predicates. Group-local DRed
+  /// Rules with `pred` among their head predicates. A cluster recompute
   /// over-deletes a predicate and must re-fire every rule deriving it,
   /// whichever group it lives in; a counting retraction that leaves a
-  /// tuple alive hands it to the recursive producer among them.
+  /// tuple alive with support makes it a suspect of the recursive
+  /// producer among them.
   const std::vector<size_t>& producers_of(datalog::PredId pred) const;
 
   /// Predicates appearing under negation in some rule body. Base insertions

@@ -416,6 +416,8 @@ Status Workspace::ApplyOneRemoteOp(const RemoteOp& op,
       tx->undo.push_back({UndoOp::Kind::kBaseRemoved, pred, t, 0});
       if (rel->SupportCount(t) == 0) {
         SB_RETURN_IF_ERROR(EraseTupleTx(pred, t, tx));
+      } else {
+        driver_->NoteSuspect(pred, t);
       }
       return Status::OK();
     }
@@ -424,8 +426,9 @@ Status Workspace::ApplyOneRemoteOp(const RemoteOp& op,
         deferred->push_back(op);
         return Status::OK();
       }
-      auto r = RetractSupport(pred, t);
-      return r.ok() ? Status::OK() : r.status();
+      SB_ASSIGN_OR_RETURN(bool erased, RetractSupport(pred, t));
+      if (!erased) driver_->NoteSuspect(pred, t);
+      return Status::OK();
     }
   }
   return Status::Internal("unknown remote op kind");
@@ -523,6 +526,11 @@ Result<bool> Workspace::RetractSupport(PredId pred, const Tuple& tuple) {
   }
   SB_RETURN_IF_ERROR(EraseTupleTx(pred, tuple, current_tx_));
   return true;
+}
+
+bool Workspace::IsBaseFact(PredId pred, const Tuple& tuple) const {
+  auto it = base_tuples_.find(pred);
+  return it != base_tuples_.end() && it->second.count(tuple) > 0;
 }
 
 Result<uint64_t> Workspace::OverDeleteDerived(PredId pred) {
@@ -757,7 +765,8 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
   }
 
   // Base-fact deletions seed delete deltas; a tuple with remaining
-  // derivation support merely loses its base assertion and stays.
+  // derivation support loses its base assertion and stays, a suspect when
+  // that support may be cyclic.
   for (const FactUpdate& d : deletes) {
     auto pred = catalog_->Lookup(d.pred);
     if (!pred.ok()) return fail(pred.status());
@@ -782,6 +791,8 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
     if (rel->SupportCount(*normalized) == 0) {
       Status st = EraseTupleTx(pred.value(), *normalized, &tx);
       if (!st.ok()) return fail(st);
+    } else {
+      driver_->NoteSuspect(pred.value(), *normalized);
     }
   }
 
@@ -804,8 +815,8 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
   Status fixpoint = driver_->Run();
   if (!fixpoint.ok()) return fail(fixpoint);
 
-  // Cascaded erasures (retractions, group-local over-deletes that did not
-  // fully rederive, stale aggregate outputs) also invalidate the
+  // Cascaded erasures (retractions, cluster-recompute over-deletes that
+  // did not fully rederive, stale aggregate outputs) also invalidate the
   // insert-delta shortcut.
   if (tx.num_erased > 0) tx.full_constraint_check = true;
 

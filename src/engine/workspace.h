@@ -13,13 +13,14 @@
 // owns storage, undo logging, entity interning, and constraint checking,
 // and exposes them to the driver through the FixpointHost interface.
 //
-// Deletions propagate incrementally (counting + group-local DRed): each
-// derived tuple carries a derivation-support count maintained by the
-// fixpoint driver, a base-fact delete seeds a delete delta, and only
-// tuples whose support reaches zero cascade. A change to a negated
-// predicate retracts or derives just the instantiations it blocks or
-// unblocks; recursive rule groups hit by a delete (or by a flip that
-// blocks something) rederive group-locally instead of reseeding the whole
+// Deletions propagate incrementally by counting: each derived tuple
+// carries a derivation-support count maintained by the fixpoint driver, a
+// base-fact delete seeds a delete delta, and only tuples whose support
+// reaches zero cascade, through recursive rule groups too. A change to a
+// negated predicate retracts or derives just the instantiations it blocks
+// or unblocks. Only a recursive group left with a survivor that may rest
+// on a cycle (or one holding a lattice aggregate, or hit by a flip that
+// blocks something) recomputes its head-sharing cluster, never the whole
 // database (see engine/fixpoint.h). A commit reports as inserted only
 // tuples the transaction added, not ones it erased and rederived.
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
@@ -282,6 +283,7 @@ class Workspace : public RelationStore, private FixpointHost {
   Status EraseTuple(datalog::PredId pred, const Tuple& tuple) override;
   Result<bool> RetractSupport(datalog::PredId pred,
                               const Tuple& tuple) override;
+  bool IsBaseFact(datalog::PredId pred, const Tuple& tuple) const override;
   Result<uint64_t> OverDeleteDerived(datalog::PredId pred) override;
   Status BindExistentials(const CompiledRule& rule, Env* env,
                           std::vector<int>* bound_here) override;

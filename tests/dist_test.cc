@@ -273,7 +273,7 @@ TEST(DistTest, SealOpenRoundTripAllSchemes) {
 // churns local facts (marks driving a derived join over imported reachable
 // facts, plus a purely-local link feeding the recursive closure) while
 // deliveries stream in. The drained state must equal a churn-free run fed
-// only the net facts — counting deletion and group-local DRed must not
+// only the net facts — counting deletion and the cluster recompute must not
 // disturb derivations rooted in imported facts, at any batch granularity.
 const char* kChurnApp = R"(
 link(X, Y) -> principal(X), principal(Y).

@@ -187,7 +187,8 @@ TEST(ParallelFixpointTest, DeleteScenariosIdenticalAcrossThreadCounts) {
       EXPECT_TRUE(commit.ok()) << commit.status().ToString();
       trace.push_back(Snap(ws));
     }
-    // Bridge delete: recursive group falls back to group-local DRed.
+    // Bridge delete: counted through the recursive group, recomputing
+    // its cluster when a survivor may rest on a cycle.
     auto bridge = ws.Apply(
         {}, {{"e", {Value::Str(Label(5)), Value::Str(Label(6))}}});
     EXPECT_TRUE(bridge.ok()) << bridge.status().ToString();
@@ -347,8 +348,9 @@ TEST(ShardedFixpointTest, ConvergenceIdenticalAcrossShardAndThreadCounts) {
 }
 
 // Erase-heavy and FD-replacement workload: recursive closure with
-// counting deletes, bridge deletes (group-local DRed over-delete +
-// reseed, i.e. swap-remove churn patched per shard), and a recursive
+// counting deletes, bridge deletes (counted cascades, or a cluster
+// recompute's over-delete + reseed on a cycle: swap-remove churn patched
+// per shard), and a recursive
 // min-lattice whose functional head is replaced as costs improve and
 // re-route. Transaction-by-transaction snapshots must match at every
 // shard x thread combination.

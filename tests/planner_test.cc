@@ -323,7 +323,7 @@ TEST(PlannerTest, PlansReplanWhenStatsDrift) {
 // ---------------------------------------------------------------------------
 
 // fig08-flavoured convergence plus deletion churn — recursion, a lattice
-// aggregate recomputing, counting deletes and group-local DRed all run
+// aggregate recomputing, counting deletes and cluster recomputes all run
 // under both the baseline written-order bodies and the planner's
 // reordered ones.
 const char* kConvergenceProgram = R"(
@@ -396,8 +396,9 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
     std::vector<std::vector<uint64_t>> counters;
   };
   const std::vector<FactUpdate> links = ConvergenceLinks(40, 2);
-  // Deletion churn: counting path + group-local DRed for the recursive
-  // group, aggregate recompute on top.
+  // Deletion churn: counting path through the recursive group (a cluster
+  // recompute when a survivor may rest on a cycle), aggregate recompute
+  // on top.
   std::vector<FactUpdate> churn;
   for (int i = 0; i < 40; i += 7) {
     churn.push_back({"link", {Value::Str(Label(i)),

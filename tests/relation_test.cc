@@ -327,6 +327,55 @@ TEST(ShardedRelationTest, ProbeShardReferenceSurvivesForeignIndexWork) {
   EXPECT_EQ(r.At(static_cast<size_t>(shard), rows[0], 0).AsInt(), 1);
 }
 
+TEST(ShardedRelationTest, WholeTupleProbeReadsTheSetIndex) {
+  // A probe binding every column is a membership test: it answers from
+  // the shard's set index with at most one slot, agrees with Contains
+  // through insert/erase churn, and builds no secondary index.
+  constexpr uint32_t kWhole = 0b111;
+  PredicateDecl decl = MakeDecl(3, false);
+  for (size_t shards : {size_t{1}, size_t{7}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Relation r(&decl, shards);
+    const uint64_t builds = r.index_builds();
+    uint64_t seed = 0x5eedULL;
+    auto draw = [&seed] {
+      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+      return seed >> 33;
+    };
+    auto pick = [&] {
+      const uint64_t d = draw();
+      return T({static_cast<int64_t>(d % 6), static_cast<int64_t>(d / 6 % 5),
+                static_cast<int64_t>(d / 30 % 3)});
+    };
+    for (int op = 0; op < 600; ++op) {
+      const Tuple t = pick();
+      if (draw() % 3 == 0) {
+        r.Erase(t);
+      } else {
+        r.Insert(t);
+      }
+      const Tuple probe = pick();
+      const size_t want = r.Contains(probe) ? 1 : 0;
+      size_t hits = 0;
+      for (size_t sh = 0; sh < r.shard_count(); ++sh) {
+        for (size_t slot : r.ProbeShard(sh, kWhole, probe)) {
+          EXPECT_EQ(r.MaterializeTuple(sh, slot), probe);
+          ++hits;
+        }
+      }
+      EXPECT_EQ(hits, want);
+      EXPECT_EQ(r.Probe(kWhole, probe).size(), want);
+    }
+    r.EnsureIndex(kWhole);
+    EXPECT_EQ(r.index_builds(), builds)
+        << "a whole-tuple probe built a secondary index";
+    ASSERT_FALSE(r.empty());
+    EXPECT_EQ(r.DistinctKeys(kWhole), r.size());
+    EXPECT_EQ(r.EstimateSourceFor(kWhole), EstimateSource::kStat);
+    EXPECT_DOUBLE_EQ(r.EstimateMatches(kWhole), 1.0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Column segments: codes round-trip through the dictionaries, live counts
 // stay exact, and content matches a plain map model under churn, at every
