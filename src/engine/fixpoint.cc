@@ -16,14 +16,14 @@ using datalog::ValueKind;
 
 namespace {
 
-/// Adds groups to one of the driver's group sets (active_, retracting_)
-/// for a scope; removes only the ids it added so nested scopes compose.
-class GroupSetGuard {
+/// Marks groups as actively (re)computing for a scope; removes only the
+/// ids it added so nested scopes compose.
+class ActiveSetGuard {
  public:
-  explicit GroupSetGuard(std::unordered_set<int>* set) : set_(set) {}
-  GroupSetGuard(const GroupSetGuard&) = delete;
-  GroupSetGuard& operator=(const GroupSetGuard&) = delete;
-  ~GroupSetGuard() {
+  explicit ActiveSetGuard(std::unordered_set<int>* set) : set_(set) {}
+  ActiveSetGuard(const ActiveSetGuard&) = delete;
+  ActiveSetGuard& operator=(const ActiveSetGuard&) = delete;
+  ~ActiveSetGuard() {
     for (int id : added_) set_->erase(id);
   }
   void Add(int id) {
@@ -115,7 +115,6 @@ void FixpointDriver::Begin() {
   neg_.assign(graph_.groups().size(), {});
   suspects_.assign(graph_.groups().size(), {});
   active_.clear();
-  retracting_.clear();
   touched_.clear();
   stats_ = {};
   plans_built_at_begin_ =
@@ -157,8 +156,7 @@ void FixpointDriver::NotifyInsert(PredId pred, const Tuple& tuple) {
     PushToDeltaMap(&q.adds, pred, tuple);
   }
   for (int g : graph_.negator_groups_of(pred)) {
-    // Being recomputed or retracted against this state.
-    if (active_.count(g) || retracting_.count(g)) continue;
+    if (active_.count(g)) continue;  // being recomputed against this state
     ChangeQueue& q = neg_[g];
     if (!EraseFromDeltaMap(&q.dels, pred, tuple)) {
       PushToDeltaMap(&q.adds, pred, tuple);
@@ -178,7 +176,7 @@ void FixpointDriver::NotifyDelete(PredId pred, const Tuple& tuple) {
     PushToDeltaMap(&q.dels, pred, tuple);
   }
   for (int g : graph_.negator_groups_of(pred)) {
-    if (active_.count(g) || retracting_.count(g)) continue;
+    if (active_.count(g)) continue;
     ChangeQueue& q = neg_[g];
     if (!EraseFromDeltaMap(&q.adds, pred, tuple)) {
       PushToDeltaMap(&q.dels, pred, tuple);
@@ -617,7 +615,7 @@ void FixpointDriver::NoteSuspect(PredId pred, const Tuple& tuple) {
 }
 
 Status FixpointDriver::RunWave(const std::vector<int>& wave) {
-  GroupSetGuard guard(&active_);
+  ActiveSetGuard guard(&active_);
   for (int gid : wave) guard.Add(gid);
   ++stats_.waves;
   EnsureRelations();
@@ -726,13 +724,24 @@ Status FixpointDriver::ProcessRetractions(int gid) {
     return Status::OK();
   }
 
-  // Lattice aggregate outputs carry no support count: a delete delta or a
-  // suspect reaching a recursive group that holds one recomputes the
-  // cluster (superseding its flips).
+  // A delete delta or a suspect reaching a recursive group recomputes the
+  // cluster (superseding its flips) where counting cannot see the
+  // supports: lattice aggregate outputs carry none, and a group that
+  // negates its own head counted each instantiation with the negation
+  // read when it fired, ignoring the flips its own derivations caused,
+  // while retract variants probe the negation against the current state.
   if (group.recursive &&
       (!delta_[gid].dels.empty() || !suspects_[gid].empty()) &&
       std::any_of(group.rules.begin(), group.rules.end(), [&](size_t idx) {
-        return rules_[idx].agg.has_value() && graph_.lattice(idx);
+        const CompiledRule& rule = rules_[idx];
+        if (rule.agg.has_value() && graph_.lattice(idx)) return true;
+        for (PredId h : HeadPreds(rule)) {
+          const std::vector<int>& negators = graph_.negator_groups_of(h);
+          if (std::binary_search(negators.begin(), negators.end(), gid)) {
+            return true;
+          }
+        }
+        return false;
       })) {
     return RederiveCluster(gid);
   }
@@ -746,11 +755,8 @@ Status FixpointDriver::ProcessRetractions(int gid) {
   // phase split as a wave round — the supports drop in the merge phase),
   // against the post-flip negation state. A recursive group's erasures of
   // its own head tuples come back as the next round's delete delta (the
-  // group is not active), and the flips they cause on predicates it
-  // negates are ignored, as in its waves (derivation-time negation).
+  // group is not active); they flip nothing it negates (see above).
   EnsureRelations();
-  GroupSetGuard retracting(&retracting_);
-  retracting.Add(gid);
   while (!delta_[gid].dels.empty()) {
     DeltaMap dels = std::move(delta_[gid].dels);
     delta_[gid].dels.clear();
@@ -847,7 +853,7 @@ Status FixpointDriver::ProcessFlips(int gid, bool* rederive) {
 
   // Merge in staging order. The group's own changes to predicates it
   // negates are ignored, as in its waves (derivation-time negation).
-  GroupSetGuard guard(&active_);
+  ActiveSetGuard guard(&active_);
   guard.Add(gid);
   std::set<size_t> agg_rerun;
   for (const auto& t : tasks) {
@@ -1179,7 +1185,7 @@ Status FixpointDriver::RederiveCluster(int gid) {
     }
   }
 
-  GroupSetGuard guard(&active_);
+  ActiveSetGuard guard(&active_);
   for (int g : cluster) guard.Add(g);
   // Pending deltas, flips and suspects for cluster members are superseded
   // by the full local recompute.

@@ -60,9 +60,11 @@
 // reseed deltas are large, so this path gains the most from chunked
 // enumeration). Rescued tuples annihilate against their own delete
 // deltas in downstream queues, so downstream work is proportional to the
-// net change. A recursive group holding a lattice aggregate (whose
-// outputs carry no support count) recomputes on every delete or suspect
-// that reaches it instead.
+// net change. Two kinds of recursive group recompute on every delete or
+// suspect that reaches it instead: one holding a lattice aggregate (whose
+// outputs carry no support count), and one negating its own head (its
+// supports counted each negation as read when the instantiation fired,
+// which retract variants probing the current state cannot replay).
 // A change to a negated predicate (a *flip*) is precise: each negating
 // rule runs a flip variant (CompiledRule::flip_steps) that reads the
 // negated atom as a positive occurrence over the flipped tuples, against
@@ -71,7 +73,7 @@
 // delete frees (one support added); no match means no work. Only a
 // recursive group in which a flip blocks a live instantiation rederives.
 // Under derivation-time negation a group ignores the flips its own
-// evaluation causes (see active_ and retracting_).
+// evaluation causes (see active_).
 //
 // The driver mutates the database exclusively through the FixpointHost
 // interface — only ever from the merge phase — so the workspace keeps
@@ -128,9 +130,9 @@ struct FixpointStats {
   uint64_t rescued = 0;
   /// Cluster recomputes (RederiveCluster): a recursive group's counting
   /// cascade that ended with a live suspect, a delete reaching a recursive
-  /// group that holds a lattice aggregate, and a flip that blocks a live
-  /// instantiation in a recursive group. 0 when counting settled every
-  /// delete.
+  /// group that holds a lattice aggregate or negates its own head, and a
+  /// flip that blocks a live instantiation in a recursive group. 0 when
+  /// counting settled every delete.
   uint64_t group_rederives = 0;
   /// Tuples reseeded into recomputed clusters — the recompute footprint,
   /// bounded by the affected groups instead of the whole database (0 when
@@ -305,8 +307,8 @@ class FixpointDriver {
   /// counting retraction against the post-flip state until the group's own
   /// erasures stop, then the suspect check. Recomputes the cluster when a
   /// suspect is still live, for deletes reaching a recursive group that
-  /// holds a lattice aggregate, and for recursive flips that block
-  /// something.
+  /// holds a lattice aggregate or negates its own head, and for recursive
+  /// flips that block something.
   Status ProcessRetractions(int gid);
   /// Precise flips for one group: enumerate, per negating rule and
   /// flipped predicate, the live instantiations the inserts block and the
@@ -339,8 +341,8 @@ class FixpointDriver {
   /// head-sharing closure around `gid`, reseed those groups from their
   /// body predicates, re-run to a local fixpoint; clears the members'
   /// pending deltas, flips and suspects. Reached only from recursive
-  /// groups, for a live suspect, a lattice aggregate or a blocking flip
-  /// (see ProcessRetractions).
+  /// groups, for a live suspect, a lattice aggregate, a negated own head
+  /// or a blocking flip (see ProcessRetractions).
   Status RederiveCluster(int gid);
   Status InstantiateHeads(const CompiledRule& rule, Env& env,
                           std::vector<std::pair<datalog::PredId, Tuple>>*
@@ -431,10 +433,6 @@ class FixpointDriver {
   /// negate are not flips for them — a negation reads the state at
   /// derivation time.
   std::unordered_set<int> active_;
-  /// The group running its counting cascade. Only the flip rule of active_
-  /// applies: its own erasures re-queue it as the next round's delete
-  /// delta, and its survivors become its own suspects.
-  std::unordered_set<int> retracting_;
   /// Lattice aggregate rules (by id) that had a full pass in this
   /// driver; later rounds evaluate them over their delta only.
   std::unordered_set<int> lattice_seen_;

@@ -19,9 +19,9 @@
 // reaches zero cascade, through recursive rule groups too. A change to a
 // negated predicate retracts or derives just the instantiations it blocks
 // or unblocks. Only a recursive group left with a survivor that may rest
-// on a cycle (or one holding a lattice aggregate, or hit by a flip that
-// blocks something) recomputes its head-sharing cluster, never the whole
-// database (see engine/fixpoint.h). A commit reports as inserted only
+// on a cycle (or one holding a lattice aggregate or negating its own head,
+// or hit by a flip that blocks something) recomputes its head-sharing
+// cluster, never the whole database (see engine/fixpoint.h). A commit reports as inserted only
 // tuples the transaction added, not ones it erased and rederived.
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
 #define SECUREBLOX_ENGINE_WORKSPACE_H_
