@@ -67,17 +67,6 @@ echo "wrote $build/BENCH_dist.json"
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'placement_test|dist_test'
 
-# Cost-based planner A/B (SB_PLAN): worst-ordered join plus an
-# already-well-ordered recursion, recorded as BENCH_plan.json. The
-# harness exits nonzero unless planner-on is >= 1.5x faster on the
-# adversarial join and within 1.35x on the well-ordered workload.
-SB_QUICK=1 SB_TRIALS=3 SB_BENCH_OUT="$build/BENCH_plan.json" \
-    "$build/abl_plan_ab"
-echo "wrote $build/BENCH_plan.json"
-# Planner-off smoke: the baseline written-order paths must stay green.
-SB_PLAN=0 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'engine_test|parallel_test|delete_test|planner_test'
-
 # Query-path determinism smoke: the query/fixpoint differential suites
 # at a prime shard count.
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \

@@ -15,14 +15,14 @@ Status BuiltinRegistry::Register(const std::string& name,
   if (impls_.count(name)) {
     return Status::AlreadyExists("builtin '" + name + "' already registered");
   }
-  impls_[name] = BuiltinImpl{std::move(sig), std::move(fn), thread_safe};
+  impls_[name] = BuiltinImpl{std::move(sig), std::move(fn), thread_safe, name};
   return Status::OK();
 }
 
 void BuiltinRegistry::RegisterOrReplace(const std::string& name,
                                         datalog::BuiltinSignature sig,
                                         BuiltinFn fn, bool thread_safe) {
-  impls_[name] = BuiltinImpl{std::move(sig), std::move(fn), thread_safe};
+  impls_[name] = BuiltinImpl{std::move(sig), std::move(fn), thread_safe, name};
 }
 
 const BuiltinImpl* BuiltinRegistry::Find(const std::string& name) const {

@@ -42,6 +42,7 @@ struct BuiltinImpl {
   /// the catalog); rules using them are pinned to the sequential merge
   /// phase of the parallel fixpoint.
   bool thread_safe = true;
+  std::string name;  // the registry key, for error messages
 };
 
 /// Name-keyed registry. The signature view feeds the type checker; the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <deque>
 #include <map>
 #include <set>
@@ -336,7 +337,6 @@ class BodyPlanner {
     if (const BuiltinImpl* impl = builtins_.Find(a.pred.name)) {
       step.kind = Step::Kind::kBuiltin;
       step.builtin = impl;
-      step.builtin_name = a.pred.name;
       for (size_t j = 0; j < a.args.size(); ++j) {
         bool is_output = static_cast<int>(j) >= impl->sig.num_inputs;
         SB_ASSIGN_OR_RETURN(ArgPat pat, PatFor(a.args[j], is_output, false));
@@ -413,7 +413,7 @@ class BodyPlanner {
 /// flipped atom's scan sits where its negation did, so every argument is
 /// already bound there and the scan filters the flipped tuples; the
 /// planner hoists it to the front (ExecPlanner::PlanForFlip).
-void BuildFlipSteps(CompiledRule* rule) {
+void BuildFlipSteps(const Catalog& catalog, CompiledRule* rule) {
   if (std::none_of(rule->steps.begin(), rule->steps.end(), [](const Step& s) {
         return s.kind == Step::Kind::kNegCheck;
       })) {
@@ -434,17 +434,17 @@ void BuildFlipSteps(CompiledRule* rule) {
     scan.occurrence = rule->flip_occurrence();
     steps.insert(steps.begin() + static_cast<std::ptrdiff_t>(i),
                  std::move(scan));
-    ComputeProbeInfo(&steps);
+    ComputeProbeInfo(catalog, &steps);
     rule->flip_steps.push_back(std::move(steps));
   }
 }
 
 }  // namespace
 
-void ComputeProbeInfo(std::vector<Step>* steps) {
+void ComputeProbeInfo(const Catalog& catalog, std::vector<Step>* steps) {
   for (Step& s : *steps) {
     s.probe_mask = 0;
-    s.key_cols.clear();
+    s.probe = Step::Probe::kScanAll;
     if (s.kind != Step::Kind::kScan && s.kind != Step::Kind::kNegCheck) {
       continue;
     }
@@ -452,9 +452,12 @@ void ComputeProbeInfo(std::vector<Step>* steps) {
       if (s.args[i].kind == ArgPat::Kind::kConst ||
           s.args[i].kind == ArgPat::Kind::kBound) {
         s.probe_mask |= 1u << i;
-        s.key_cols.push_back(static_cast<int>(i));
       }
     }
+    if (s.probe_mask == 0) continue;
+    const uint32_t skm = ShardKeyMask(catalog.decl(s.pred));
+    s.probe = (s.probe_mask & skm) == skm ? Step::Probe::kShardProbe
+                                          : Step::Probe::kFanout;
   }
 }
 
@@ -481,8 +484,8 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
       out.parallel_safe = false;
     }
   }
-  ComputeProbeInfo(&out.steps);
-  BuildFlipSteps(&out);
+  ComputeProbeInfo(catalog_, &out.steps);
+  BuildFlipSteps(catalog_, &out);
 
   if (rule.agg.has_value()) {
     if (rule.heads.size() != 1 || !rule.heads[0].functional) {
@@ -601,8 +604,8 @@ Result<CompiledConstraint> RuleCompiler::CompileConstraint(
   SB_ASSIGN_OR_RETURN(out.rhs_steps,
                       rhs_planner.Plan(c.rhs, &rhs_occurrences,
                                        &rhs_scan_preds));
-  ComputeProbeInfo(&out.lhs_steps);
-  ComputeProbeInfo(&out.rhs_steps);
+  ComputeProbeInfo(catalog_, &out.lhs_steps);
+  ComputeProbeInfo(catalog_, &out.rhs_steps);
   out.num_slots = slots.size();
   out.slot_names = slots.names();
   return out;
@@ -699,6 +702,17 @@ bool TupleMatches(const std::vector<ArgPat>& pats, const Tuple& tuple,
     }
   }
   return true;
+}
+
+// The probe key of a kScan/kNegCheck step: the values of its const/bound
+// columns, in column order (the set bits of probe_mask).
+void ProbeKey(const Step& step, const Env& env, Tuple* key) {
+  key->clear();
+  for (uint32_t m = step.probe_mask; m != 0; m &= m - 1) {
+    const ArgPat& p = step.args[std::countr_zero(m)];
+    key->push_back(p.kind == ArgPat::Kind::kConst ? p.constant
+                                                  : *env[p.slot]);
+  }
 }
 
 // Per-occurrence view for this step, or nullptr for a plain relation read.
@@ -809,9 +823,9 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       }
       if (rel == nullptr) return Status::OK();  // no facts yet
       // Probe a secondary index on the bound columns when possible. The
-      // bound-column mask and key recipe are precomputed on the step
-      // (ComputeProbeInfo); materializing the key is a flat walk over
-      // key_cols into this depth's reusable frame.
+      // bound-column mask is precomputed on the step (ComputeProbeInfo);
+      // materializing the key is a flat walk over its set bits into this
+      // depth's reusable frame.
       const uint32_t mask = step.probe_mask;
       // Resolve every const/bound argument to its dictionary code once
       // per invocation. Any miss proves no row matches — the whole scan
@@ -910,18 +924,12 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       };
       if (mask != 0 && step.probe != Step::Probe::kScanAll) {
         Tuple& key = frame.key;
-        key.clear();
-        for (int col : step.key_cols) {
-          const ArgPat& p = step.args[col];
-          key.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
-                                                       : *env[p.slot]);
-        }
+        ProbeKey(step, env, &key);
         // NOTE: callbacks must not mutate relations (fixpoint drivers buffer
         // head insertions), so the probe result stays valid — see the
         // reference-stability contract in relation.h. A probe that covers
         // the shard key touches exactly one shard; otherwise it fans out
-        // over the shards in order. Planner-built steps carry the choice
-        // statically; kAuto (baseline) resolves it here per call.
+        // over the shards in order.
         const int only = step.probe == Step::Probe::kFanout
                              ? -1
                              : rel->ProbeShardOf(mask, key);
@@ -1081,12 +1089,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         exists = rel->size() > hidden;
       } else {
         Tuple& key = t_frames[frame_base_ + idx].key;
-        key.clear();
-        for (int col : step.key_cols) {
-          const ArgPat& p = step.args[col];
-          key.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
-                                                       : *env[p.slot]);
-        }
+        ProbeKey(step, env, &key);
         const int only = step.probe == Step::Probe::kFanout
                              ? -1
                              : rel->ProbeShardOf(mask, key);
@@ -1144,7 +1147,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       if (!produced) return Status::OK();
       size_t num_outputs = step.args.size() - sig.num_inputs;
       if (frame.outputs.size() != num_outputs) {
-        return Status::Internal("builtin '" + step.builtin_name +
+        return Status::Internal("builtin '" + step.builtin->name +
                                 "' produced wrong number of outputs");
       }
       frame.bound_here.clear();

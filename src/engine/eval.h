@@ -76,12 +76,12 @@ struct Step {
     kBuiltin,   // builtin function call
     kTypeCheck, // primitive type predicate over a bound slot
   };
-  /// How a kScan/kNegCheck step reads its relation. The compiler leaves
-  /// kAuto (resolve single-shard vs fan-out from the mask per call — the
-  /// pre-planner behavior); planner-built steps carry an explicit choice.
+  /// How a kScan/kNegCheck step reads its relation, fixed statically by
+  /// ComputeProbeInfo from the mask and the shard key; the planner may
+  /// also turn a wide-matching probe into kScanAll.
   enum class Probe : uint8_t {
-    kAuto,        // decide per call from probe_mask and the shard key
-    kScanAll,     // no bound columns: walk every shard's tuple array
+    kScanAll,     // walk every shard's tuple array (no bound column, or a
+                  // probe expected to keep much of the relation)
     kShardProbe,  // mask covers the shard key: probe exactly one shard
     kFanout,      // indexed probe fanned out over all shards
   };
@@ -93,39 +93,31 @@ struct Step {
   std::shared_ptr<CExpr> lhs, rhs;  // kCompare: both; kAssign: rhs
   int assign_slot = -1;
   const BuiltinImpl* builtin = nullptr;
-  std::string builtin_name;
   datalog::ValueKind check_kind = datalog::ValueKind::kInt;  // kTypeCheck
   /// Static probe shape (kScan/kNegCheck), precomputed by ComputeProbeInfo:
-  /// bound/const column mask (bit i = column i, first 32 columns) and the
-  /// same columns in ascending order — the probe-key recipe the executor
-  /// materializes keys from without re-inspecting arg kinds.
+  /// the bound/const column mask (bit i = column i, first 32 columns). Its
+  /// set bits, ascending, are the probe key's columns.
   uint32_t probe_mask = 0;
-  std::vector<int> key_cols;
-  Probe probe = Probe::kAuto;
+  Probe probe = Probe::kScanAll;
 };
 
-/// Recompute each step's static probe info (probe_mask / key_cols) from its
-/// arg patterns. Run by the compiler on every compiled body and by the
-/// planner after reordering and rebinding.
-void ComputeProbeInfo(std::vector<Step>* steps);
+/// Recompute each step's static probe info from its arg patterns: the
+/// probe mask, and the strategy it fixes against the predicate's shard key
+/// (kScanAll with no bound column, kShardProbe when the mask covers the
+/// key, kFanout otherwise). Run by the compiler on every compiled body and
+/// by the planner after reordering and rebinding.
+void ComputeProbeInfo(const datalog::Catalog& catalog,
+                      std::vector<Step>* steps);
 
-/// One planned body execution: the baseline steps reordered and rebound for
-/// a semi-naïve occurrence variant, or for the full body (aggregate
-/// recomputes). Built by ExecPlanner (engine/planner.h) from online
-/// relation statistics; executing `steps` enumerates exactly the bindings
-/// of the baseline order.
+/// One planned body execution: the compiled steps reordered and rebound
+/// for a semi-naïve occurrence variant, a negation flip, or the full body
+/// (aggregate recomputes). Built by ExecPlanner (engine/planner.h) from
+/// online relation statistics; executing it enumerates exactly the
+/// bindings of the compiled order. Holds only what execution reads.
 struct VariantPlan {
-  std::vector<Step> steps;           // empty = planning declined (use baseline)
-  std::vector<size_t> source_index;  // baseline step index per position
-  std::vector<double> est_rows;      // estimated matches per position (<0 = Δ)
-  /// Where each position's estimate came from (kSize for filter/Δ/lookup
-  /// positions whose cost is fixed, kDict/kStat for scans) and the distinct
-  /// count behind it (-1 when no distinct statistic was consulted). Both
-  /// parallel to est_rows; surfaced by SB_EXPLAIN.
-  std::vector<EstimateSource> est_src;
-  std::vector<int64_t> est_distinct;
-  /// (pred, mask) pairs the plan probes — the index warm list.
-  std::vector<std::pair<datalog::PredId, uint32_t>> probe_masks;
+  /// The planned steps; empty when they equal the compiled steps (same
+  /// order, argument kinds and probe strategies), which then run as is.
+  std::vector<Step> steps;
   /// Body relation sizes at plan time — the replan drift reference.
   std::vector<std::pair<datalog::PredId, size_t>> stat_rows;
   uint64_t builds = 0;  // times this slot was (re)planned

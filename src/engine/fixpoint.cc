@@ -1,6 +1,7 @@
 #include "engine/fixpoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -61,9 +62,9 @@ size_t ChunkCountFor(size_t rows) {
 /// merge phase.
 struct FixpointDriver::EnumTask {
   const CompiledRule* rule = nullptr;
-  /// Step list to enumerate: the rule's planned variant when the planner
-  /// produced one (interior pointer into the rule's RulePlanCache, stable
-  /// for the task's lifetime), the baseline rule->steps otherwise.
+  /// Step list to enumerate, from ExecPlanner::PlanFor / PlanForFlip: an
+  /// interior pointer into the rule's RulePlanCache or its compiled steps,
+  /// stable for the task's lifetime.
   const std::vector<Step>* steps = nullptr;
   size_t rule_idx = 0;
   int gid = 0;
@@ -106,7 +107,8 @@ FixpointDriver::FixpointDriver(const RuleGraph* graph,
                                FixpointHost* host,
                                const FixpointOptions* options)
     : graph_(*graph), rules_(*rules), ctx_(*ctx), store_(*store),
-      host_(*host), options_(*options) {}
+      host_(*host), options_(*options),
+      planner_(std::make_unique<ExecPlanner>(ctx->catalog, store, options)) {}
 
 FixpointDriver::~FixpointDriver() = default;
 
@@ -117,8 +119,7 @@ void FixpointDriver::Begin() {
   active_.clear();
   touched_.clear();
   stats_ = {};
-  plans_built_at_begin_ =
-      planner_ != nullptr ? planner_->plans_built() : 0;
+  plans_built_at_begin_ = planner_->plans_built();
 }
 
 bool FixpointDriver::EraseFromDeltaMap(DeltaMap* m, PredId pred,
@@ -234,9 +235,7 @@ Status FixpointDriver::Run() {
       SB_RETURN_IF_ERROR(RunStratum(s));
     }
   }
-  if (planner_ != nullptr) {
-    stats_.plans_built = planner_->plans_built() - plans_built_at_begin_;
-  }
+  stats_.plans_built = planner_->plans_built() - plans_built_at_begin_;
   return Status::OK();
 }
 
@@ -325,30 +324,6 @@ void FixpointDriver::EnsureRelations() {
   }
 }
 
-void FixpointDriver::WarmIndexes(const CompiledRule& rule, size_t rule_idx) {
-  if (probe_masks_.size() < rules_.size()) {
-    probe_masks_.resize(rules_.size());
-    probe_masks_ready_.resize(rules_.size(), false);
-  }
-  if (!probe_masks_ready_[rule_idx]) {
-    probe_masks_ready_[rule_idx] = true;
-    // Bound-column masks are precomputed per step by the compiler
-    // (ComputeProbeInfo) — exactly what Executor::RunFrom probes with.
-    for (const Step& s : rule.steps) {
-      if (s.kind != Step::Kind::kScan && s.kind != Step::Kind::kNegCheck) {
-        continue;
-      }
-      if (s.probe_mask != 0) {
-        probe_masks_[rule_idx].emplace_back(s.pred, s.probe_mask);
-      }
-    }
-  }
-  for (const auto& [pred, mask] : probe_masks_[rule_idx]) {
-    Relation* rel = store_.GetRelation(pred);
-    if (rel != nullptr) rel->EnsureIndex(mask);
-  }
-}
-
 void FixpointDriver::BuildVariantViews(const CompiledRule& rule,
                                        const DeltaMap& delta,
                                        const DeltaMap& unconsumed, int occ,
@@ -406,23 +381,15 @@ void FixpointDriver::StageVariantTasks(
     // plan building and stats seeding stay deterministic. One plan serves
     // both the insert and the retract direction of a variant: the step
     // order is cardinality-driven, the delta routing is per occurrence.
-    const std::vector<Step>* steps = &rule.steps;
-    ExecPlanner* pl = planner();
-    const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
-    if (vp != nullptr) {
-      steps = &vp->steps;
-      WarmPlanMasks(*vp);
-    } else {
-      WarmIndexes(rule, rule_idx);
-    }
-    WarmScanRuns(*steps);
+    const std::vector<Step>& steps = planner_->PlanFor(rule, occ);
+    WarmProbes(steps);
     auto excl = std::make_shared<std::vector<TupleSet>>(n);
     auto views = std::make_shared<std::vector<OccView>>(n);
     BuildVariantViews(rule, delta, unconsumed, occ, retract, views.get(),
                       excl.get());
     EnumTask proto;
     proto.rule = &rule;
-    proto.steps = steps;
+    proto.steps = &steps;
     proto.rule_idx = rule_idx;
     proto.gid = gid;
     proto.retract = retract;
@@ -476,36 +443,20 @@ void FixpointDriver::StageChunks(
   }
 }
 
-ExecPlanner* FixpointDriver::planner() {
-  // Checked live (not latched): benches and tests flip
-  // FixpointOptions::plan between transactions for A/B runs.
-  if (!options_.plan) return nullptr;
-  if (planner_ == nullptr) {
-    planner_ =
-        std::make_unique<ExecPlanner>(ctx_.catalog, &store_, &options_);
-  }
-  return planner_.get();
-}
-
-void FixpointDriver::WarmPlanMasks(const VariantPlan& plan) {
-  for (const auto& [pred, mask] : plan.probe_masks) {
-    Relation* rel = store_.GetRelation(pred);
-    if (rel != nullptr) rel->EnsureIndex(mask);
-  }
-}
-
-void FixpointDriver::WarmScanRuns(const std::vector<Step>& steps) {
+void FixpointDriver::WarmProbes(const std::vector<Step>& steps) {
   for (const Step& s : steps) {
-    // Only a planner-built scan-all step with exactly one bound column
-    // takes the executor's sorted-run path; kAuto steps with bound
-    // columns always probe an index instead.
-    if (s.kind != Step::Kind::kScan || s.probe != Step::Probe::kScanAll ||
-        s.key_cols.size() != 1) {
+    if ((s.kind != Step::Kind::kScan && s.kind != Step::Kind::kNegCheck) ||
+        s.probe_mask == 0) {
       continue;
     }
     Relation* rel = store_.GetRelation(s.pred);
-    if (rel != nullptr) {
-      rel->EnsureSortedRuns(static_cast<size_t>(s.key_cols[0]));
+    if (rel == nullptr) continue;
+    if (s.probe != Step::Probe::kScanAll) {
+      rel->EnsureIndex(s.probe_mask);
+    } else if (s.kind == Step::Kind::kScan &&
+               std::popcount(s.probe_mask) == 1) {
+      rel->EnsureSortedRuns(
+          static_cast<size_t>(std::countr_zero(s.probe_mask)));
     }
   }
 }
@@ -724,14 +675,14 @@ Status FixpointDriver::ProcessRetractions(int gid) {
     return Status::OK();
   }
 
-  // A delete delta or a suspect reaching a recursive group recomputes the
-  // cluster (superseding its flips) where counting cannot see the
-  // supports: lattice aggregate outputs carry none, and a group that
-  // negates its own head counted each instantiation with the negation
-  // read when it fired, ignoring the flips its own derivations caused,
-  // while retract variants probe the negation against the current state.
-  if (group.recursive &&
-      (!delta_[gid].dels.empty() || !suspects_[gid].empty()) &&
+  // A delete delta or a suspect reaching a group recomputes the cluster
+  // (superseding its flips) where counting cannot see the supports:
+  // lattice aggregate outputs carry none, and a group that negates its own
+  // head — recursive or not — counted each instantiation with the
+  // negation read when it fired, ignoring the flips its own derivations
+  // caused, while retract variants probe the negation against the current
+  // state.
+  if ((!delta_[gid].dels.empty() || !suspects_[gid].empty()) &&
       std::any_of(group.rules.begin(), group.rules.end(), [&](size_t idx) {
         const CompiledRule& rule = rules_[idx];
         if (rule.agg.has_value() && graph_.lattice(idx)) return true;
@@ -1026,20 +977,12 @@ void FixpointDriver::StageFlipTasks(
     }
   }
 
-  const std::vector<Step>* steps = &base;
-  ExecPlanner* pl = planner();
-  const VariantPlan* vp = pl != nullptr ? pl->PlanForFlip(rule, k) : nullptr;
-  if (vp != nullptr) {
-    steps = &vp->steps;
-    WarmPlanMasks(*vp);
-  } else {
-    WarmIndexes(rule, rule_idx);
-  }
-  WarmScanRuns(*steps);
+  const std::vector<Step>& steps = planner_->PlanForFlip(rule, k);
+  WarmProbes(steps);
 
   EnumTask proto;
   proto.rule = &rule;
-  proto.steps = steps;
+  proto.steps = &steps;
   proto.rule_idx = rule_idx;
   proto.gid = gid;
   proto.retract = retract;
@@ -1112,11 +1055,9 @@ Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
                       &excl);
     DeltaOverride override;
     override.views = &views;
-    ExecPlanner* pl = planner();
-    const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
     Env env(rule.num_slots);
     SB_RETURN_IF_ERROR(executor.Run(
-        vp != nullptr ? vp->steps : rule.steps, &env, &override,
+        planner_->PlanFor(rule, occ), &env, &override,
         [&](Env& e) -> Status {
           return InstantiateHeads(rule, e, &pending);
         }));
@@ -1148,11 +1089,9 @@ Status FixpointDriver::RunRetractVariants(const CompiledRule& rule,
                       &excl);
     DeltaOverride override;
     override.views = &views;
-    ExecPlanner* pl = planner();
-    const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
     Env env(rule.num_slots);
     SB_RETURN_IF_ERROR(executor.Run(
-        vp != nullptr ? vp->steps : rule.steps, &env, &override,
+        planner_->PlanFor(rule, occ), &env, &override,
         [&](Env& e) -> Status {
           return InstantiateHeads(rule, e, &pending);
         }));
@@ -1256,7 +1195,6 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
                                           const DeltaMap* delta) {
   const CompiledAgg& agg = *rule.agg;
   Executor executor(&ctx_, &store_);
-  ExecPlanner* pl = planner();
   // A lattice value already covers every binding of earlier rounds (each
   // body tuple passes through exactly one round's delta), so after its
   // first full pass only bindings touching this round's delta can improve
@@ -1301,10 +1239,9 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
         return Status::OK();
       };
   if (!incremental) {
-    const VariantPlan* vp =
-        pl != nullptr ? pl->PlanFor(rule, ExecPlanner::kFullBody) : nullptr;
-    SB_RETURN_IF_ERROR(executor.Run(vp != nullptr ? vp->steps : rule.steps,
-                                    &env, nullptr, add_binding));
+    SB_RETURN_IF_ERROR(executor.Run(
+        planner_->PlanFor(rule, ExecPlanner::kFullBody), &env, nullptr,
+        add_binding));
   } else {
     const int n = rule.num_scan_occurrences;
     for (int occ = 0; occ < n; ++occ) {
@@ -1314,9 +1251,8 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
       views[occ].only = &it->second;
       DeltaOverride override;
       override.views = &views;
-      const VariantPlan* vp = pl != nullptr ? pl->PlanFor(rule, occ) : nullptr;
-      SB_RETURN_IF_ERROR(executor.Run(vp != nullptr ? vp->steps : rule.steps,
-                                      &env, &override, add_binding));
+      SB_RETURN_IF_ERROR(executor.Run(planner_->PlanFor(rule, occ), &env,
+                                      &override, add_binding));
     }
   }
 

@@ -60,11 +60,11 @@
 // reseed deltas are large, so this path gains the most from chunked
 // enumeration). Rescued tuples annihilate against their own delete
 // deltas in downstream queues, so downstream work is proportional to the
-// net change. Two kinds of recursive group recompute on every delete or
-// suspect that reaches it instead: one holding a lattice aggregate (whose
-// outputs carry no support count), and one negating its own head (its
-// supports counted each negation as read when the instantiation fired,
-// which retract variants probing the current state cannot replay).
+// net change. Two kinds of group recompute on every delete or suspect
+// that reaches it instead: one holding a lattice aggregate (whose outputs
+// carry no support count), and one negating its own head, recursive or
+// not (its supports counted each negation as read when the instantiation
+// fired, which retract variants probing the current state cannot replay).
 // A change to a negated predicate (a *flip*) is precise: each negating
 // rule runs a flip variant (CompiledRule::flip_steps) that reads the
 // negated atom as a positive occurrence over the flipped tuples, against
@@ -129,9 +129,9 @@ struct FixpointStats {
   /// looked (insert/delete annihilation, e.g. after a cluster recompute).
   uint64_t rescued = 0;
   /// Cluster recomputes (RederiveCluster): a recursive group's counting
-  /// cascade that ended with a live suspect, a delete reaching a recursive
-  /// group that holds a lattice aggregate or negates its own head, and a
-  /// flip that blocks a live instantiation in a recursive group. 0 when
+  /// cascade that ended with a live suspect, a delete reaching a group
+  /// that holds a lattice aggregate or negates its own head, and a flip
+  /// that blocks a live instantiation in a recursive group. 0 when
   /// counting settled every delete.
   uint64_t group_rederives = 0;
   /// Tuples reseeded into recomputed clusters — the recompute footprint,
@@ -168,13 +168,6 @@ struct FixpointOptions {
   /// shard boundaries, and the fixpoint result is identical for every
   /// value. Seeded from the SB_SHARDS environment variable by Workspace.
   size_t shards = 1;
-  /// Cost-based rule execution planning (engine/planner.h): reorder body
-  /// literals by estimated bound-cardinality per semi-naïve variant and
-  /// fix probe strategies statically. false = the compiler's written-order
-  /// steps (the pre-planner behavior); the fixpoint is byte-identical
-  /// either way. Seeded from SB_PLAN (0/1) by Workspace; read live on
-  /// every plan request, so A/B toggling between transactions works.
-  bool plan = true;
   /// Dump each built plan to stderr (SB_EXPLAIN=1; format in
   /// docs/engine.md).
   bool explain = false;
@@ -306,9 +299,9 @@ class FixpointDriver {
   /// precise flips first (pending deletes restored), then rounds of
   /// counting retraction against the post-flip state until the group's own
   /// erasures stop, then the suspect check. Recomputes the cluster when a
-  /// suspect is still live, for deletes reaching a recursive group that
-  /// holds a lattice aggregate or negates its own head, and for recursive
-  /// flips that block something.
+  /// suspect is still live, for deletes reaching a group that holds a
+  /// lattice aggregate or negates its own head, and for recursive flips
+  /// that block something.
   Status ProcessRetractions(int gid);
   /// Precise flips for one group: enumerate, per negating rule and
   /// flipped predicate, the live instantiations the inserts block and the
@@ -340,9 +333,9 @@ class FixpointDriver {
   /// Cluster recompute, the fallback for cycles: over-delete the
   /// head-sharing closure around `gid`, reseed those groups from their
   /// body predicates, re-run to a local fixpoint; clears the members'
-  /// pending deltas, flips and suspects. Reached only from recursive
-  /// groups, for a live suspect, a lattice aggregate, a negated own head
-  /// or a blocking flip (see ProcessRetractions).
+  /// pending deltas, flips and suspects. Reached for a live suspect or a
+  /// blocking flip in a recursive group, and for a delete reaching a
+  /// lattice aggregate or a negated own head (see ProcessRetractions).
   Status RederiveCluster(int gid);
   Status InstantiateHeads(const CompiledRule& rule, Env& env,
                           std::vector<std::pair<datalog::PredId, Tuple>>*
@@ -359,9 +352,6 @@ class FixpointDriver {
   /// Create relations for every predicate the rule bodies read, so worker
   /// threads never take the lazy-creation path. Once per transaction.
   void EnsureRelations();
-  /// Build the secondary indexes the rule's probes will hit (masks are
-  /// static per compiled step), so worker threads only read them.
-  void WarmIndexes(const CompiledRule& rule, size_t rule_idx);
   /// Fill the per-occurrence views for `rule`'s variant firing at `occ`
   /// (views[occ].only is set by the caller). The single source of the
   /// mixed semi-naïve exclusion logic: insert mode hides the delta from
@@ -387,19 +377,12 @@ class FixpointDriver {
   /// with side effects inline after the pool drains); fails with the
   /// first task error in staging order.
   Status RunStagedTasks(std::vector<std::unique_ptr<EnumTask>>* tasks);
-  /// The cost-based planner, created on first use; nullptr while
-  /// options_.plan is off (checked live, so benches can A/B between
-  /// transactions). Only called from single-threaded phases.
-  ExecPlanner* planner();
-  /// Build the secondary indexes a plan's probes will hit before worker
-  /// threads read them (the planned analogue of WarmIndexes).
-  void WarmPlanMasks(const VariantPlan& plan);
-  /// Refresh sorted-run metadata for every single-column filtered full
-  /// scan in `steps` (planner-chosen kScanAll probes over columnar
-  /// relations), so worker threads read warm run boundaries — the
-  /// executor only ever takes the run fast path when the cache is
+  /// Before worker threads read them: build the secondary index every
+  /// indexed probe in `steps` hits, and refresh the sorted-run metadata of
+  /// every single-column filtered full scan (planner-chosen wide matches)
+  /// — the executor only takes the run fast path when that cache is
   /// current (Relation::SortedRunBoundsIfWarm).
-  void WarmScanRuns(const std::vector<Step>& steps);
+  void WarmProbes(const std::vector<Step>& steps);
   /// Apply the staged buffers tasks[begin, end) — one rule's contiguous
   /// staging range — in order: InsertHeadTuple for insert tasks,
   /// RetractSupport for retract tasks.
@@ -442,14 +425,12 @@ class FixpointDriver {
   FixpointStats stats_;
   /// max_derivations plus this run's seeded/rederived volume.
   uint64_t budget_limit_ = 0;
-  /// Probe (pred, mask) pairs per rule, resolved on first use.
-  std::vector<std::vector<std::pair<datalog::PredId, uint32_t>>>
-      probe_masks_;
-  std::vector<bool> probe_masks_ready_;
   bool relations_ensured_ = false;
   std::unique_ptr<WorkerPool> pool_;
+  /// The cost-based planner every rule body runs through (only called
+  /// from single-threaded phases).
   std::unique_ptr<ExecPlanner> planner_;
-  /// planner()->plans_built() at Begin(): Run() reports the delta.
+  /// planner_->plans_built() at Begin(): Run() reports the delta.
   uint64_t plans_built_at_begin_ = 0;
 };
 

@@ -96,7 +96,7 @@ int StepClass(const Step& step, const std::vector<bool>& bound) {
 /// atom must come out kSame (row-vs-row equality), never kBound — the
 /// slot is only bound once the row is accepted, so a kBound read of
 /// env[slot] at match time would dereference an unengaged optional.
-/// Within-atom column order is fixed under reordering, so a baseline
+/// Within-atom column order is fixed under reordering, so a compiled
 /// kSame arg re-derives the same classification here.
 bool RebindArg(ArgPat* p, std::vector<bool>* bound, bool may_bind,
                int col = -1,
@@ -134,7 +134,8 @@ bool RebindArg(ArgPat* p, std::vector<bool>* bound, bool may_bind,
 /// not yet bound) — sound because a functional relation scanned by pattern
 /// enumerates the same rows the lookup would. Occurrence numbers are
 /// preserved so semi-naïve views keep applying. Returns false when the
-/// step cannot run here (planner bug guard; callers discard the plan).
+/// step cannot run here (planner bug guard; Build keeps the compiled
+/// steps).
 bool RebindStep(const Step& base, std::vector<bool>* bound, bool force_scan,
                 Step* out) {
   *out = base;
@@ -220,7 +221,6 @@ const char* KindName(Step::Kind k) {
 
 const char* ProbeName(Step::Probe p) {
   switch (p) {
-    case Step::Probe::kAuto:       return "auto";
     case Step::Probe::kScanAll:    return "scan-all";
     case Step::Probe::kShardProbe: return "shard";
     case Step::Probe::kFanout:     return "fanout";
@@ -237,7 +237,34 @@ const char* SourceName(EstimateSource s) {
   return "?";
 }
 
+/// Does planned step `p` run exactly like compiled step `c`: same kind,
+/// argument kinds and probe strategy? Build only asks this of a step
+/// placed at its compiled position, so everything else is copied as is.
+bool SameStep(const Step& p, const Step& c) {
+  if (p.kind != c.kind || p.probe != c.probe ||
+      p.probe_mask != c.probe_mask || p.args.size() != c.args.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < p.args.size(); ++i) {
+    if (p.args[i].kind != c.args[i].kind ||
+        p.args[i].same_col != c.args[i].same_col) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+struct ExecPlanner::ExplainRow {
+  size_t source = 0;  // compiled step index
+  double est = 0.0;   // estimated matches (<0 = the delta)
+  /// Which statistic priced the position (kSize for filter/Δ/lookup
+  /// positions whose cost is fixed, kDict/kStat for scans) and the
+  /// distinct count behind it (-1 when none was consulted).
+  EstimateSource src = EstimateSource::kSize;
+  int64_t distinct = -1;
+};
 
 double ExecPlanner::EstimateBound(const Step& step,
                                   const std::vector<bool>& bound,
@@ -270,19 +297,19 @@ double ExecPlanner::EstimateBound(const Step& step,
 }
 
 VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
-                               size_t num_slots, int occ) const {
+                               size_t num_slots, int occ,
+                               std::vector<ExplainRow>* explain) const {
   VariantPlan plan;
   const size_t n = base.size();
+  plan.steps.reserve(n);
   std::vector<bool> placed(n, false);
   std::vector<bool> bound(num_slots, false);
-  VariantPlan declined;  // empty steps = use the baseline order
+  bool in_order = true;  // every position so far holds its compiled step
 
   while (plan.steps.size() < n) {
     int pick = -1;
     bool force_scan = false;
-    double pick_est = 0.0;
-    EstimateSource pick_src = EstimateSource::kSize;
-    int64_t pick_distinct = -1;
+    ExplainRow row;
     if (plan.steps.empty() && occ >= 0) {
       // Delta atom first: the semi-naïve premise — the round's delta is
       // the small side of every join in this variant.
@@ -290,11 +317,11 @@ VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
         if (base[i].occurrence == occ) {
           pick = static_cast<int>(i);
           force_scan = base[i].kind == Step::Kind::kLookup;
-          pick_est = -1.0;  // Δ: sized per round, not estimable here
+          row.est = -1.0;  // Δ: sized per round, not estimable here
           break;
         }
       }
-      if (pick < 0) return declined;
+      if (pick < 0) return {};
     } else {
       int pick_class = std::numeric_limits<int>::max();
       for (size_t i = 0; i < n; ++i) {
@@ -306,44 +333,39 @@ VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
             pick_class = cls;
             pick = static_cast<int>(i);
             force_scan = false;
-            pick_est = 1.0;
-            pick_src = EstimateSource::kSize;
-            pick_distinct = -1;
+            row = {};
+            row.est = 1.0;
           }
           continue;
         }
-        EstimateSource src = EstimateSource::kSize;
-        int64_t distinct = -1;
-        const double est = EstimateBound(base[i], bound, &src, &distinct);
-        if (cls < pick_class || (pick_class == 6 && est < pick_est)) {
+        ExplainRow cand;
+        cand.est = EstimateBound(base[i], bound, &cand.src, &cand.distinct);
+        if (cls < pick_class || (pick_class == 6 && cand.est < row.est)) {
           pick_class = 6;
           pick = static_cast<int>(i);
           force_scan = base[i].kind == Step::Kind::kLookup;
-          pick_est = est;
-          pick_src = src;
-          pick_distinct = distinct;
+          row = cand;
         }
       }
-      if (pick < 0) return declined;  // unreachable (see planner.h)
+      if (pick < 0) return {};  // unreachable (see planner.h)
     }
 
     Step s;
-    if (!RebindStep(base[pick], &bound, force_scan, &s)) return declined;
+    if (!RebindStep(base[pick], &bound, force_scan, &s)) return {};
+    in_order = in_order && static_cast<size_t>(pick) == plan.steps.size();
     plan.steps.push_back(std::move(s));
-    plan.source_index.push_back(static_cast<size_t>(pick));
-    plan.est_rows.push_back(pick_est);
-    plan.est_src.push_back(pick_src);
-    plan.est_distinct.push_back(pick_distinct);
     placed[pick] = true;
+    if (explain != nullptr) {
+      row.source = static_cast<size_t>(pick);
+      explain->push_back(row);
+    }
   }
 
-  ComputeProbeInfo(&plan.steps);
+  ComputeProbeInfo(catalog_, &plan.steps);
   for (Step& s : plan.steps) {
-    if (s.kind != Step::Kind::kScan && s.kind != Step::Kind::kNegCheck) {
+    if (s.kind != Step::Kind::kScan || s.probe == Step::Probe::kScanAll) {
       continue;
     }
-    Relation* rel = store_.GetRelation(s.pred);
-    const uint32_t skm = rel != nullptr ? rel->shard_key_mask() : 0;
     // A probe expected to keep a quarter or more of the relation saves
     // little filtering over a linear pass, and the pass runs through the
     // SIMD filter kernels on contiguous code vectors (engine/kernels.h)
@@ -352,20 +374,12 @@ VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
     // call — a bare-size default would send every untracked mask down the
     // scan path. Index buckets enumerate slots ascending, exactly the
     // scan's order, so the choice never changes the fixpoint.
-    const bool wide_match =
-        s.kind == Step::Kind::kScan && rel != nullptr && s.probe_mask != 0 &&
+    Relation* rel = store_.GetRelation(s.pred);
+    if (rel != nullptr &&
         rel->EstimateSourceFor(s.probe_mask) != EstimateSource::kSize &&
         rel->EstimateMatches(s.probe_mask) * 4 >=
-            static_cast<double>(rel->size());
-    if (s.probe_mask == 0 || wide_match) {
+            static_cast<double>(rel->size())) {
       s.probe = Step::Probe::kScanAll;
-    } else if ((s.probe_mask & skm) == skm) {
-      s.probe = Step::Probe::kShardProbe;
-    } else {
-      s.probe = Step::Probe::kFanout;
-    }
-    if (s.probe_mask != 0 && s.probe != Step::Probe::kScanAll) {
-      plan.probe_masks.emplace_back(s.pred, s.probe_mask);
     }
   }
   for (const Step& s : base) {
@@ -378,6 +392,11 @@ VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
     Relation* rel = store_.GetRelation(s.pred);
     plan.stat_rows.emplace_back(s.pred,
                                 rel != nullptr ? rel->size() : 0);
+  }
+  // The compiled order, unchanged: run the compiled steps themselves.
+  if (in_order && std::equal(plan.steps.begin(), plan.steps.end(),
+                             base.begin(), SameStep)) {
+    plan.steps = {};
   }
   return plan;
 }
@@ -395,21 +414,21 @@ bool ExecPlanner::Stale(const VariantPlan& plan) const {
   return false;
 }
 
-const VariantPlan* ExecPlanner::PlanFor(const CompiledRule& rule, int occ) {
+const std::vector<Step>& ExecPlanner::PlanFor(const CompiledRule& rule,
+                                              int occ) {
   return PlanSlot(rule, static_cast<size_t>(occ + 1), rule.steps, occ);
 }
 
-const VariantPlan* ExecPlanner::PlanForFlip(const CompiledRule& rule,
-                                            size_t neg) {
-  if (neg >= rule.flip_steps.size()) return nullptr;
+const std::vector<Step>& ExecPlanner::PlanForFlip(const CompiledRule& rule,
+                                                  size_t neg) {
   return PlanSlot(rule, rule.num_scan_occurrences + 1 + neg,
                   rule.flip_steps[neg], rule.flip_occurrence());
 }
 
-const VariantPlan* ExecPlanner::PlanSlot(const CompiledRule& rule,
-                                         size_t slot,
-                                         const std::vector<Step>& base,
-                                         int occ) {
+const std::vector<Step>& ExecPlanner::PlanSlot(const CompiledRule& rule,
+                                               size_t slot,
+                                               const std::vector<Step>& base,
+                                               int occ) {
   RulePlanCache& cache = *rule.plan_cache;
   if (cache.variants.empty()) {
     // Sized exactly once: executing code holds interior pointers into the
@@ -417,24 +436,36 @@ const VariantPlan* ExecPlanner::PlanSlot(const CompiledRule& rule,
     cache.variants.resize(static_cast<size_t>(rule.num_scan_occurrences) +
                           1 + rule.flip_steps.size());
   }
-  if (slot >= cache.variants.size()) return nullptr;
   std::optional<VariantPlan>& vp = cache.variants[slot];
   if (!vp.has_value() || Stale(*vp)) {
     const uint64_t builds = vp.has_value() ? vp->builds : 0;
-    VariantPlan fresh = Build(base, rule.num_slots, occ);
+    std::vector<ExplainRow> rows;
+    VariantPlan fresh =
+        Build(base, rule.num_slots, occ, options_.explain ? &rows : nullptr);
     fresh.builds = builds + 1;
     vp.emplace(std::move(fresh));
     ++plans_built_;
-    if (options_.explain && !vp->steps.empty()) {
-      const std::string dump = Explain(rule, occ, *vp);
+    if (options_.explain) {
+      const std::string dump = Describe(
+          rule, occ, vp->builds, vp->steps.empty() ? base : vp->steps, rows);
       fwrite(dump.data(), 1, dump.size(), stderr);
     }
   }
-  return vp->steps.empty() ? nullptr : &*vp;
+  return vp->steps.empty() ? base : vp->steps;
 }
 
-std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,
-                                 const VariantPlan& plan) const {
+std::string ExecPlanner::Explain(const CompiledRule& rule, int occ) {
+  PlanFor(rule, occ);  // cached and current, for its build count
+  std::vector<ExplainRow> rows;
+  const VariantPlan plan = Build(rule.steps, rule.num_slots, occ, &rows);
+  return Describe(rule, occ, rule.plan_cache->variants[occ + 1]->builds,
+                  plan.steps.empty() ? rule.steps : plan.steps, rows);
+}
+
+std::string ExecPlanner::Describe(const CompiledRule& rule, int occ,
+                                  uint64_t builds,
+                                  const std::vector<Step>& steps,
+                                  const std::vector<ExplainRow>& rows) const {
   std::string out = "[plan] rule#" + std::to_string(rule.id) + " variant=";
   if (occ < 0) {
     out += "full";
@@ -443,14 +474,14 @@ std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,
   } else {
     out += "d" + std::to_string(occ);
   }
-  out += " builds=" + std::to_string(plan.builds);
+  out += " builds=" + std::to_string(builds);
   // The kernel instruction set scans will run with (engine/kernels.h) —
   // a throughput property only; it never changes the plan or the result.
   out += " simd=";
   out += SimdModeName(DetectSimdMode());
   out += "\n";
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
-    const Step& s = plan.steps[i];
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const Step& s = steps[i];
     out += "  " + std::to_string(i) + ": ";
     out += KindName(s.kind);
     if (s.pred != datalog::kInvalidPred) {
@@ -460,34 +491,35 @@ std::string ExecPlanner::Explain(const CompiledRule& rule, int occ,
       out += " (occ " + std::to_string(s.occurrence) + ")";
     }
     out += " est=";
-    if (i < plan.est_rows.size() && plan.est_rows[i] < 0) {
-      out += "delta";
-    } else if (i < plan.est_rows.size()) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.3g", plan.est_rows[i]);
-      out += buf;
-    } else {
+    if (i >= rows.size()) {
       out += "?";
+    } else if (rows[i].est < 0) {
+      out += "delta";
+    } else {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%.3g", rows[i].est);
+      out += buf;
     }
+    const bool probes =
+        s.kind == Step::Kind::kScan || s.kind == Step::Kind::kNegCheck;
     // Estimate provenance: which statistic priced this position (exact
     // dictionary distinct count, hashed mask stat, or bare size) and the
     // distinct count it consulted. Only meaningful on estimated scans.
-    if (i < plan.est_src.size() && plan.est_rows[i] >= 0 &&
-        (s.kind == Step::Kind::kScan || s.kind == Step::Kind::kNegCheck)) {
+    if (probes && i < rows.size() && rows[i].est >= 0) {
       out += " via=";
-      out += SourceName(plan.est_src[i]);
-      if (i < plan.est_distinct.size() && plan.est_distinct[i] >= 0) {
-        out += " distinct=" + std::to_string(plan.est_distinct[i]);
+      out += SourceName(rows[i].src);
+      if (rows[i].distinct >= 0) {
+        out += " distinct=" + std::to_string(rows[i].distinct);
       }
     }
-    if (s.kind == Step::Kind::kScan || s.kind == Step::Kind::kNegCheck) {
+    if (probes) {
       char buf[32];
       std::snprintf(buf, sizeof buf, " probe=%s mask=0x%x",
                     ProbeName(s.probe), s.probe_mask);
       out += buf;
     }
-    if (i < plan.source_index.size()) {
-      out += " src=" + std::to_string(plan.source_index[i]);
+    if (i < rows.size()) {
+      out += " src=" + std::to_string(rows[i].source);
     }
     out += "\n";
   }

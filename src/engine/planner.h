@@ -1,13 +1,12 @@
 // Cost-based execution planning for compiled rule bodies.
 //
-// The planner sits between the RuleCompiler and the Executor: per compiled
-// rule it builds one VariantPlan per semi-naïve occurrence variant (plus one
-// for the full body, used by aggregate recomputes), reordering the baseline
-// steps greedily by estimated bound-cardinality and fixing each probe's
-// strategy (single-shard probe / indexed fan-out / full scan) statically
-// instead of per call. Plans are cached on the rule's RulePlanCache and
-// rebuilt when body-relation sizes drift past a threshold, so long fixpoints
-// replan as relations grow.
+// The planner sits between the RuleCompiler and the Executor: every rule
+// body the fixpoint runs goes through it. Per compiled rule it builds one
+// VariantPlan per semi-naïve occurrence variant, per negation-flip variant
+// and for the full body (aggregate recomputes), reordering the compiled
+// steps greedily by estimated bound-cardinality. Plans are cached on the
+// rule's RulePlanCache and rebuilt when body-relation sizes drift past a
+// threshold, so long fixpoints replan as relations grow.
 //
 // Cost model. Statistics come from Relation's online counters: total rows
 // plus distinct-key estimates per probe mask (Relation::EstimateMatches),
@@ -18,8 +17,18 @@
 // builtins run as early as their bindings allow, and remaining scans go
 // ascending by estimate. Reordering is a pure enumeration-order change —
 // RebindStep recomputes each argument's bound/bind pattern for the new
-// position — so a plan enumerates exactly the bindings of the baseline
-// order.
+// position — so a plan enumerates exactly the bindings of the compiled
+// order. Each probe keeps the strategy its mask fixes (ComputeProbeInfo),
+// except that a probe expected to match a quarter or more of its relation
+// becomes a full scan.
+//
+// What a plan stores. Only what execution reads: the planned steps, the
+// relation sizes the drift check compares against, and a build count. A
+// plan whose steps equal the compiled ones stores no copy, and a build
+// that cannot rebind a step (a guard that no compiled body reaches) keeps
+// the compiled steps too, so the planner never declines: PlanFor and
+// PlanForFlip always hand back steps to run. Estimates are not kept;
+// Explain recomputes them.
 //
 // Determinism. Plans are built and cached only from the fixpoint's
 // single-threaded merge phase, and every input to a planning decision —
@@ -50,41 +59,53 @@ class ExecPlanner {
               const FixpointOptions* options)
       : catalog_(*catalog), store_(*store), options_(*options) {}
 
-  /// The cached plan for `rule`'s occurrence-`occ` variant (kFullBody for
-  /// the whole body), building or rebuilding it when absent or stale.
-  /// Returns nullptr when planning declined (callers fall back to the
-  /// baseline rule.steps). The returned pointer stays valid for the
-  /// relation-frozen window the caller executes in: plans mutate only
-  /// through this method, only on the merge phase, and the cache vector is
-  /// sized once. Must be called single-threaded (it reads and seeds
-  /// relation statistics).
-  const VariantPlan* PlanFor(const CompiledRule& rule, int occ);
+  /// The steps to run for `rule`'s occurrence-`occ` variant (kFullBody for
+  /// the whole body): the cached plan's, or the compiled rule.steps when
+  /// the plan equals them. Builds or rebuilds the plan when absent or
+  /// stale. The returned reference stays valid for the relation-frozen
+  /// window the caller executes in: plans mutate only through this method,
+  /// only on the merge phase, and the cache vector is sized once. Must be
+  /// called single-threaded (it reads and seeds relation statistics).
+  const std::vector<Step>& PlanFor(const CompiledRule& rule, int occ);
 
-  /// The cached plan for `rule`'s negation-flip variant `neg` (see
+  /// The steps to run for `rule`'s negation-flip variant `neg` (see
   /// CompiledRule::flip_steps): the flipped atom's scan first, the rest by
   /// cost, so each flipped tuple becomes index probes on its bound
   /// columns. Same contract as PlanFor.
-  const VariantPlan* PlanForFlip(const CompiledRule& rule, size_t neg);
+  const std::vector<Step>& PlanForFlip(const CompiledRule& rule, size_t neg);
 
   /// Plans built or rebuilt through this planner (EngineStats feed).
   uint64_t plans_built() const { return plans_built_; }
 
-  /// Human-readable plan dump (the SB_EXPLAIN format; see docs/engine.md).
-  std::string Explain(const CompiledRule& rule, int occ,
-                      const VariantPlan& plan) const;
+  /// Human-readable dump (the SB_EXPLAIN format; see docs/engine.md) of
+  /// `rule`'s occurrence-`occ` variant (kFullBody for the whole body). A
+  /// plan keeps no estimates, so the variant is planned once more against
+  /// the current statistics to recover them; while those have not moved
+  /// since the cached plan was built, that is the cached plan.
+  std::string Explain(const CompiledRule& rule, int occ);
 
  private:
+  /// Explain-only facts about one plan position (defined in the .cc).
+  struct ExplainRow;
+
   /// Cache lookup / (re)build of plan-cache slot `slot`, planned from
   /// `base` with occurrence `occ` forced first.
-  const VariantPlan* PlanSlot(const CompiledRule& rule, size_t slot,
-                              const std::vector<Step>& base, int occ);
+  const std::vector<Step>& PlanSlot(const CompiledRule& rule, size_t slot,
+                                    const std::vector<Step>& base, int occ);
 
-  /// Greedy bound-cardinality ordering of `base` (a rule's baseline or
+  /// Greedy bound-cardinality ordering of `base` (a rule's compiled or
   /// flip steps) for one variant, occurrence `occ` first (kFullBody: no
-  /// forced step). Returns a plan with empty steps when any step cannot be
-  /// rebound (defensive: cached so staleness governs retry).
-  VariantPlan Build(const std::vector<Step>& base, size_t num_slots,
-                    int occ) const;
+  /// forced step). The plan's steps are left empty when they equal `base`,
+  /// or when a step cannot be rebound (defensive: that plan records no
+  /// relation sizes, so it is never rebuilt). `explain`, when set,
+  /// receives one row per position.
+  VariantPlan Build(const std::vector<Step>& base, size_t num_slots, int occ,
+                    std::vector<ExplainRow>* explain) const;
+
+  /// The SB_EXPLAIN text for `steps` planned as `rule`'s variant `occ`.
+  std::string Describe(const CompiledRule& rule, int occ, uint64_t builds,
+                       const std::vector<Step>& steps,
+                       const std::vector<ExplainRow>& rows) const;
 
   /// Has any body relation grown or shrunk past the replan threshold since
   /// `plan` was built?

@@ -53,21 +53,25 @@ size_t MapBytes(size_t bucket_count, size_t entries, size_t entry_payload) {
 
 }  // namespace
 
-Relation::Relation(const datalog::PredicateDecl* decl, size_t shards)
-    : decl_(decl) {
-  shards_.resize(std::max<size_t>(1, shards));
-  const size_t arity = decl_->arity();
-  if (decl_->functional && arity >= 2) {
+uint32_t ShardKeyMask(const datalog::PredicateDecl& decl) {
+  const size_t arity = decl.arity();
+  if (decl.functional && arity >= 2) {
     // FD key columns: everything but the value column.
-    shard_key_mask_ = (arity - 1 < 32)
-                          ? ((1u << (arity - 1)) - 1)
-                          : ~0u;
-  } else if (!decl_->functional && arity >= 1) {
+    return (arity - 1 < 32) ? ((1u << (arity - 1)) - 1) : ~0u;
+  }
+  if (!decl.functional && arity >= 1) {
     // Join-key convention: route on the first column.
-    shard_key_mask_ = 1u;
+    return 1u;
   }
   // Zero-key cases (arity 0, functional arity 1) hash an empty projection:
   // every tuple lands in one shard and probes never fan out.
+  return 0;
+}
+
+Relation::Relation(const datalog::PredicateDecl* decl, size_t shards)
+    : decl_(decl), shard_key_mask_(ShardKeyMask(*decl)) {
+  shards_.resize(std::max<size_t>(1, shards));
+  const size_t arity = decl_->arity();
   if (arity >= 1 && arity <= 32) {
     whole_mask_ = arity == 32 ? ~0u : (1u << arity) - 1;
   }

@@ -89,6 +89,12 @@ enum class EstimateSource : uint8_t {
   kStat,      // content-hashed distinct-key statistic (EnsureKeyStat)
 };
 
+/// Columns that route a tuple of `decl` to its shard (bit i = column i): a
+/// functional predicate's key columns, otherwise the first column. Static
+/// per declaration, so probe strategies fixed from it are identical at
+/// every shard count.
+uint32_t ShardKeyMask(const datalog::PredicateDecl& decl);
+
 class Relation {
  public:
   /// Approximate heap bytes by storage component, from container
@@ -204,11 +210,6 @@ class Relation {
   uint64_t version() const { return version_; }
 
   // -- online statistics (cost-based planning) -------------------------------
-
-  /// Columns that route a tuple to its shard (bit i = column i). Static per
-  /// declaration, so planner probe-strategy choices are identical at every
-  /// shard count.
-  uint32_t shard_key_mask() const { return shard_key_mask_; }
 
   /// Start tracking distinct-key statistics for `mask` (no-op when already
   /// tracked): seeds a counting map with one scan, after which Insert and

@@ -40,16 +40,6 @@ Workspace::Workspace() : catalog_(std::make_unique<Catalog>()) {
       fixpoint_options_.shards = static_cast<size_t>(n);
     }
   }
-  // Cost-based rule planning: SB_PLAN=0 disables (baseline written-order
-  // bodies), unset/1 enables. Either value computes the identical
-  // fixpoint; garbage keeps the default.
-  if (const char* env = std::getenv("SB_PLAN")) {
-    char* end = nullptr;
-    long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && (n == 0 || n == 1)) {
-      fixpoint_options_.plan = n == 1;
-    }
-  }
   // SB_EXPLAIN=1 dumps every built plan to stderr (docs/engine.md).
   if (const char* env = std::getenv("SB_EXPLAIN")) {
     char* end = nullptr;

@@ -18,11 +18,13 @@
 // base-fact delete seeds a delete delta, and only tuples whose support
 // reaches zero cascade, through recursive rule groups too. A change to a
 // negated predicate retracts or derives just the instantiations it blocks
-// or unblocks. Only a recursive group left with a survivor that may rest
-// on a cycle (or one holding a lattice aggregate or negating its own head,
-// or hit by a flip that blocks something) recomputes its head-sharing
-// cluster, never the whole database (see engine/fixpoint.h). A commit reports as inserted only
-// tuples the transaction added, not ones it erased and rederived.
+// or unblocks. A group recomputes its head-sharing cluster, never the
+// whole database, only when counting cannot settle a change: a recursive
+// group left with a survivor that may rest on a cycle or hit by a flip
+// that blocks something, and any group holding a lattice aggregate or
+// negating its own head when a delete reaches it (see engine/fixpoint.h).
+// A commit reports as inserted only tuples the transaction added, not
+// ones it erased and rederived.
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
 #define SECUREBLOX_ENGINE_WORKSPACE_H_
 
@@ -95,7 +97,7 @@ struct EngineStats {
   /// (relation, probe mask); benches watch it to catch regressions to
   /// rebuild-on-erase behaviour.
   uint64_t index_rebuilds = 0;
-  /// Execution plans built or rebuilt by the cost-based planner (SB_PLAN).
+  /// Execution plans built or rebuilt by the cost-based planner.
   uint64_t plan_builds = 0;
   /// Process-wide evaluation frames ever allocated (EvalFrameAllocs):
   /// flat in steady state — benches and tests pin the no-allocation
@@ -204,7 +206,7 @@ class Workspace : public RelationStore, private FixpointHost {
   /// Dependency structure of the installed rules (rebuilt per Install).
   const RuleGraph& rule_graph() const { return rule_graph_; }
 
-  /// Installed compiled rules (planner tests inspect baseline step order
+  /// Installed compiled rules (planner tests inspect compiled step order
   /// and plan caches).
   const std::vector<CompiledRule>& compiled_rules() const {
     return compiled_rules_;

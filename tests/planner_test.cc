@@ -1,10 +1,11 @@
 // Cost-based rule execution planning: online relation statistics stay
 // symmetric under insert/erase churn, worst-ordered rule bodies are
-// reordered selective-first, planner on/off computes the byte-identical
-// fixpoint at every SB_THREADS x SB_SHARDS combination (the base run
-// checked against a closure oracle), the Executor's probe and
-// batch paths allocate nothing in steady state, and the SB_EXPLAIN dump
-// describes the chosen plan.
+// reordered selective-first (in the plan the driver runs), every planned
+// variant enumerates exactly the bindings of the compiled steps, the
+// planned fixpoint is byte-identical at every SB_THREADS x SB_SHARDS
+// combination (the base run checked against a closure oracle), the
+// Executor's probe and batch paths allocate nothing in steady state, and
+// the SB_EXPLAIN dump describes the chosen plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "engine/kernels.h"
 #include "engine/planner.h"
 #include "engine/workspace.h"
+#include "oracle_programs.h"
 
 namespace secureblox::engine {
 namespace {
@@ -73,15 +75,14 @@ Snapshot Snap(const Workspace& ws) {
   return out;
 }
 
-/// The plan- and shard-count-invariant face of FixpointStats (everything
-/// except parallel_tasks, which counts shard-aligned chunks, and
-/// plans_built, which is zero with the planner off).
+/// The thread- and shard-count-invariant face of FixpointStats
+/// (everything except parallel_tasks, which counts shard-aligned chunks).
 std::vector<uint64_t> SemanticCounters(const FixpointStats& fp) {
   return {fp.rounds,         fp.rule_firings,    fp.firings_skipped,
           fp.agg_recomputes, fp.agg_skipped,     fp.derivations,
           fp.waves,          fp.retract_firings, fp.retractions,
           fp.deleted,        fp.rescued,         fp.group_rederives,
-          fp.rederive_seeded};
+          fp.rederive_seeded, fp.plans_built};
 }
 
 // ---------------------------------------------------------------------------
@@ -250,19 +251,19 @@ TEST(PlannerTest, WorstOrderedBodyReorderedSelectiveFirst) {
     if (r.num_scan_occurrences == 2) rule = &r;
   }
   ASSERT_NE(rule, nullptr);
-  // Baseline (written order): big before filt — the worst order.
+  // Compiled (written) order: big before filt — the worst order.
   ASSERT_EQ(rule->steps[0].pred, big_id);
 
   ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
-  const VariantPlan* full = planner.PlanFor(*rule, ExecPlanner::kFullBody);
-  ASSERT_NE(full, nullptr);
-  ASSERT_EQ(full->steps.size(), rule->steps.size());
+  const std::vector<Step>& full =
+      planner.PlanFor(*rule, ExecPlanner::kFullBody);
+  ASSERT_EQ(full.size(), rule->steps.size());
   // Selective-first: the 2-row filt scan leads, and big becomes an
   // indexed probe on its now-bound join column.
-  EXPECT_EQ(full->steps[0].pred, filt_id);
-  EXPECT_EQ(full->steps[0].kind, Step::Kind::kScan);
+  EXPECT_EQ(full[0].pred, filt_id);
+  EXPECT_EQ(full[0].kind, Step::Kind::kScan);
   const Step* big_step = nullptr;
-  for (const Step& s : full->steps) {
+  for (const Step& s : full) {
     if (s.pred == big_id) big_step = &s;
   }
   ASSERT_NE(big_step, nullptr);
@@ -270,22 +271,34 @@ TEST(PlannerTest, WorstOrderedBodyReorderedSelectiveFirst) {
   EXPECT_NE(big_step->probe, Step::Probe::kScanAll);
 
   // Semi-naïve variants put their delta atom first regardless of cost.
-  const VariantPlan* d0 = planner.PlanFor(*rule, 0);
-  ASSERT_NE(d0, nullptr);
-  EXPECT_EQ(d0->steps[0].pred, big_id);
-  EXPECT_EQ(d0->steps[0].occurrence, 0);
-  const VariantPlan* d1 = planner.PlanFor(*rule, 1);
-  ASSERT_NE(d1, nullptr);
-  EXPECT_EQ(d1->steps[0].pred, filt_id);
-  EXPECT_EQ(d1->steps[0].occurrence, 1);
+  const std::vector<Step>& d0 = planner.PlanFor(*rule, 0);
+  EXPECT_EQ(d0[0].pred, big_id);
+  EXPECT_EQ(d0[0].occurrence, 0);
+  const std::vector<Step>& d1 = planner.PlanFor(*rule, 1);
+  EXPECT_EQ(d1[0].pred, filt_id);
+  EXPECT_EQ(d1[0].occurrence, 1);
   // With filt's delta bound first, big is again an indexed probe.
-  const Step& after = d1->steps[1];
-  EXPECT_EQ(after.pred, big_id);
-  EXPECT_EQ(after.probe_mask, 0x1u);
+  EXPECT_EQ(d1[1].pred, big_id);
+  EXPECT_EQ(d1[1].probe_mask, 0x1u);
 
   // The workspace's own driver may have populated the shared cache's
   // occurrence slots during Apply; the full-body slot is ours.
   EXPECT_GE(planner.plans_built(), 1u);
+
+  // The plan the driver ran: a filt insert fires occurrence 1 (cache slot
+  // 2), and its cached plan leads with filt and probes big's index on the
+  // bound X instead of walking big.
+  ASSERT_TRUE(ws.Apply({{"filt", {Value::Int(13)}}}).ok());
+  const std::optional<VariantPlan>& ran = rule->plan_cache->variants[2];
+  ASSERT_TRUE(ran.has_value());
+  ASSERT_EQ(ran->steps.size(), rule->steps.size())
+      << "a filt-first plan is not the compiled order, so it keeps steps";
+  EXPECT_EQ(ran->steps[0].pred, filt_id);
+  EXPECT_EQ(ran->steps[0].occurrence, 1);
+  EXPECT_EQ(ran->steps[1].pred, big_id);
+  EXPECT_EQ(ran->steps[1].kind, Step::Kind::kScan);
+  EXPECT_EQ(ran->steps[1].probe_mask, 0x1u);
+  EXPECT_NE(ran->steps[1].probe, Step::Probe::kScanAll);
 }
 
 TEST(PlannerTest, PlansReplanWhenStatsDrift) {
@@ -300,10 +313,10 @@ TEST(PlannerTest, PlansReplanWhenStatsDrift) {
     if (r.num_scan_occurrences == 2) rule = &r;
   }
   ASSERT_NE(rule, nullptr);
-  ASSERT_NE(planner.PlanFor(*rule, ExecPlanner::kFullBody), nullptr);
+  planner.PlanFor(*rule, ExecPlanner::kFullBody);
   const uint64_t built = planner.plans_built();
   // Same sizes: cached plan, no rebuild.
-  ASSERT_NE(planner.PlanFor(*rule, ExecPlanner::kFullBody), nullptr);
+  planner.PlanFor(*rule, ExecPlanner::kFullBody);
   EXPECT_EQ(planner.plans_built(), built);
   // Grow big far past the drift threshold: the next request replans.
   std::vector<FactUpdate> more;
@@ -311,21 +324,19 @@ TEST(PlannerTest, PlansReplanWhenStatsDrift) {
     more.push_back({"big", {Value::Int(i + 10), Value::Int(i)}});
   }
   ASSERT_TRUE(ws.Apply(more).ok());
-  const VariantPlan* rebuilt = planner.PlanFor(*rule, ExecPlanner::kFullBody);
-  ASSERT_NE(rebuilt, nullptr);
+  planner.PlanFor(*rule, ExecPlanner::kFullBody);
   EXPECT_GT(planner.plans_built(), built);
-  EXPECT_GE(rebuilt->builds, 2u);
+  EXPECT_GE(rule->plan_cache->variants[0]->builds, 2u);
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: SB_PLAN={0,1} x SB_THREADS={1,4} x SB_SHARDS={1,7},
-// anchored by a closure oracle.
+// Equivalence: SB_THREADS={1,4} x SB_SHARDS={1,7}, anchored by a closure
+// oracle.
 // ---------------------------------------------------------------------------
 
-// fig08-flavoured convergence plus deletion churn — recursion, a lattice
-// aggregate recomputing, counting deletes and cluster recomputes all run
-// under both the baseline written-order bodies and the planner's
-// reordered ones.
+// fig08-flavoured convergence plus deletion churn — recursion, an
+// aggregate recomputing, counting deletes and cluster recomputes, all
+// through the planner's reordered bodies.
 const char* kConvergenceProgram = R"(
   node(X) -> .
   link(X, Y) -> node(X), node(Y).
@@ -390,7 +401,7 @@ std::map<std::string, std::set<std::string>> ClosureOracle(
   return want;
 }
 
-TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
+TEST(PlannerTest, PlannedFixpointThreadShardEquivalence) {
   struct Run {
     std::vector<Snapshot> trace;
     std::vector<std::vector<uint64_t>> counters;
@@ -404,10 +415,9 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
     churn.push_back({"link", {Value::Str(Label(i)),
                               Value::Str(Label((i + 1) % 40))}});
   }
-  auto run = [&](bool plan, int threads, size_t shards) {
+  auto run = [&](int threads, size_t shards) {
     Run out;
     Workspace ws;
-    ws.fixpoint_options().plan = plan;
     ws.fixpoint_options().threads = threads;
     ws.fixpoint_options().shards = shards;
     Install(&ws, kConvergenceProgram);
@@ -423,9 +433,9 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
     }
     return out;
   };
-  // Base: planner off, one thread, one shard. Its tuple sets must match
-  // the closure oracle at every step.
-  Run base = run(false, 1, 1);
+  // Base: one thread, one shard. Its tuple sets must match the closure
+  // oracle at every step.
+  Run base = run(1, 1);
   ASSERT_EQ(base.trace.size(), churn.size() + 1);
   std::set<std::pair<std::string, std::string>> live;
   for (const FactUpdate& l : links) {
@@ -448,21 +458,18 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
       EXPECT_EQ(got, wit->second) << pred << " at step " << step;
     }
   }
-  for (bool plan : {false, true}) {
-    for (int threads : {1, 4}) {
-      for (size_t shards : {size_t{1}, size_t{7}}) {
-        if (!plan && threads == 1 && shards == 1) continue;
-        Run other = run(plan, threads, shards);
-        ASSERT_EQ(base.trace.size(), other.trace.size());
-        for (size_t step = 0; step < base.trace.size(); ++step) {
-          EXPECT_EQ(base.trace[step], other.trace[step])
-              << "fixpoint diverged at step " << step << " plan=" << plan
-              << " threads=" << threads << " shards=" << shards;
-          EXPECT_EQ(base.counters[step], other.counters[step])
-              << "semantic counters diverged at step " << step
-              << " plan=" << plan << " threads=" << threads
-              << " shards=" << shards;
-        }
+  for (int threads : {1, 4}) {
+    for (size_t shards : {size_t{1}, size_t{7}}) {
+      if (threads == 1 && shards == 1) continue;
+      Run other = run(threads, shards);
+      ASSERT_EQ(base.trace.size(), other.trace.size());
+      for (size_t step = 0; step < base.trace.size(); ++step) {
+        EXPECT_EQ(base.trace[step], other.trace[step])
+            << "fixpoint diverged at step " << step << " threads=" << threads
+            << " shards=" << shards;
+        EXPECT_EQ(base.counters[step], other.counters[step])
+            << "semantic counters diverged at step " << step
+            << " threads=" << threads << " shards=" << shards;
       }
     }
   }
@@ -473,7 +480,6 @@ TEST(PlannerTest, PlanOnOffFixpointEquivalence) {
 TEST(PlannerTest, PlanBuildCountsThreadAndShardInvariant) {
   auto run = [&](int threads, size_t shards) {
     Workspace ws;
-    ws.fixpoint_options().plan = true;
     ws.fixpoint_options().threads = threads;
     ws.fixpoint_options().shards = shards;
     Install(&ws, kConvergenceProgram);
@@ -486,6 +492,198 @@ TEST(PlannerTest, PlanBuildCountsThreadAndShardInvariant) {
   EXPECT_EQ(base, run(4, 1));
   EXPECT_EQ(base, run(1, 7));
   EXPECT_EQ(base, run(4, 7));
+}
+
+// ---------------------------------------------------------------------------
+// Binding differential: each planned variant against the compiled steps.
+// ---------------------------------------------------------------------------
+
+// One rule per rebinding the planner performs beyond plain reordering:
+//  - loop: the occurrence-1 plan leads with pair(Y, Y), so its second Y
+//    must read the candidate row (kSame), not the unbound slot;
+//  - looked: val's lookup is forced to a scan when its delta leads;
+//  - next: with the second num leading, M is bound before `M = N + 1`,
+//    which must become an equality filter;
+//  - joined: a builtin binding an output, hoisted ahead of a scan;
+//  - untagged: a wildcard negation and its flip variant.
+constexpr const char* kRebindProgram = R"(
+  pair(X, Y) -> string(X), string(Y).
+  tag(X) -> string(X).
+  val[X] = V -> string(X), int(V).
+  num(X, N) -> string(X), int(N).
+  loop(X, Y) -> string(X), string(Y).
+  looked(X, V) -> string(X), int(V).
+  next(X, M) -> string(X), int(M).
+  joined(X, Z) -> string(X), string(Z).
+  untagged(X) -> string(X).
+  loop(X, Y) <- pair(X, Y), pair(Y, Y).
+  looked(X, V) <- tag(X), val[X] = V.
+  next(X, M) <- num(X, N), M = N + 1, num(X, M).
+  joined(X, Z) <- tag(X), pair(X, Y), concat(X, Y, Z).
+  untagged(X) <- tag(X), !pair(X, _).
+)";
+
+/// Facts over four sites for every predicate the programs above and the
+/// oracle programs read, dense enough that each variant finds bindings.
+std::vector<FactUpdate> DifferentialFacts(const Workspace& ws) {
+  const char* const sites[] = {"a", "b", "c", "d"};
+  auto s = [&](int i) { return Value::Str(sites[i % 4]); };
+  std::vector<FactUpdate> out;
+  auto declared = [&](const char* pred) {
+    return ws.catalog().Lookup(pred).ok();
+  };
+  const bool weighted =
+      declared("link") &&
+      ws.catalog().decl(ws.catalog().Lookup("link").value()).arity() == 3;
+  for (int i = 0; i < 4; ++i) {
+    if (declared("site")) out.push_back({"site", {s(i)}});
+    if (declared("tag") && i != 2) out.push_back({"tag", {s(i)}});
+    if (declared("mark") && i % 2 == 1) out.push_back({"mark", {s(i)}});
+    if (declared("val") && i != 1) out.push_back({"val", {s(i), Value::Int(i)}});
+    for (int j = 0; j < 4; ++j) {
+      const bool edge = (i * 3 + j) % 4 != 0;
+      if (declared("pair") && (edge || i == j)) {
+        out.push_back({"pair", {s(i), s(j)}});
+      }
+      if (declared("num") && i < 3) {
+        out.push_back({"num", {s(i), Value::Int(j + (i == 1 ? 2 * j : 0))}});
+      }
+      if (!edge) continue;
+      if (weighted) {
+        out.push_back({"link", {s(i), s(j), Value::Int(1 + (i + j) % 3)}});
+      } else if (declared("link")) {
+        out.push_back({"link", {s(i), s(j)}});
+      }
+      if (declared("blocked") && (i + j) % 3 == 0) {
+        out.push_back({"blocked", {s(i), s(j)}});
+      }
+      if (declared("seed") && j == (i + 1) % 4) {
+        out.push_back({"seed", {s(i), s(j)}});
+      }
+    }
+  }
+  return out;
+}
+
+/// Does every step read only slots an earlier step bound, and bind only
+/// slots still unbound? A kBound argument of an unbound slot would read an
+/// empty environment slot at run time.
+testing::AssertionResult BindsInOrder(const std::vector<Step>& steps,
+                                      size_t num_slots) {
+  std::vector<bool> bound(num_slots, false);
+  for (size_t i = 0; i < steps.size(); ++i) {
+    std::vector<int> binds;
+    for (const ArgPat& p : steps[i].args) {
+      if (p.kind == ArgPat::Kind::kBound && !bound[p.slot]) {
+        return testing::AssertionFailure()
+               << "step " << i << " reads unbound slot " << p.slot;
+      }
+      if (p.kind == ArgPat::Kind::kBind) binds.push_back(p.slot);
+    }
+    if (steps[i].kind == Step::Kind::kAssign) {
+      binds.push_back(steps[i].assign_slot);
+    }
+    for (int slot : binds) {
+      if (bound[slot]) {
+        return testing::AssertionFailure()
+               << "step " << i << " rebinds bound slot " << slot;
+      }
+      bound[slot] = true;
+    }
+  }
+  return testing::AssertionSuccess();
+}
+
+/// Every binding `steps` enumerates, as the rendered slot values.
+std::multiset<std::vector<std::string>> Bindings(
+    Workspace* ws, const CompiledRule& rule, const std::vector<Step>& steps,
+    const DeltaOverride* delta) {
+  EvalContext ctx;
+  ctx.catalog = &ws->catalog();
+  Executor executor(&ctx, ws);
+  Env env(rule.num_slots);
+  std::multiset<std::vector<std::string>> out;
+  Status st = executor.Run(steps, &env, delta, [&](Env& e) -> Status {
+    std::vector<std::string> row;
+    for (const auto& v : e) row.push_back(v ? v->ToString() : "-");
+    out.insert(std::move(row));
+    return Status::OK();
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return out;
+}
+
+/// Every other live tuple of `pred` (the first one at least): a delta.
+std::vector<Tuple> DeltaFrom(Workspace* ws, datalog::PredId pred) {
+  std::vector<Tuple> all = ws->GetRelation(pred)->AllTuples();
+  std::vector<Tuple> out;
+  for (size_t i = 0; i < all.size(); i += 2) out.push_back(all[i]);
+  return out;
+}
+
+TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
+  // Variants with at least one binding, by kind (full, delta, flip).
+  std::map<std::string, size_t> found;
+  size_t reused = 0;  // plans that run the compiled steps themselves
+  size_t copied = 0;
+  for (const char* program : {kNegationProgram, kRecursiveProgram,
+                              kLatticeProgram, kRebindProgram}) {
+    Workspace ws;
+    Install(&ws, program);
+    ASSERT_TRUE(ws.Apply(DifferentialFacts(ws)).ok());
+    ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
+    for (const CompiledRule& rule : ws.compiled_rules()) {
+      auto check = [&](const std::string& kind, int index,
+                       const std::vector<Step>& compiled,
+                       const std::vector<Step>& planned,
+                       const DeltaOverride* delta) {
+        SCOPED_TRACE(rule.source.ToString() + " variant " + kind +
+                     std::to_string(index));
+        if (&planned == &compiled) {
+          ++reused;
+        } else {
+          ++copied;
+        }
+        ASSERT_TRUE(BindsInOrder(planned, rule.num_slots));
+        const auto want = Bindings(&ws, rule, compiled, delta);
+        EXPECT_EQ(Bindings(&ws, rule, planned, delta), want);
+        if (!want.empty()) ++found[kind];
+      };
+      check("full", 0, rule.steps,
+            planner.PlanFor(rule, ExecPlanner::kFullBody), nullptr);
+      const int n = rule.num_scan_occurrences;
+      for (int occ = 0; occ < n; ++occ) {
+        const std::vector<Tuple> delta = DeltaFrom(&ws, rule.scan_preds[occ]);
+        std::vector<OccView> views(n);
+        views[occ].only = &delta;
+        DeltaOverride override;
+        override.views = &views;
+        check("delta", occ, rule.steps, planner.PlanFor(rule, occ),
+              &override);
+      }
+      // Flip k: the negated atom's flipped tuples, with the kept negation
+      // probe reading the relation as before they arrived.
+      const size_t m = rule.neg_preds.size();
+      for (size_t k = 0; k < m; ++k) {
+        const std::vector<Tuple> flipped = DeltaFrom(&ws, rule.neg_preds[k]);
+        const TupleSet before(flipped.begin(), flipped.end());
+        std::vector<OccView> views(n + m + 1);
+        views[rule.flip_occurrence()].only = &flipped;
+        views[n + k].exclude = &before;
+        DeltaOverride override;
+        override.views = &views;
+        check("flip", static_cast<int>(k), rule.flip_steps[k],
+              planner.PlanForFlip(rule, k), &override);
+      }
+    }
+  }
+  // Every kind of variant found bindings, and both plan forms — compiled
+  // steps reused and a reordered copy — ran.
+  for (const char* kind : {"full", "delta", "flip"}) {
+    EXPECT_GT(found[kind], 0u) << kind;
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(copied, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,11 +739,16 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
     if (r.num_scan_occurrences == 2) rule = &r;
   }
   ASSERT_NE(rule, nullptr);
-  ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
-  const VariantPlan* vp = planner.PlanFor(*rule, ExecPlanner::kFullBody);
-  ASSERT_NE(vp, nullptr);
-  const std::string dump =
-      planner.Explain(*rule, ExecPlanner::kFullBody, *vp);
+  // Built with SB_EXPLAIN on, the full-body plan dumps itself; Explain
+  // plans the variant again to recover the estimates, and says the same.
+  FixpointOptions explain_on = ws.fixpoint_options();
+  explain_on.explain = true;
+  ExecPlanner planner(&ws.catalog(), &ws, &explain_on);
+  testing::internal::CaptureStderr();
+  planner.PlanFor(*rule, ExecPlanner::kFullBody);
+  const std::string built_dump = testing::internal::GetCapturedStderr();
+  const std::string dump = planner.Explain(*rule, ExecPlanner::kFullBody);
+  EXPECT_EQ(dump, built_dump);
   EXPECT_NE(dump.find("[plan] rule#"), std::string::npos);
   EXPECT_NE(dump.find("variant=full"), std::string::npos);
   EXPECT_NE(dump.find("scan filt"), std::string::npos);
@@ -562,8 +765,7 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
   EXPECT_NE(dump.find("via=dict"), std::string::npos) << dump;
   EXPECT_NE(dump.find("via=size"), std::string::npos) << dump;
   EXPECT_NE(dump.find("distinct=50"), std::string::npos) << dump;
-  const std::string delta_dump = planner.Explain(
-      *rule, 0, *planner.PlanFor(*rule, 0));
+  const std::string delta_dump = planner.Explain(*rule, 0);
   EXPECT_NE(delta_dump.find("variant=d0"), std::string::npos);
   EXPECT_NE(delta_dump.find("est=delta"), std::string::npos);
 
@@ -591,11 +793,8 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
   ASSERT_NE(pair_rule, nullptr);
   ExecPlanner pair_planner(&pair_ws.catalog(), &pair_ws,
                            &pair_ws.fixpoint_options());
-  const VariantPlan* pvp =
-      pair_planner.PlanFor(*pair_rule, ExecPlanner::kFullBody);
-  ASSERT_NE(pvp, nullptr);
   const std::string pair_dump =
-      pair_planner.Explain(*pair_rule, ExecPlanner::kFullBody, *pvp);
+      pair_planner.Explain(*pair_rule, ExecPlanner::kFullBody);
   EXPECT_NE(pair_dump.find("scan pair (occ 0) est=1 via=stat distinct=50 "
                            "probe=shard mask=0x3"),
             std::string::npos)
@@ -603,21 +802,17 @@ TEST(PlannerTest, ExplainDescribesChosenPlan) {
 }
 
 TEST(PlannerTest, EnvironmentKnobsParsed) {
-  ASSERT_EQ(setenv("SB_PLAN", "0", 1), 0);
   ASSERT_EQ(setenv("SB_EXPLAIN", "1", 1), 0);
   {
     Workspace ws;
-    EXPECT_FALSE(ws.fixpoint_options().plan);
     EXPECT_TRUE(ws.fixpoint_options().explain);
   }
-  ASSERT_EQ(setenv("SB_PLAN", "garbage", 1), 0);
-  ASSERT_EQ(unsetenv("SB_EXPLAIN"), 0);
+  ASSERT_EQ(setenv("SB_EXPLAIN", "garbage", 1), 0);
   {
     Workspace ws;
-    EXPECT_TRUE(ws.fixpoint_options().plan) << "garbage keeps the default";
-    EXPECT_FALSE(ws.fixpoint_options().explain);
+    EXPECT_FALSE(ws.fixpoint_options().explain) << "garbage keeps the default";
   }
-  ASSERT_EQ(unsetenv("SB_PLAN"), 0);
+  ASSERT_EQ(unsetenv("SB_EXPLAIN"), 0);
 }
 
 }  // namespace

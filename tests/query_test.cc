@@ -1,6 +1,6 @@
 // Query-driven evaluation (engine/query): magic-sets answers pinned
-// byte-identical against the materialized fixpoint across the planner /
-// threads / shards knob matrix, including after delete-delta churn; a
+// byte-identical against the materialized fixpoint across the threads /
+// shards knob matrix, including after delete-delta churn; a
 // cold point query touching only its slice; memo warm hits;
 // install-after-query reconciliation; fallback slices for aggregates and
 // negation; and the NodeRuntime query-serving front end under concurrent
@@ -172,8 +172,8 @@ TEST(QueryTest, AllFreeGoalFallsBackToFullSlice) {
 }
 
 // The acceptance gate: answers are byte-identical (same rendered strings,
-// same sorted order) across planner x threads x shards, including after
-// delete-delta churn.
+// same sorted order) across threads x shards, including after delete-delta
+// churn.
 TEST(QueryTest, KnobMatrixDifferential) {
   Workspace mat;
   Install(&mat, kGraphSchema);
@@ -205,44 +205,40 @@ TEST(QueryTest, KnobMatrixDifferential) {
   bool have_first = false;
   for (int threads : {1, 4}) {
     for (size_t shards : {size_t{1}, size_t{7}}) {
-      for (bool plan : {false, true}) {
-        Workspace qws;
-        qws.set_defer_rules(true);
-        qws.fixpoint_options().threads = threads;
-        qws.fixpoint_options().shards = shards;
-        qws.fixpoint_options().plan = plan;
-        Install(&qws, kGraphSchema);
-        ASSERT_TRUE(qws.Apply(LineLinks(6)).ok());
-        QueryEngine qe(&qws);
-        EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", bf}), before_del);
-        EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", v2}), before_v2);
-        ASSERT_TRUE(qws.Apply({churn_add}, {churn_del}).ok());
-        auto rows_bf = qe.Query({"reachable", bf});
-        auto rows_fb = qe.Query({"reachable", fb});
-        ASSERT_TRUE(rows_bf.ok() && rows_fb.ok());
-        EXPECT_EQ(Render(rows_bf.value(), qws), after_bf);
-        EXPECT_EQ(Render(rows_fb.value(), qws), after_fb);
-        EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", v2}), after_v2);
-        EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", target_only}),
-                  after_target_only);
-        // Byte-identical including order, across every knob combination.
-        std::vector<std::string> r_bf, r_fb;
-        for (const Tuple& t : rows_bf.value()) {
-          r_bf.push_back(TupleToString(t, qws.catalog()));
-        }
-        for (const Tuple& t : rows_fb.value()) {
-          r_fb.push_back(TupleToString(t, qws.catalog()));
-        }
-        if (!have_first) {
-          first_bf = r_bf;
-          first_fb = r_fb;
-          have_first = true;
-        } else {
-          EXPECT_EQ(r_bf, first_bf) << "threads=" << threads
-                                    << " shards=" << shards
-                                    << " plan=" << plan;
-          EXPECT_EQ(r_fb, first_fb);
-        }
+      Workspace qws;
+      qws.set_defer_rules(true);
+      qws.fixpoint_options().threads = threads;
+      qws.fixpoint_options().shards = shards;
+      Install(&qws, kGraphSchema);
+      ASSERT_TRUE(qws.Apply(LineLinks(6)).ok());
+      QueryEngine qe(&qws);
+      EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", bf}), before_del);
+      EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", v2}), before_v2);
+      ASSERT_TRUE(qws.Apply({churn_add}, {churn_del}).ok());
+      auto rows_bf = qe.Query({"reachable", bf});
+      auto rows_fb = qe.Query({"reachable", fb});
+      ASSERT_TRUE(rows_bf.ok() && rows_fb.ok());
+      EXPECT_EQ(Render(rows_bf.value(), qws), after_bf);
+      EXPECT_EQ(Render(rows_fb.value(), qws), after_fb);
+      EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", v2}), after_v2);
+      EXPECT_EQ(QueryAnswers(&qe, qws, {"reachable", target_only}),
+                after_target_only);
+      // Byte-identical including order, across every knob combination.
+      std::vector<std::string> r_bf, r_fb;
+      for (const Tuple& t : rows_bf.value()) {
+        r_bf.push_back(TupleToString(t, qws.catalog()));
+      }
+      for (const Tuple& t : rows_fb.value()) {
+        r_fb.push_back(TupleToString(t, qws.catalog()));
+      }
+      if (!have_first) {
+        first_bf = r_bf;
+        first_fb = r_fb;
+        have_first = true;
+      } else {
+        EXPECT_EQ(r_bf, first_bf) << "threads=" << threads
+                                  << " shards=" << shards;
+        EXPECT_EQ(r_fb, first_fb);
       }
     }
   }
