@@ -268,7 +268,7 @@ class BodyPlanner {
     ArgPat pat;
     if (arg->kind == TermKind::kConst) {
       pat.kind = ArgPat::Kind::kConst;
-      pat.constant = arg->constant;
+      pat.constant = std::make_shared<const Value>(arg->constant);
       return pat;
     }
     if (arg->kind != TermKind::kVar) {
@@ -518,7 +518,7 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
       ArgPat pat;
       if (arg->kind == TermKind::kConst) {
         pat.kind = ArgPat::Kind::kConst;
-        pat.constant = arg->constant;
+        pat.constant = std::make_shared<const Value>(arg->constant);
       } else if (arg->kind == TermKind::kVar) {
         int slot = slots.Find(arg->name);
         if (slot < 0 || !bound[slot]) {
@@ -550,7 +550,7 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
       ArgPat pat;
       if (arg->kind == TermKind::kConst) {
         pat.kind = ArgPat::Kind::kConst;
-        pat.constant = arg->constant;
+        pat.constant = std::make_shared<const Value>(arg->constant);
       } else if (arg->kind == TermKind::kVar) {
         int slot = slots.SlotOf(arg->name);
         pat.slot = slot;
@@ -690,7 +690,7 @@ bool TupleMatches(const std::vector<ArgPat>& pats, const Tuple& tuple,
                   const Env& env) {
   for (size_t i = 0; i < pats.size(); ++i) {
     const ArgPat& p = pats[i];
-    if (p.kind == ArgPat::Kind::kConst && !(tuple[i] == p.constant)) {
+    if (p.kind == ArgPat::Kind::kConst && !(tuple[i] == *p.constant)) {
       return false;
     }
     if (p.kind == ArgPat::Kind::kBound && !(tuple[i] == *env[p.slot])) {
@@ -710,7 +710,7 @@ void ProbeKey(const Step& step, const Env& env, Tuple* key) {
   key->clear();
   for (uint32_t m = step.probe_mask; m != 0; m &= m - 1) {
     const ArgPat& p = step.args[std::countr_zero(m)];
-    key->push_back(p.kind == ArgPat::Kind::kConst ? p.constant
+    key->push_back(p.kind == ArgPat::Kind::kConst ? *p.constant
                                                   : *env[p.slot]);
   }
 }
@@ -841,7 +841,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
           continue;
         }
         const Value& want =
-            p.kind == ArgPat::Kind::kConst ? p.constant : *env[p.slot];
+            p.kind == ArgPat::Kind::kConst ? *p.constant : *env[p.slot];
         auto code = rel->CodeOf(i, want);
         if (!code) return Status::OK();  // dictionary miss: zero matches
         filters.emplace_back(static_cast<int>(i), *code);
@@ -1002,7 +1002,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         const ArgPat& vp = step.args.back();
         const Value& v = t.back();
         if (vp.kind == ArgPat::Kind::kConst) {
-          if (!(v == vp.constant)) return Status::OK();
+          if (!(v == *vp.constant)) return Status::OK();
           return RunFrom(steps, idx + 1, env, delta, on_match);
         }
         if (vp.kind == ArgPat::Kind::kBound) {
@@ -1052,7 +1052,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       keys.clear();
       for (size_t i = 0; i + 1 < step.args.size(); ++i) {
         const ArgPat& p = step.args[i];
-        keys.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
+        keys.push_back(p.kind == ArgPat::Kind::kConst ? *p.constant
                                                       : *env[p.slot]);
       }
       const Tuple* t = rel->LookupByKeys(keys, &frame.row);
@@ -1137,7 +1137,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       frame.inputs.clear();
       for (int i = 0; i < sig.num_inputs; ++i) {
         const ArgPat& p = step.args[i];
-        frame.inputs.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
+        frame.inputs.push_back(p.kind == ArgPat::Kind::kConst ? *p.constant
                                                               : *env[p.slot]);
       }
       frame.outputs.clear();
@@ -1159,7 +1159,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
           frame.bound_here.push_back(p.slot);
         } else {
           const Value& want =
-              p.kind == ArgPat::Kind::kConst ? p.constant : *env[p.slot];
+              p.kind == ArgPat::Kind::kConst ? *p.constant : *env[p.slot];
           if (!(frame.outputs[i] == want)) {
             ok = false;
             break;
@@ -1175,7 +1175,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
     case Step::Kind::kTypeCheck: {
       const ArgPat& p = step.args[0];
       const Value& v =
-          p.kind == ArgPat::Kind::kConst ? p.constant : *env[p.slot];
+          p.kind == ArgPat::Kind::kConst ? *p.constant : *env[p.slot];
       if (v.kind() != step.check_kind) return Status::OK();
       return RunFrom(steps, idx + 1, env, delta, on_match);
     }

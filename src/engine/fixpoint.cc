@@ -869,7 +869,7 @@ void FixpointDriver::DropHeadlessRows(const CompiledRule& rule,
     auto headless = [&](const Tuple& row) {
       probe.clear();
       for (size_t c = 0; c < width; ++c) {
-        probe.push_back(from[c] == -2 ? head.args[c].constant : row[from[c]]);
+        probe.push_back(from[c] == -2 ? *head.args[c].constant : row[from[c]]);
       }
       return width == from.size() ? !rel->Contains(probe)
                                   : rel->LookupByKeys(probe, &scratch) ==
@@ -1025,7 +1025,7 @@ Status FixpointDriver::InstantiateHeads(
     t.reserve(head.args.size());
     for (const ArgPat& p : head.args) {
       if (p.kind == ArgPat::Kind::kConst) {
-        t.push_back(p.constant);
+        t.push_back(*p.constant);
       } else {
         t.push_back(*env[p.slot]);
       }
@@ -1210,7 +1210,7 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
   const std::function<Status(Env&)> add_binding = [&](Env& e) -> Status {
         Tuple key;
         for (const ArgPat& p : agg.key_args) {
-          key.push_back(p.kind == ArgPat::Kind::kConst ? p.constant
+          key.push_back(p.kind == ArgPat::Kind::kConst ? *p.constant
                                                        : *e[p.slot]);
         }
         int64_t v = 0;

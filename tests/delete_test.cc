@@ -882,7 +882,9 @@ TEST_P(FromScratchOracleTest, IncrementalMatchesFromScratch) {
   }
   EXPECT_GT(counted, 0u);
   EXPECT_GT(recomputes, 0u);
-  if (row.flips) EXPECT_GT(flip_matches, 0u);
+  if (row.flips) {
+    EXPECT_GT(flip_matches, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -539,7 +539,9 @@ std::vector<FactUpdate> DifferentialFacts(const Workspace& ws) {
     if (declared("site")) out.push_back({"site", {s(i)}});
     if (declared("tag") && i != 2) out.push_back({"tag", {s(i)}});
     if (declared("mark") && i % 2 == 1) out.push_back({"mark", {s(i)}});
-    if (declared("val") && i != 1) out.push_back({"val", {s(i), Value::Int(i)}});
+    if (declared("val") && i != 1) {
+      out.push_back({"val", {s(i), Value::Int(i)}});
+    }
     for (int j = 0; j < 4; ++j) {
       const bool edge = (i * 3 + j) % 4 != 0;
       if (declared("pair") && (edge || i == j)) {
