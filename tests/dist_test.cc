@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "crypto/sha1.h"
 #include "dist/cluster.h"
 #include "dist/runtime.h"
 #include "policy/says_policy.h"
@@ -232,28 +233,35 @@ TEST(DistTest, NodeLabels) {
   EXPECT_FALSE(ParseNodeLabel("n1x").ok());
 }
 
-TEST(DistTest, SealOpenRoundTripAllSchemes) {
-  std::vector<std::string> principals = {"a", "b"};
-  policy::CredentialAuthority::Options copts;
-  copts.rsa_bits = 512;
-  copts.seed = "seal-test";
-  policy::CredentialAuthority authority(principals, copts);
+// Principals "a" (node 0) and "b" (node 1) under the "seal-test" authority
+// with 512-bit RSA keys.
+const std::vector<std::string> kSealPrincipals = {"a", "b"};
 
+const policy::CredentialAuthority& SealTestAuthority() {
+  static const policy::CredentialAuthority* authority = [] {
+    policy::CredentialAuthority::Options copts;
+    copts.rsa_bits = 512;
+    copts.seed = "seal-test";
+    return new policy::CredentialAuthority(kSealPrincipals, copts);
+  }();
+  return *authority;
+}
+
+std::unique_ptr<NodeRuntime> SealTestNode(net::NodeIndex index,
+                                          AuthScheme auth, EncScheme enc) {
+  NodeRuntime::Config cfg;
+  cfg.index = index;
+  cfg.principals = kSealPrincipals;
+  cfg.creds = SealTestAuthority().IssueFor(kSealPrincipals[index]).value();
+  cfg.batch_security = {auth, enc};
+  return NodeRuntime::Create(std::move(cfg), Sources(auth, enc)).value();
+}
+
+TEST(DistTest, SealOpenRoundTripAllSchemes) {
   for (auto auth : {AuthScheme::kNone, AuthScheme::kHmac, AuthScheme::kRsa}) {
     for (auto enc : {EncScheme::kNone, EncScheme::kAes}) {
-      auto sources = Sources(auth, enc);
-      NodeRuntime::Config ca;
-      ca.index = 0;
-      ca.principals = principals;
-      ca.creds = authority.IssueFor("a").value();
-      ca.batch_security = {auth, enc};
-      auto node_a = NodeRuntime::Create(std::move(ca), sources).value();
-      NodeRuntime::Config cb;
-      cb.index = 1;
-      cb.principals = principals;
-      cb.creds = authority.IssueFor("b").value();
-      cb.batch_security = {auth, enc};
-      auto node_b = NodeRuntime::Create(std::move(cb), sources).value();
+      auto node_a = SealTestNode(0, auth, enc);
+      auto node_b = SealTestNode(1, auth, enc);
 
       Bytes raw = BytesFromString("payload-for-roundtrip");
       Bytes sealed = node_a->SealForPeer(raw, 1).value();
@@ -266,6 +274,28 @@ TEST(DistTest, SealOpenRoundTripAllSchemes) {
                   std::string::npos);
       }
     }
+  }
+}
+
+// Byte-identity pins for RSA-sealed batches: the signature (PKCS#1 v1.5)
+// and the AES nonce (HMAC of key and plaintext) are deterministic, so a
+// sealed batch is a pure function of the credentials and the payload.
+TEST(DistTest, RsaSealedBatchesKnownAnswers) {
+  const Bytes raw = BytesFromString("payload-for-roundtrip");
+  struct Case {
+    EncScheme enc;
+    size_t overhead;  // 64-byte signature, plus the 16-byte nonce with AES
+    const char* sealed_sha1;
+  };
+  for (const Case& c :
+       {Case{EncScheme::kNone, 64, "2dc155eb63f9e4d5d8c9ad3e0852d621ae9ff37c"},
+        Case{EncScheme::kAes, 80,
+             "f2d74d24699243ff6df4d2c6bf55b6b22227f602"}}) {
+    Bytes sealed =
+        SealTestNode(0, AuthScheme::kRsa, c.enc)->SealForPeer(raw, 1).value();
+    EXPECT_EQ(sealed.size(), raw.size() + c.overhead);
+    EXPECT_EQ(ToHex(crypto::Sha1Digest(sealed)), c.sealed_sha1)
+        << BatchSecurity{AuthScheme::kRsa, c.enc}.Name();
   }
 }
 

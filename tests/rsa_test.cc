@@ -1,9 +1,11 @@
-// RSA keygen / sign / verify, tamper rejection, and DRBG determinism.
+// RSA keygen / sign / verify, tamper rejection, known answers, and DRBG
+// determinism.
 #include <gtest/gtest.h>
 
 #include "common/bytes.h"
 #include "crypto/hmac_drbg.h"
 #include "crypto/rsa.h"
+#include "crypto/sha1.h"
 
 namespace secureblox::crypto {
 namespace {
@@ -123,6 +125,39 @@ TEST(RsaTest, PaperKeySize1024) {
   EXPECT_TRUE(RsaVerify(k.pub, msg, sig));
   sig[64] ^= 1;
   EXPECT_FALSE(RsaVerify(k.pub, msg, sig));
+}
+
+// Byte-identity pins: keys and signatures from fixed DRBG seeds are part of
+// the wire contract (PKCS#1 v1.5 is deterministic), so any change to the
+// bignum arithmetic must reproduce them bit for bit. Pinned as SHA-1 digests
+// of the big-endian encodings.
+TEST(RsaTest, KnownAnswers) {
+  struct Case {
+    size_t bits;
+    const char* seed;
+    const char* n_sha1;
+    const char* d_sha1;
+    const char* sig_sha1;
+  };
+  const Case cases[] = {
+      {512, "kat-512", "35be58125c4a9f8f6cf5e293bb60619ec83cabec",
+       "87873512732225c5c0579dbed13b7206add14a56",
+       "6240d3b39264b6cea8f7a78cf203945af3d4712b"},
+      {1024, "kat-1024", "3e19afea9327f1b9b952b6b2be54ad5fdcc3c674",
+       "4f206273c1f643dced2baa9827f0ecf0ed0f4eeb",
+       "aa23747bc46e8fe20a13a214e81503701c212d00"},
+  };
+  const Bytes msg = B("path advertisement");
+  for (const Case& c : cases) {
+    HmacDrbg drbg(B(c.seed));
+    RsaKeyPair k =
+        RsaGenerateKeyPair(c.bits, [&] { return drbg.NextU32(); }).value();
+    EXPECT_EQ(ToHex(Sha1Digest(k.pub.n.ToBytes())), c.n_sha1) << c.seed;
+    EXPECT_EQ(ToHex(Sha1Digest(k.d.ToBytes())), c.d_sha1) << c.seed;
+    Bytes sig = RsaSign(k, msg).value();
+    EXPECT_EQ(ToHex(Sha1Digest(sig)), c.sig_sha1) << c.seed;
+    EXPECT_TRUE(RsaVerify(k.pub, msg, sig)) << c.seed;
+  }
 }
 
 TEST(RsaTest, RejectsBadKeySizeRequests) {
