@@ -1,5 +1,6 @@
 #include "crypto/bignum.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -303,126 +304,109 @@ uint32_t BigNum::ModU32(const BigNum& a, uint32_t m) {
 
 namespace {
 
-// Montgomery arithmetic modulo an odd n (word base 2^32).
-// Represents x as xR mod n with R = 2^(32*k); multiplication uses the
-// CIOS reduction, avoiding per-step long division.
+using u128 = unsigned __int128;
+
+// Montgomery arithmetic modulo an odd n of at most 64 * kMaxLimbs bits.
+// Represents x as xR mod n with R = 2^(64*k) over k 64-bit limbs; products
+// use CIOS (Koc, Acar and Kaliski, IEEE Micro 1996) with 128-bit
+// intermediates. Operands are caller-owned arrays of k limbs, so no product
+// allocates.
 class Montgomery {
  public:
-  explicit Montgomery(const BigNum& n) : n_(n.limbs()), k_(n.limbs().size()) {
-    // n0inv = -n^-1 mod 2^32 via Newton iteration.
-    uint32_t x = 1;
-    for (int i = 0; i < 5; ++i) {
-      x *= 2 - n_[0] * x;
-    }
-    n0inv_ = ~x + 1;  // negate mod 2^32
-    // R^2 mod n, computed by repeated doubling (2*32*k doublings of 1).
-    BigNum r2 = BigNum::FromU64(1);
-    for (size_t i = 0; i < 64 * k_; ++i) {
-      r2 = BigNum::Add(r2, r2);
-      if (BigNum::Cmp(r2, n) >= 0) r2 = BigNum::Sub(r2, n);
-    }
-    r2_ = ToWords(r2);
+  static constexpr size_t kMaxLimbs = 64;
+
+  explicit Montgomery(const BigNum& n) : k_((n.limbs().size() + 1) / 2) {
+    Load(n, n_);
+    // n0inv = -n^-1 mod 2^64 by Newton iteration: an odd n is its own
+    // inverse mod 8, and each step doubles the correct low bits.
+    uint64_t x = n_[0];
+    for (int i = 0; i < 5; ++i) x *= 2 - n_[0] * x;
+    n0inv_ = ~x + 1;
   }
 
-  std::vector<uint32_t> ToWords(const BigNum& v) const {
-    std::vector<uint32_t> out = v.limbs();
-    out.resize(k_, 0);
-    return out;
+  size_t limbs() const { return k_; }
+
+  // The low k limbs of v.
+  void Load(const BigNum& v, uint64_t* out) const {
+    const std::vector<uint32_t>& w = v.limbs();
+    for (size_t i = 0; i < k_; ++i) {
+      uint64_t lo = 2 * i < w.size() ? w[2 * i] : 0;
+      uint64_t hi = 2 * i + 1 < w.size() ? w[2 * i + 1] : 0;
+      out[i] = lo | hi << 32;
+    }
   }
 
-  // Montgomery product: a * b * R^-1 mod n (CIOS).
-  std::vector<uint32_t> Mul(const std::vector<uint32_t>& a,
-                            const std::vector<uint32_t>& b) const {
-    std::vector<uint32_t> t(k_ + 2, 0);
+  // out = a * b * R^-1 mod n for a, b < n. out may alias a or b.
+  void Mul(const uint64_t* a, const uint64_t* b, uint64_t* out) const {
+    uint64_t t[kMaxLimbs + 2];
+    for (size_t j = 0; j <= k_; ++j) t[j] = 0;
     for (size_t i = 0; i < k_; ++i) {
       // t += a[i] * b
       uint64_t carry = 0;
-      uint64_t ai = a[i];
       for (size_t j = 0; j < k_; ++j) {
-        uint64_t cur = t[j] + ai * b[j] + carry;
-        t[j] = static_cast<uint32_t>(cur);
-        carry = cur >> 32;
+        u128 cur = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
+        t[j] = static_cast<uint64_t>(cur);
+        carry = static_cast<uint64_t>(cur >> 64);
       }
-      uint64_t cur = t[k_] + carry;
-      t[k_] = static_cast<uint32_t>(cur);
-      t[k_ + 1] += static_cast<uint32_t>(cur >> 32);
+      u128 top = static_cast<u128>(t[k_]) + carry;
+      t[k_] = static_cast<uint64_t>(top);
+      t[k_ + 1] = static_cast<uint64_t>(top >> 64);
 
-      // m = t[0] * n0inv mod 2^32; t += m * n; t >>= 32
-      uint32_t m = t[0] * n0inv_;
-      carry = 0;
-      uint64_t m64 = m;
-      uint64_t first = t[0] + m64 * n_[0];
-      carry = first >> 32;
+      // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
+      uint64_t m = t[0] * n0inv_;
+      carry = static_cast<uint64_t>((static_cast<u128>(m) * n_[0] + t[0]) >> 64);
       for (size_t j = 1; j < k_; ++j) {
-        uint64_t c2 = t[j] + m64 * n_[j] + carry;
-        t[j - 1] = static_cast<uint32_t>(c2);
-        carry = c2 >> 32;
+        u128 cur = static_cast<u128>(m) * n_[j] + t[j] + carry;
+        t[j - 1] = static_cast<uint64_t>(cur);
+        carry = static_cast<uint64_t>(cur >> 64);
       }
-      uint64_t c3 = t[k_] + carry;
-      t[k_ - 1] = static_cast<uint32_t>(c3);
-      uint64_t c4 = t[k_ + 1] + (c3 >> 32);
-      t[k_] = static_cast<uint32_t>(c4);
-      t[k_ + 1] = static_cast<uint32_t>(c4 >> 32);
+      top = static_cast<u128>(t[k_]) + carry;
+      t[k_ - 1] = static_cast<uint64_t>(top);
+      t[k_] = t[k_ + 1] + static_cast<uint64_t>(top >> 64);
     }
-    t.resize(k_ + 1);
-    // Conditional subtraction to bring into [0, n).
-    if (GeModulus(t)) SubModulus(&t);
-    t.resize(k_);
-    return t;
-  }
-
-  std::vector<uint32_t> ToMont(const std::vector<uint32_t>& a) const {
-    return Mul(a, r2_);
-  }
-  std::vector<uint32_t> One() const {
-    std::vector<uint32_t> one(k_, 0);
-    one[0] = 1;
-    return ToMont(one);
-  }
-  // Convert out of Montgomery form: x * R^-1 mod n.
-  std::vector<uint32_t> FromMont(const std::vector<uint32_t>& a) const {
-    std::vector<uint32_t> one(k_, 0);
-    one[0] = 1;
-    return Mul(a, one);
+    // t < 2n, so one conditional subtraction brings it into [0, n).
+    if (t[k_] != 0 || !BelowModulus(t)) SubModulus(t);
+    std::copy(t, t + k_, out);
   }
 
  private:
-  bool GeModulus(const std::vector<uint32_t>& t) const {
-    if (t.size() > k_ && t[k_] != 0) return true;
+  bool BelowModulus(const uint64_t* t) const {
     for (size_t i = k_; i-- > 0;) {
-      if (t[i] != n_[i]) return t[i] > n_[i];
+      if (t[i] != n_[i]) return t[i] < n_[i];
     }
-    return true;  // equal counts as >=
+    return false;
   }
-  void SubModulus(std::vector<uint32_t>* t) const {
-    int64_t borrow = 0;
+  // t -= n over k limbs; the borrow out of the top limb cancels t[k].
+  void SubModulus(uint64_t* t) const {
+    uint64_t borrow = 0;
     for (size_t i = 0; i < k_; ++i) {
-      int64_t diff = static_cast<int64_t>((*t)[i]) - n_[i] - borrow;
-      borrow = diff < 0;
-      if (diff < 0) diff += 1LL << 32;
-      (*t)[i] = static_cast<uint32_t>(diff);
-    }
-    if (t->size() > k_) {
-      (*t)[k_] = static_cast<uint32_t>((*t)[k_] - borrow);
+      u128 diff = static_cast<u128>(t[i]) - n_[i] - borrow;
+      t[i] = static_cast<uint64_t>(diff);
+      borrow = static_cast<uint64_t>(diff >> 64) & 1;
     }
   }
 
-  std::vector<uint32_t> n_;
   size_t k_;
-  uint32_t n0inv_;
-  std::vector<uint32_t> r2_;
+  uint64_t n0inv_;
+  uint64_t n_[kMaxLimbs];
 };
 
-BigNum FromWords(std::vector<uint32_t> words) {
-  // Rebuild via bytes to reuse normalization.
-  Bytes be;
-  for (size_t i = words.size(); i-- > 0;) {
-    be.push_back(static_cast<uint8_t>(words[i] >> 24));
-    be.push_back(static_cast<uint8_t>(words[i] >> 16));
-    be.push_back(static_cast<uint8_t>(words[i] >> 8));
-    be.push_back(static_cast<uint8_t>(words[i]));
-  }
-  return BigNum::FromBytes(be);
+constexpr size_t kMaxWindow = 5;
+
+// Width of the fixed exponent windows: a wider window saves products per
+// exponent bit but costs 2^w - 2 products to build its table.
+size_t WindowBits(size_t exp_bits) {
+  if (exp_bits > 239) return 5;
+  if (exp_bits > 79) return 4;
+  if (exp_bits > 23) return 3;
+  return 1;
+}
+
+// Bits [pos, pos + width) of e.
+uint32_t ExpWindow(const BigNum& e, size_t pos, size_t width) {
+  uint32_t v = 0;
+  for (size_t i = width; i-- > 0;) v = v << 1 | e.Bit(pos + i);
+  return v;
 }
 
 }  // namespace
@@ -432,19 +416,48 @@ BigNum BigNum::ModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
   if (m == FromU64(1)) return BigNum();
   if (exp.IsZero()) return FromU64(1);
 
-  if (m.IsOdd() && m.limbs().size() >= 2) {
-    // Montgomery ladder (square-and-multiply over Montgomery residues).
-    Montgomery mont(m);
-    std::vector<uint32_t> b = mont.ToMont(mont.ToWords(Mod(base, m)));
-    std::vector<uint32_t> acc = mont.One();
-    for (size_t i = exp.BitLength(); i-- > 0;) {
-      acc = mont.Mul(acc, acc);
-      if (exp.Bit(i)) acc = mont.Mul(acc, b);
+  if (m.IsOdd() && m.BitLength() <= 64 * Montgomery::kMaxLimbs) {
+    // Fixed-window square-and-multiply over Montgomery residues.
+    const Montgomery mont(m);
+    const size_t k = mont.limbs();
+    const size_t bits = exp.BitLength();
+    const size_t w = WindowBits(bits);
+    // Slot v (v >= 1) of the table holds base^v R mod n.
+    uint64_t table[(size_t{1} << kMaxWindow) * Montgomery::kMaxLimbs];
+    uint64_t acc[Montgomery::kMaxLimbs];
+    uint64_t* b = table + k;
+    mont.Load(Mod(base, m), b);
+    mont.Load(Mod(FromU64(1).ShiftLeft(128 * k), m), acc);  // R^2 mod n
+    mont.Mul(b, acc, b);
+    for (size_t v = 2; v < (size_t{1} << w); ++v) {
+      mont.Mul(table + (v - 1) * k, b, table + v * k);
     }
-    return FromWords(mont.FromMont(acc));
+
+    // Windows lie on a grid from bit 0. The leading one holds the top set
+    // bit, so it is never zero and seeds the accumulator.
+    size_t pos = (bits - 1) / w * w;
+    const uint64_t* lead = table + ExpWindow(exp, pos, bits - pos) * k;
+    std::copy(lead, lead + k, acc);
+    while (pos > 0) {
+      pos -= w;
+      for (size_t s = 0; s < w; ++s) mont.Mul(acc, acc, acc);
+      if (uint32_t v = ExpWindow(exp, pos, w)) mont.Mul(acc, table + v * k, acc);
+    }
+    // Out of Montgomery form: acc * 1 * R^-1.
+    uint64_t one[Montgomery::kMaxLimbs] = {1};
+    mont.Mul(acc, one, acc);
+
+    BigNum result;
+    result.limbs_.resize(2 * k);
+    for (size_t i = 0; i < k; ++i) {
+      result.limbs_[2 * i] = static_cast<uint32_t>(acc[i]);
+      result.limbs_[2 * i + 1] = static_cast<uint32_t>(acc[i] >> 32);
+    }
+    result.Normalize();
+    return result;
   }
 
-  // Fallback: division-based square-and-multiply (even or tiny moduli).
+  // Fallback: division-based square-and-multiply (even or oversized moduli).
   BigNum result = FromU64(1);
   BigNum b = Mod(base, m);
   size_t bits = exp.BitLength();

@@ -1,9 +1,13 @@
 // Arbitrary-precision unsigned integers for RSA.
 //
-// Little-endian 32-bit limbs with 64-bit intermediates. Division uses Knuth
-// TAOCP vol. 2 Algorithm D so that 1024-bit modular exponentiation stays in
-// the low-millisecond range, comparable to the 2010-era hardware the paper
-// benchmarks on.
+// Values are little-endian 32-bit limbs with 64-bit intermediates; division
+// is Knuth TAOCP vol. 2 Algorithm D. ModExp on an odd modulus runs fixed-
+// window exponentiation over 64-bit Montgomery residues (CIOS products with
+// 128-bit intermediates, no allocation per product).
+//
+// Nothing here is constant-time: ModExp's running time and memory accesses
+// depend on the exponent's bits (the window table is indexed by them), so
+// it offers no protection against timing or cache side channels.
 #ifndef SECUREBLOX_CRYPTO_BIGNUM_H_
 #define SECUREBLOX_CRYPTO_BIGNUM_H_
 
@@ -63,9 +67,10 @@ class BigNum {
   BigNum ShiftLeft(size_t bits) const;
   BigNum ShiftRight(size_t bits) const;
 
-  /// (base ^ exp) mod m. Uses Montgomery multiplication for odd moduli
-  /// (the RSA case) and falls back to division-based square-and-multiply
-  /// otherwise. Requires !m.IsZero().
+  /// (base ^ exp) mod m. Uses windowed Montgomery exponentiation for odd
+  /// moduli of up to 4096 bits (the RSA case) and falls back to
+  /// division-based square-and-multiply otherwise. Not constant-time.
+  /// Requires !m.IsZero().
   static BigNum ModExp(const BigNum& base, const BigNum& exp, const BigNum& m);
 
   static BigNum Gcd(BigNum a, BigNum b);

@@ -189,22 +189,49 @@ TEST(BigNumTest, ModExpMatchesNaive) {
   }
 }
 
+// Reference for ModExp's Montgomery path: left-to-right square-and-multiply
+// with a full division after every product.
+BigNum ReferenceModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
+  BigNum result = BigNum::Mod(BigNum::FromU64(1), m);
+  BigNum b = BigNum::Mod(base, m);
+  for (size_t i = exp.BitLength(); i-- > 0;) {
+    result = BigNum::Mod(BigNum::Mul(result, result), m);
+    if (exp.Bit(i)) result = BigNum::Mod(BigNum::Mul(result, b), m);
+  }
+  return result;
+}
+
 TEST(BigNumTest, MontgomeryMatchesDivisionModExp) {
-  // ModExp dispatches to Montgomery for odd multi-limb moduli; verify it
-  // against the identity a^(e1+e2) = a^e1 * a^e2 and against known values
-  // computed via the division fallback (even modulus forces the fallback).
+  // Odd moduli on both sides of 64-bit limb boundaries (1 to 17 limbs, and
+  // 32); exponents on both sides of every window-width threshold (23/24,
+  // 79/80 and 239/240 bits), with lengths that are and are not multiples of
+  // the window; bases at the edges of [0, m] and one twice m's length.
   Xoshiro256 rng(51);
   auto word = [&] { return static_cast<uint32_t>(rng.Next()); };
-  for (int iter = 0; iter < 10; ++iter) {
-    BigNum m = BigNum::RandomBits(160, word);
-    if (!m.IsOdd()) m = BigNum::Add(m, BigNum::FromU64(1));
-    BigNum a = BigNum::Mod(BigNum::RandomBits(150, word), m);
-    BigNum e1 = BigNum::RandomBits(40, word);
-    BigNum e2 = BigNum::RandomBits(40, word);
-    BigNum lhs = BigNum::ModExp(a, BigNum::Add(e1, e2), m);
-    BigNum rhs = BigNum::Mod(
-        BigNum::Mul(BigNum::ModExp(a, e1, m), BigNum::ModExp(a, e2, m)), m);
-    EXPECT_EQ(lhs, rhs) << "iter " << iter;
+  const BigNum one = BigNum::FromU64(1);
+  std::vector<BigNum> exps = {BigNum(), one, BigNum::FromU64(2),
+                              BigNum::FromU64(65537)};
+  for (size_t bits : {23u, 24u, 79u, 80u, 239u, 240u, 512u, 1024u}) {
+    exps.push_back(BigNum::RandomBits(bits, word));
+  }
+  for (size_t m_bits : {33u, 63u, 64u, 65u, 96u, 127u, 128u, 129u, 255u, 256u,
+                        257u, 511u, 512u, 513u, 1023u, 1024u, 1025u, 2048u}) {
+    BigNum m = BigNum::RandomBits(m_bits, word);
+    if (!m.IsOdd()) m = BigNum::Add(m, one);
+    const BigNum bases[] = {BigNum(),
+                            one,
+                            BigNum::Sub(m, one),
+                            m,
+                            BigNum::Add(m, one),
+                            BigNum::RandomBits(2 * m_bits, word)};
+    for (const BigNum& e : exps) {
+      for (size_t i = 0; i < std::size(bases); ++i) {
+        EXPECT_EQ(BigNum::ModExp(bases[i], e, m),
+                  ReferenceModExp(bases[i], e, m))
+            << m_bits << "-bit modulus, " << e.BitLength()
+            << "-bit exponent, base " << i;
+      }
+    }
   }
 }
 
