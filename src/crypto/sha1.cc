@@ -79,16 +79,17 @@ void Sha1::Update(const uint8_t* data, size_t len) {
 
 Bytes Sha1::Finish() {
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0x00;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    // No room left for the length suffix: zero-fill and start a new block.
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  // Bypass total_len_ bookkeeping for the length suffix.
-  std::memcpy(buffer_ + buffer_len_, len_bytes, 8);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  }
   ProcessBlock(buffer_);
   buffer_len_ = 0;
 
