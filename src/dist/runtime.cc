@@ -291,8 +291,8 @@ Result<std::vector<NodeRuntime::Outgoing>> NodeRuntime::CollectOutgoing(
         if (e.pred == pred_name) entry = &e;
       }
       if (entry == nullptr) {
-        batch.entries.push_back({pred_name, {}});
-        entry = &batch.entries.back();
+        entry = &batch.entries.emplace_back();
+        entry->pred = pred_name;
       }
       entry->tuples.push_back(t);
     }

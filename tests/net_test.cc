@@ -60,9 +60,14 @@ TEST(WireTest, BatchRoundTrip) {
   batch.entries.push_back(
       {"says$reachable",
        WireEntryKind::kFacts,
-       {{p, p, Value::Int(1)}, {p, p, Value::Int(2)}}});
-  batch.entries.push_back(
-      {"export", WireEntryKind::kFacts, {{p, Value::MakeBlob({1, 2, 3})}}});
+       {{p, p, Value::Int(1)}, {p, p, Value::Int(2)}},
+       {},
+       {}});
+  batch.entries.push_back({"export",
+                           WireEntryKind::kFacts,
+                           {{p, Value::MakeBlob({1, 2, 3})}},
+                           {},
+                           {}});
 
   Bytes data = EncodeBatch(batch, catalog).value();
   WireBatch back = DecodeBatch(data, &catalog).value();
@@ -77,7 +82,8 @@ TEST(WireTest, BatchRoundTrip) {
 TEST(WireTest, DecodeRejectsCorruption) {
   Catalog catalog;
   WireBatch batch;
-  batch.entries.push_back({"p", WireEntryKind::kFacts, {{Value::Int(7)}}});
+  batch.entries.push_back(
+      {"p", WireEntryKind::kFacts, {{Value::Int(7)}}, {}, {}});
   Bytes data = EncodeBatch(batch, catalog).value();
 
   Bytes bad_magic = data;
@@ -152,7 +158,9 @@ TEST(SimNetTest, FifoTieBreakAtEqualTimes) {
   uint64_t last_seq = 0;
   for (int i = 0; i < 5; ++i) {
     auto d = net.PopNext().value();
-    if (i > 0) EXPECT_GT(d.seq, last_seq);
+    if (i > 0) {
+      EXPECT_GT(d.seq, last_seq);
+    }
     last_seq = d.seq;
   }
 }

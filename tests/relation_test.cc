@@ -674,7 +674,9 @@ TEST(ColumnarRelationTest, SortedRunsStaleAfterEraseChurnAndRewarm) {
   }
   // Erase-then-rewarm round two: the stamp keeps pace with every bump.
   for (int64_t i = 0; i < 80; i += 7) {
-    if (r.Contains(Mixed(i % 11, i))) ASSERT_TRUE(r.Erase(Mixed(i % 11, i)));
+    if (r.Contains(Mixed(i % 11, i))) {
+      ASSERT_TRUE(r.Erase(Mixed(i % 11, i)));
+    }
   }
   EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 2), nullptr);
   r.EnsureSortedRuns(2);
