@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the test suite, and smoke the
-# engine microbenchmarks plus one figure harness in quick mode.
+# engine and RSA microbenchmarks plus one figure harness in quick mode.
 #
 #   scripts/check.sh [build-dir]
 set -euo pipefail
@@ -40,6 +40,15 @@ SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
 if [ -x "$build/micro_delete" ]; then
   "$build/micro_delete" --benchmark_min_time=0.01 \
       --benchmark_filter='BM_(CountingDeleteFlat|RecursiveCountingDelete|RecursiveRingRecompute)'
+fi
+# Crypto smoke: RSA sign and verify at 512 and 1024 bits, the cost of every
+# RSA seal and open, recorded so the trajectory is tracked.
+if [ -x "$build/micro_crypto" ]; then
+  "$build/micro_crypto" --benchmark_min_time=0.05 \
+      --benchmark_filter='BM_Rsa(Sign|Verify)' \
+      --benchmark_out="$build/BENCH_crypto.json" \
+      --benchmark_out_format=json
+  echo "wrote $build/BENCH_crypto.json"
 fi
 SB_QUICK=1 SB_MAX_NODES=6 "$build/fig04_fixpoint_latency"
 
