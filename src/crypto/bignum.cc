@@ -354,7 +354,8 @@ class Montgomery {
 
       // t = (t + m * n) / 2^64, with m chosen so the low limb cancels.
       uint64_t m = t[0] * n0inv_;
-      carry = static_cast<uint64_t>((static_cast<u128>(m) * n_[0] + t[0]) >> 64);
+      u128 low = static_cast<u128>(m) * n_[0] + t[0];
+      carry = static_cast<uint64_t>(low >> 64);
       for (size_t j = 1; j < k_; ++j) {
         u128 cur = static_cast<u128>(m) * n_[j] + t[j] + carry;
         t[j - 1] = static_cast<uint64_t>(cur);
@@ -427,7 +428,8 @@ BigNum BigNum::ModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
     uint64_t acc[Montgomery::kMaxLimbs];
     uint64_t* b = table + k;
     mont.Load(Mod(base, m), b);
-    mont.Load(Mod(FromU64(1).ShiftLeft(128 * k), m), acc);  // R^2 mod n
+    // Into Montgomery form: b * R^2 * R^-1, with R^2 mod n held in acc.
+    mont.Load(Mod(FromU64(1).ShiftLeft(128 * k), m), acc);
     mont.Mul(b, acc, b);
     for (size_t v = 2; v < (size_t{1} << w); ++v) {
       mont.Mul(table + (v - 1) * k, b, table + v * k);
@@ -441,7 +443,8 @@ BigNum BigNum::ModExp(const BigNum& base, const BigNum& exp, const BigNum& m) {
     while (pos > 0) {
       pos -= w;
       for (size_t s = 0; s < w; ++s) mont.Mul(acc, acc, acc);
-      if (uint32_t v = ExpWindow(exp, pos, w)) mont.Mul(acc, table + v * k, acc);
+      const uint32_t v = ExpWindow(exp, pos, w);
+      if (v != 0) mont.Mul(acc, table + v * k, acc);
     }
     // Out of Montgomery form: acc * 1 * R^-1.
     uint64_t one[Montgomery::kMaxLimbs] = {1};
