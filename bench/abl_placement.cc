@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/strings.h"
 #include "datalog/value.h"
 #include "dist/cluster.h"
 #include "engine/workspace.h"
@@ -58,7 +59,7 @@ Workload TheWorkload() {
   return {360, 16};
 }
 
-std::string Chain(size_t i) { return "c" + std::to_string(i); }
+std::string Chain(size_t i) { return StrCat({"c", std::to_string(i)}); }
 
 std::string Key(size_t i) {
   char buf[48];

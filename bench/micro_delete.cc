@@ -1,11 +1,12 @@
 // Microbenchmarks for counting-based incremental deletion: deleting one
 // base fact from a large derived database must cost work proportional to
 // the affected tuples, not the database size. The reported counters come
-// from FixpointStats — `seeded` staying flat (zero off cycles) as N grows
-// is the difference from the old over-delete-and-rederive engine, which
-// replayed every derived tuple on every delete.
+// from FixpointStats — `seeded` staying at zero as N grows, on cycles
+// too, is the difference from the old over-delete-and-rederive engine,
+// which replayed every derived tuple on every delete.
 #include <benchmark/benchmark.h>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/workspace.h"
 
@@ -29,16 +30,17 @@ void BM_CountingDeleteFlat(benchmark::State& state) {
   std::vector<FactUpdate> inserts;
   for (int64_t i = 0; i < n; ++i) {
     inserts.push_back({"pair",
-                       {Value::Str("k" + std::to_string(i)),
-                        Value::Str("v" + std::to_string(i))}});
+                       {Value::Str(StrCat({"k", std::to_string(i)})),
+                        Value::Str(StrCat({"v", std::to_string(i)}))}});
   }
   (void)ws.Apply(inserts);
 
   uint64_t retract_firings = 0, seeded = 0, deleted = 0;
   int64_t victim = 0;
   for (auto _ : state) {
-    std::vector<Value> fact = {Value::Str("k" + std::to_string(victim)),
-                               Value::Str("v" + std::to_string(victim))};
+    std::vector<Value> fact = {
+        Value::Str(StrCat({"k", std::to_string(victim)})),
+        Value::Str(StrCat({"v", std::to_string(victim)}))};
     auto del = ws.Apply({}, {{"pair", fact}});
     benchmark::DoNotOptimize(del);
     retract_firings += del->fixpoint.retract_firings;
@@ -76,24 +78,25 @@ void LoadClosure(Workspace* ws, int64_t n, bool ring) {
   std::vector<FactUpdate> inserts;
   for (int64_t i = 0; i < n; ++i) {
     inserts.push_back({"pair",
-                       {Value::Str("k" + std::to_string(i)),
-                        Value::Str("v" + std::to_string(i))}});
+                       {Value::Str(StrCat({"k", std::to_string(i)})),
+                        Value::Str(StrCat({"v", std::to_string(i)}))}});
   }
   for (int64_t i = 0; i < chain; ++i) {
     inserts.push_back({"link",
-                       {Value::Str("c" + std::to_string(i)),
-                        Value::Str("c" + std::to_string(i + 1))}});
+                       {Value::Str(StrCat({"c", std::to_string(i)})),
+                        Value::Str(StrCat({"c", std::to_string(i + 1)}))}});
   }
   if (ring) {
-    inserts.push_back(
-        {"link", {Value::Str("c" + std::to_string(chain)), Value::Str("c0")}});
+    inserts.push_back({"link",
+                       {Value::Str(StrCat({"c", std::to_string(chain)})),
+                        Value::Str("c0")}});
   }
   (void)ws->Apply(inserts);
 }
 
 // Deletes and re-inserts link c5 -> c6, reporting the delete's counters.
 void ChurnClosureEdge(benchmark::State& state, Workspace& ws) {
-  uint64_t seeded = 0, rederives = 0, deleted = 0;
+  uint64_t seeded = 0, rederives = 0, deleted = 0, proved = 0, disproved = 0;
   for (auto _ : state) {
     std::vector<Value> edge = {Value::Str("c5"), Value::Str("c6")};
     auto del = ws.Apply({}, {{"link", edge}});
@@ -101,12 +104,16 @@ void ChurnClosureEdge(benchmark::State& state, Workspace& ws) {
     seeded += del->fixpoint.rederive_seeded;
     rederives += del->fixpoint.group_rederives;
     deleted += del->fixpoint.deleted;
+    proved += del->fixpoint.suspects_proved;
+    disproved += del->fixpoint.suspects_disproved;
     (void)ws.Apply({{"link", edge}});
   }
   const double iters = static_cast<double>(state.iterations());
   state.counters["seeded/iter"] = static_cast<double>(seeded) / iters;
   state.counters["rederives/iter"] = static_cast<double>(rederives) / iters;
   state.counters["deleted/iter"] = static_cast<double>(deleted) / iters;
+  state.counters["proved/iter"] = static_cast<double>(proved) / iters;
+  state.counters["disproved/iter"] = static_cast<double>(disproved) / iters;
 }
 
 // A delete from an acyclic chain retracts by counting through the
@@ -122,15 +129,16 @@ BENCHMARK(BM_RecursiveCountingDelete)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 // The same chain closed into a ring: survivors may rest on the cycle, so
-// the delete recomputes the cluster (rederives/iter 1), and the reseed
-// stays inside the (small, fixed-size) closure group's inputs while the
-// unrelated predicate family grows with N.
-void BM_RecursiveRingRecompute(benchmark::State& state) {
+// the cascade leaves suspects, and the proof search settles them with no
+// recompute (rederives/iter and seeded/iter 0; proved/iter and
+// disproved/iter count them) while the unrelated predicate family grows
+// with N.
+void BM_RecursiveRingDelete(benchmark::State& state) {
   Workspace ws;
   LoadClosure(&ws, state.range(0), /*ring=*/true);
   ChurnClosureEdge(state, ws);
 }
-BENCHMARK(BM_RecursiveRingRecompute)->Arg(256)->Arg(1024)->Arg(4096)
+BENCHMARK(BM_RecursiveRingDelete)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 // Sanity: a delete whose cascade really is large costs proportionally to
@@ -146,8 +154,9 @@ void BM_CountingDeleteCascade(benchmark::State& state) {
   )").value());
   std::vector<FactUpdate> inserts = {{"hub", {Value::Str("h")}}};
   for (int64_t i = 0; i < fan; ++i) {
-    inserts.push_back(
-        {"spoke", {Value::Str("h"), Value::Str("s" + std::to_string(i))}});
+    inserts.push_back({"spoke",
+                       {Value::Str("h"),
+                        Value::Str(StrCat({"s", std::to_string(i)}))}});
   }
   (void)ws.Apply(inserts);
 

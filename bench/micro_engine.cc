@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/kernels.h"
 #include "engine/workspace.h"
@@ -34,8 +35,8 @@ void BM_TransitiveClosureChain(benchmark::State& state) {
     std::vector<FactUpdate> links;
     for (int64_t i = 0; i + 1 < n; ++i) {
       links.push_back({"link",
-                       {Value::Str("v" + std::to_string(i)),
-                        Value::Str("v" + std::to_string(i + 1))}});
+                       {Value::Str(StrCat({"v", std::to_string(i)})),
+                        Value::Str(StrCat({"v", std::to_string(i + 1)}))}});
     }
     auto commit = ws.Apply(links);
     benchmark::DoNotOptimize(commit);
@@ -52,14 +53,15 @@ void BM_IncrementalInsert(benchmark::State& state) {
   // incremental maintenance).
   int64_t next = 0;
   for (int64_t i = 0; i < 64; ++i) {
-    (void)ws.Insert("link", {Value::Str("w" + std::to_string(i)),
-                             Value::Str("w" + std::to_string(i + 1))});
+    (void)ws.Insert("link", {Value::Str(StrCat({"w", std::to_string(i)})),
+                             Value::Str(StrCat({"w", std::to_string(i + 1)}))});
     next = i + 1;
   }
   for (auto _ : state) {
-    auto commit = ws.Apply({{"link",
-                             {Value::Str("w" + std::to_string(next)),
-                              Value::Str("w" + std::to_string(next + 1))}}});
+    auto commit = ws.Apply(
+        {{"link",
+          {Value::Str(StrCat({"w", std::to_string(next)})),
+           Value::Str(StrCat({"w", std::to_string(next + 1)}))}}});
     benchmark::DoNotOptimize(commit);
     ++next;
   }
@@ -77,7 +79,7 @@ void BM_ConstraintCheckedInsert(benchmark::State& state) {
   int64_t i = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    std::string src = "a" + std::to_string(i++);
+    std::string src = StrCat({"a", std::to_string(i++)});
     (void)ws.Insert("allowed", {Value::Str(src)});
     state.ResumeTiming();
     auto commit = ws.Apply({{"link", {Value::Str(src), Value::Str("dst")}}});
@@ -96,7 +98,7 @@ void BM_AggregateMaintenance(benchmark::State& state) {
   int64_t i = 0;
   for (auto _ : state) {
     auto commit = ws.Apply({{"sale",
-                             {Value::Str("k" + std::to_string(i % 10)),
+                             {Value::Str(StrCat({"k", std::to_string(i % 10)})),
                               Value::Int(i)}}});
     benchmark::DoNotOptimize(commit);
     ++i;
@@ -112,7 +114,7 @@ void BM_FixpointDependencyIndex(benchmark::State& state) {
   const int64_t idle = state.range(0);
   std::string src(kTcProgram);
   for (int64_t i = 0; i < idle; ++i) {
-    std::string p = "aux" + std::to_string(i);
+    std::string p = StrCat({"aux", std::to_string(i)});
     src += p + "(X) -> int(X).\n";
     src += p + "_d(X) -> int(X).\n";
     src += p + "_d(X) <- " + p + "(X).\n";
@@ -121,14 +123,15 @@ void BM_FixpointDependencyIndex(benchmark::State& state) {
   (void)ws.Install(Parse(src).value());
   int64_t next = 0;
   for (int64_t i = 0; i < 32; ++i) {
-    (void)ws.Insert("link", {Value::Str("w" + std::to_string(i)),
-                             Value::Str("w" + std::to_string(i + 1))});
+    (void)ws.Insert("link", {Value::Str(StrCat({"w", std::to_string(i)})),
+                             Value::Str(StrCat({"w", std::to_string(i + 1)}))});
     next = i + 1;
   }
   for (auto _ : state) {
-    auto commit = ws.Apply({{"link",
-                             {Value::Str("w" + std::to_string(next)),
-                              Value::Str("w" + std::to_string(next + 1))}}});
+    auto commit = ws.Apply(
+        {{"link",
+          {Value::Str(StrCat({"w", std::to_string(next)})),
+           Value::Str(StrCat({"w", std::to_string(next + 1)}))}}});
     benchmark::DoNotOptimize(commit);
     ++next;
   }
@@ -325,7 +328,7 @@ void BM_GenericsExpansion(benchmark::State& state) {
   const int64_t n = state.range(0);
   std::string src = policy::PreludeSource();
   for (int64_t i = 0; i < n; ++i) {
-    std::string p = "pred" + std::to_string(i);
+    std::string p = StrCat({"pred", std::to_string(i)});
     src += p + "(X, Y) -> int(X), int(Y).\n";
     src += "exportable(`" + p + ").\n";
   }

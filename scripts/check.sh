@@ -36,10 +36,10 @@ SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
     -R 'relation_test|parallel_test|engine_test|delete_test'
 # Counting-deletion smoke: per-delete work must not scale with the
 # database (see the seeded/iter and retract_firings/iter counters), on the
-# counting cascade through a recursive group and on a ring's recompute.
+# counting cascade through a recursive group and on a ring's proof search.
 if [ -x "$build/micro_delete" ]; then
   "$build/micro_delete" --benchmark_min_time=0.01 \
-      --benchmark_filter='BM_(CountingDeleteFlat|RecursiveCountingDelete|RecursiveRingRecompute)'
+      --benchmark_filter='BM_(CountingDeleteFlat|RecursiveCountingDelete|RecursiveRingDelete)'
 fi
 # Crypto smoke: RSA sign and verify at 512 and 1024 bits, the cost of every
 # RSA seal and open, recorded so the trajectory is tracked.

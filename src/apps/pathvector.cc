@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "dist/runtime.h"
 
 namespace secureblox::apps {
@@ -139,7 +140,7 @@ Result<PathVectorResult> RunPathVector(const PathVectorConfig& config) {
       config.num_nodes, config.avg_degree, config.graph_seed);
   // Paper: "We distribute initial links to all nodes simultaneously."
   std::vector<std::vector<FactUpdate>> initial(config.num_nodes);
-  auto principal = [](size_t i) { return "p" + std::to_string(i); };
+  auto principal = [](size_t i) { return StrCat({"p", std::to_string(i)}); };
   for (const Edge& e : edges) {
     initial[e.a].push_back(
         {"link", {Value::Str(principal(e.a)), Value::Str(principal(e.b))}});

@@ -4,6 +4,15 @@
 
 namespace secureblox {
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view p : parts) size += p.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view p : parts) out.append(p);
+  return out;
+}
+
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep) {
   std::string out;

@@ -2,10 +2,17 @@
 #ifndef SECUREBLOX_COMMON_STRINGS_H_
 #define SECUREBLOX_COMMON_STRINGS_H_
 
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace secureblox {
+
+/// Concatenate `parts` by appending. Use it for a "literal" + std::string
+/// expression: GCC 12 inlines that operator+ as an insert at the front and
+/// prints a false -Wrestrict for it in optimized builds.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Join `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts,

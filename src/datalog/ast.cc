@@ -52,7 +52,8 @@ std::string Term::ToString() const {
     case TermKind::kVararg:
       return name + "*";
     case TermKind::kArith:
-      return "(" + lhs->ToString() + " " + op + " " + rhs->ToString() + ")";
+      return StrCat({"(", lhs->ToString(), " ", std::string_view(&op, 1), " ",
+                     rhs->ToString(), ")"});
   }
   return "?";
 }
@@ -77,9 +78,9 @@ std::string Atom::ToString() const {
   if (functional) {
     std::string value = parts.back();
     parts.pop_back();
-    out += "[" + Join(parts, ", ") + "] = " + value;
+    out += StrCat({"[", Join(parts, ", "), "] = ", value});
   } else {
-    out += "(" + Join(parts, ", ") + ")";
+    out += StrCat({"(", Join(parts, ", "), ")"});
   }
   return out;
 }

@@ -2,6 +2,8 @@
 
 #include <functional>
 
+#include "common/strings.h"
+
 namespace secureblox::datalog {
 
 const char* ValueKindName(ValueKind kind) {
@@ -67,7 +69,8 @@ std::string Value::ToString() const {
       return "0x" + ToHex(reinterpret_cast<const uint8_t*>(str_.data()),
                           str_.size());
     case ValueKind::kEntity:
-      return "e" + std::to_string(etype_) + "#" + std::to_string(num_);
+      return StrCat(
+          {"e", std::to_string(etype_), "#", std::to_string(num_)});
   }
   return "?";
 }

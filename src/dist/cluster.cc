@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace secureblox::dist {
 
@@ -33,7 +34,7 @@ Result<std::unique_ptr<SimCluster>> SimCluster::Create(Config config) {
   std::unique_ptr<SimCluster> cluster(new SimCluster());
   std::vector<std::string> principals;
   for (size_t i = 0; i < config.num_nodes; ++i) {
-    principals.push_back("p" + std::to_string(i));
+    principals.push_back(StrCat({"p", std::to_string(i)}));
   }
   policy::CredentialAuthority authority(principals, config.credentials);
   for (size_t i = 0; i < config.num_nodes; ++i) {

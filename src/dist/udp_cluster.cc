@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "net/wire.h"
 
 namespace secureblox::dist {
@@ -23,7 +24,7 @@ Result<std::unique_ptr<UdpCluster>> UdpCluster::Create(Config config) {
   std::unique_ptr<UdpCluster> cluster(new UdpCluster());
   std::vector<std::string> principals;
   for (size_t i = 0; i < config.num_nodes; ++i) {
-    principals.push_back("p" + std::to_string(i));
+    principals.push_back(StrCat({"p", std::to_string(i)}));
   }
   policy::CredentialAuthority authority(principals, config.credentials);
   for (size_t i = 0; i < config.num_nodes; ++i) {

@@ -441,6 +441,19 @@ void BuildFlipSteps(const Catalog& catalog, CompiledRule* rule) {
 
 }  // namespace
 
+std::vector<Step> HeadBoundSteps(const Catalog& catalog,
+                                 const CompiledRule& rule, size_t head) {
+  std::vector<Step> steps = rule.steps;
+  Step scan;
+  scan.kind = Step::Kind::kScan;
+  scan.pred = rule.heads[head].pred;
+  scan.args = rule.heads[head].args;
+  scan.occurrence = rule.head_occurrence();
+  steps.push_back(std::move(scan));
+  ComputeProbeInfo(catalog, &steps);
+  return steps;
+}
+
 void ComputeProbeInfo(const Catalog& catalog, std::vector<Step>* steps) {
   for (Step& s : *steps) {
     s.probe_mask = 0;

@@ -126,12 +126,16 @@ struct VariantPlan {
 };
 
 /// Per-rule plan cache, attached to CompiledRule: slot 0 holds the
-/// full-body plan, slot occ+1 the occurrence-`occ` variant, and slot
-/// num_scan_occurrences+1+k the negation-flip variant k. Sized once
+/// full-body plan, slot occ+1 the occurrence-`occ` variant, slot
+/// num_scan_occurrences+1+k the negation-flip variant k, and the slots
+/// after the flips the head-bound variant of each head. Sized once
 /// (plans hand out interior pointers) and mutated only by the planner from
 /// the fixpoint's single-threaded merge phase.
 struct RulePlanCache {
   std::vector<std::optional<VariantPlan>> variants;
+  /// HeadBoundSteps of every head, built the first time one is planned:
+  /// only a rule deriving a suspect's predicate carries them.
+  std::vector<std::vector<Step>> head_steps;
 };
 
 struct CompiledHead {
@@ -173,6 +177,8 @@ struct CompiledRule {
   int flip_occurrence() const {
     return num_scan_occurrences + static_cast<int>(neg_preds.size());
   }
+  /// Occurrence of the head scan in a head-bound variant (HeadBoundSteps).
+  int head_occurrence() const { return flip_occurrence() + 1; }
   // Head existentials.
   std::vector<int> existential_slots;
   std::vector<datalog::PredId> existential_types;
@@ -186,6 +192,18 @@ struct CompiledRule {
   /// placeholders.
   std::shared_ptr<RulePlanCache> plan_cache = std::make_shared<RulePlanCache>();
 };
+
+/// The head-bound variant of `rule`'s head `head`: the compiled body
+/// followed by the head atom read as a positive scan (occurrence
+/// CompiledRule::head_occurrence()) over the tuples whose derivations the
+/// delete path's proof search enumerates. There the body has bound the
+/// head's variables and not a head existential; planned with the scan
+/// first (ExecPlanner::PlanForHead), the head binds its variables before
+/// the body runs. An execution enumerates exactly the live instantiations
+/// deriving each scanned tuple (a head existential still has to match the
+/// memoized entity).
+std::vector<Step> HeadBoundSteps(const datalog::Catalog& catalog,
+                                 const CompiledRule& rule, size_t head);
 
 struct CompiledConstraint {
   datalog::ConstraintDecl source;

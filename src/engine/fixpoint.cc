@@ -116,6 +116,7 @@ void FixpointDriver::Begin() {
   delta_.assign(graph_.groups().size(), {});
   neg_.assign(graph_.groups().size(), {});
   suspects_.assign(graph_.groups().size(), {});
+  disproved_.clear();
   active_.clear();
   touched_.clear();
   stats_ = {};
@@ -538,6 +539,10 @@ Status FixpointDriver::ApplyStagedTasks(
 }
 
 Status FixpointDriver::RetractOne(PredId pred, const Tuple& tuple) {
+  auto gone = disproved_.find(pred);
+  if (gone != disproved_.end() && gone->second.count(tuple) != 0) {
+    return Status::OK();
+  }
   ++stats_.retractions;
   SB_ASSIGN_OR_RETURN(bool erased, host_.RetractSupport(pred, tuple));
   if (erased) {
@@ -708,53 +713,284 @@ Status FixpointDriver::ProcessRetractions(int gid) {
   // its own head tuples come back as the next round's delete delta (the
   // group is not active); they flip nothing it negates (see above).
   EnsureRelations();
-  while (!delta_[gid].dels.empty()) {
-    DeltaMap dels = std::move(delta_[gid].dels);
-    delta_[gid].dels.clear();
-    ++stats_.rounds;
-    std::vector<std::unique_ptr<EnumTask>> tasks;
-    std::map<size_t, std::pair<size_t, size_t>> staged;
-    std::vector<size_t> fired;
-    for (size_t idx : group.rules) {
-      const CompiledRule& rule = rules_[idx];
-      if (HasDeltaFor(rule, dels)) {
-        ++stats_.retract_firings;
-        fired.push_back(idx);
-        if (rule.parallel_safe) {
-          size_t begin = tasks.size();
-          StageVariantTasks(rule, idx, gid, dels, /*retract=*/true, &tasks);
-          staged[idx] = {begin, tasks.size()};
+  std::map<PredId, TupleSet> proved;
+  while (true) {
+    while (!delta_[gid].dels.empty()) {
+      DeltaMap dels = std::move(delta_[gid].dels);
+      delta_[gid].dels.clear();
+      ++stats_.rounds;
+      std::vector<std::unique_ptr<EnumTask>> tasks;
+      std::map<size_t, std::pair<size_t, size_t>> staged;
+      std::vector<size_t> fired;
+      for (size_t idx : group.rules) {
+        const CompiledRule& rule = rules_[idx];
+        if (HasDeltaFor(rule, dels)) {
+          ++stats_.retract_firings;
+          fired.push_back(idx);
+          if (rule.parallel_safe) {
+            size_t begin = tasks.size();
+            StageVariantTasks(rule, idx, gid, dels, /*retract=*/true,
+                              &tasks);
+            staged[idx] = {begin, tasks.size()};
+          }
+        } else {
+          ++stats_.firings_skipped;
         }
-      } else {
-        ++stats_.firings_skipped;
+      }
+      SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
+      for (size_t idx : fired) {
+        const CompiledRule& rule = rules_[idx];
+        if (rule.parallel_safe) {
+          const auto& [begin, end] = staged.at(idx);
+          SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, end));
+        } else {
+          SB_RETURN_IF_ERROR(RunRetractVariants(rule, dels, gid));
+        }
       }
     }
-    SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
-    for (size_t idx : fired) {
-      const CompiledRule& rule = rules_[idx];
-      if (rule.parallel_safe) {
-        const auto& [begin, end] = staged.at(idx);
-        SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, end));
-      } else {
-        SB_RETURN_IF_ERROR(RunRetractVariants(rule, dels, gid));
+
+    // The supports are exact now. A survivor that lost every well-founded
+    // derivation sits above a suspect that is still live (docs/engine.md,
+    // "Deletion semantics"): prove the suspects or erase what the search
+    // disproves, and count its erasures out like any delete delta.
+    DeltaMap suspects = std::move(suspects_[gid]);
+    suspects_[gid].clear();
+    if (suspects.empty()) break;
+    if (!ProducersRunFirst(gid)) {
+      disproved_.clear();
+      return RederiveCluster(gid);
+    }
+    bool erased = false;
+    SB_RETURN_IF_ERROR(SettleSuspects(gid, suspects, &proved, &erased));
+    if (!erased) break;
+  }
+  disproved_.clear();
+  return Status::OK();
+}
+
+bool FixpointDriver::ProducersRunFirst(int gid) const {
+  const RuleGroup& group = graph_.group(gid);
+  const std::vector<int>& order = graph_.groups_in_stratum(group.stratum);
+  const auto rank = [&](int g) {
+    return std::make_pair(
+        graph_.group(g).stratum,
+        std::find(order.begin(), order.end(), g) - order.begin());
+  };
+  for (size_t idx : group.rules) {
+    for (PredId h : HeadPreds(rules_[idx])) {
+      for (size_t r : graph_.producers_of(h)) {
+        const int g = graph_.group_of_rule(r);
+        if (g != gid && rank(gid) < rank(g)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+Status FixpointDriver::SettleSuspects(int gid, const DeltaMap& suspects,
+                                      std::map<PredId, TupleSet>* proved,
+                                      bool* erased) {
+  // Tuples of these predicates are checked; any other body tuple is
+  // founded: its group ran earlier, or it is an input.
+  std::set<PredId> own;
+  for (size_t idx : graph_.group(gid).rules) {
+    for (PredId h : HeadPreds(rules_[idx])) own.insert(h);
+  }
+  // The search graph: a node per checked tuple, and per instantiation
+  // deriving a node the count of its body nodes not yet proved.
+  struct Node {
+    PredId pred = datalog::kInvalidPred;
+    const Tuple* tuple = nullptr;  // the key in `ids`
+    bool proved = false;
+    bool expanded = false;
+    bool root = false;
+    std::vector<uint32_t> insts;     // instantiations deriving it
+    std::vector<uint32_t> watchers;  // instantiations reading it, per read
+  };
+  struct Inst {
+    uint32_t head;
+    uint32_t pending;
+    std::vector<uint32_t> body;
+  };
+  std::vector<Node> nodes;
+  std::vector<Inst> insts;
+  std::map<PredId, std::unordered_map<Tuple, uint32_t, TupleHash>> ids;
+  size_t open_roots = 0;
+  auto node_of = [&](PredId pred, const Tuple& t) -> uint32_t {
+    auto [it, fresh] =
+        ids[pred].try_emplace(t, static_cast<uint32_t>(nodes.size()));
+    if (fresh) {
+      nodes.emplace_back();
+      nodes.back().pred = pred;
+      nodes.back().tuple = &it->first;
+    }
+    return it->second;
+  };
+  // Forward saturation, run as proofs are found: a node proved completes
+  // the instantiations waiting on it, which prove their heads in turn.
+  auto prove = [&](uint32_t id) {
+    std::vector<uint32_t> queue{id};
+    nodes[id].proved = true;
+    while (!queue.empty()) {
+      const Node& n = nodes[queue.back()];
+      queue.pop_back();
+      if (n.root) --open_roots;
+      for (uint32_t i : n.watchers) {
+        const uint32_t head = insts[i].head;
+        if (--insts[i].pending == 0 && !nodes[head].proved) {
+          nodes[head].proved = true;
+          queue.push_back(head);
+        }
+      }
+    }
+  };
+
+  DeltaMap frontier;
+  for (const auto& [pred, tuples] : suspects) {
+    const Relation* rel = store_.GetRelation(pred);
+    const auto memo = proved->find(pred);
+    for (const Tuple& t : tuples) {
+      if (!rel->Contains(t) || host_.IsBaseFact(pred, t)) continue;
+      if (memo != proved->end() && memo->second.count(t) != 0) {
+        ++stats_.suspects_proved;
+        continue;
+      }
+      Node& n = nodes[node_of(pred, t)];
+      if (n.root) continue;
+      n.root = n.expanded = true;
+      ++open_roots;
+      frontier[pred].push_back(t);
+    }
+  }
+
+  // Backward chaining, one level of checked tuples at a time: enumerate
+  // every live instantiation deriving each, against the state the retract
+  // variants read (the producing group's unconsumed inserts hidden).
+  // Which nodes a level proves, and so which it hands to the next, does
+  // not depend on the order its instantiations are met in.
+  const DeltaMap no_delta;
+  std::vector<uint32_t> body;
+  std::vector<uint32_t> level;
+  while (!frontier.empty() && open_roots > 0) {
+    const DeltaMap rows = std::move(frontier);
+    frontier.clear();
+    level.clear();
+    for (const auto& [pred, tuples] : rows) {
+      for (const Tuple& t : tuples) level.push_back(ids[pred].at(t));
+      for (size_t r : graph_.producers_of(pred)) {
+        const CompiledRule& rule = rules_[r];
+        for (size_t j = 0; j < rule.heads.size(); ++j) {
+          const CompiledHead& head = rule.heads[j];
+          if (head.pred != pred) continue;
+          const int n = rule.num_scan_occurrences;
+          const int occ = rule.head_occurrence();
+          std::vector<OccView> views(static_cast<size_t>(occ) + 1);
+          std::vector<TupleSet> excl(n);
+          BuildVariantViews(rule, no_delta,
+                            delta_[graph_.group_of_rule(r)].adds, occ,
+                            /*retract=*/true, &views, &excl);
+          views[occ].only = &tuples;
+          DeltaOverride override;
+          override.views = &views;
+          const std::vector<Step>& steps = planner_->PlanForHead(rule, j);
+          WarmProbes(steps);
+          Executor executor(&ctx_, &store_);
+          Env env(rule.num_slots);
+          Tuple key;
+          SB_RETURN_IF_ERROR(executor.Run(
+              steps, &env, &override, [&](Env& e) -> Status {
+                // The head scan bound an existential from the tuple; the
+                // instantiation derives it only if the memo agrees.
+                if (!rule.existential_slots.empty()) {
+                  Env memo = e;
+                  for (int s : rule.existential_slots) memo[s].reset();
+                  std::vector<int> bound_here;
+                  SB_RETURN_IF_ERROR(
+                      host_.BindExistentials(rule, &memo, &bound_here));
+                  for (int s : rule.existential_slots) {
+                    if (!(*memo[s] == *e[s])) return Status::OK();
+                  }
+                }
+                auto instantiate = [&](const std::vector<ArgPat>& args) {
+                  key.clear();
+                  for (const ArgPat& p : args) {
+                    key.push_back(p.kind == ArgPat::Kind::kConst
+                                      ? *p.constant
+                                      : *e[p.slot]);
+                  }
+                };
+                instantiate(head.args);
+                const uint32_t hid = ids[pred].at(key);
+                if (nodes[hid].proved) return Status::OK();
+                body.clear();
+                for (const Step& s : rule.steps) {
+                  if ((s.kind != Step::Kind::kScan &&
+                       s.kind != Step::Kind::kLookup) ||
+                      own.count(s.pred) == 0) {
+                    continue;
+                  }
+                  instantiate(s.args);
+                  auto m = proved->find(s.pred);
+                  if ((m != proved->end() && m->second.count(key) != 0) ||
+                      host_.IsBaseFact(s.pred, key)) {
+                    continue;
+                  }
+                  const uint32_t b = node_of(s.pred, key);
+                  if (!nodes[b].proved) body.push_back(b);
+                }
+                if (body.empty()) {
+                  prove(hid);
+                  return Status::OK();
+                }
+                const auto i = static_cast<uint32_t>(insts.size());
+                insts.push_back(
+                    {hid, static_cast<uint32_t>(body.size()), body});
+                nodes[hid].insts.push_back(i);
+                for (uint32_t b : body) nodes[b].watchers.push_back(i);
+                return Status::OK();
+              }));
+        }
+      }
+    }
+    // Only a node still unproved needs the body tuples of its
+    // instantiations checked.
+    for (uint32_t id : level) {
+      if (nodes[id].proved) continue;
+      for (uint32_t i : nodes[id].insts) {
+        for (uint32_t b : insts[i].body) {
+          Node& n = nodes[b];
+          if (n.expanded) continue;
+          n.expanded = true;
+          frontier[n.pred].push_back(*n.tuple);
+        }
       }
     }
   }
 
-  // The supports are exact now. A survivor that lost every well-founded
-  // derivation sits above a suspect that is still live (docs/engine.md,
-  // "Deletion semantics"), so none left means every survivor has a proof;
-  // a base fact is founded whatever its support.
-  DeltaMap suspects = std::move(suspects_[gid]);
-  suspects_[gid].clear();
-  for (const auto& [pred, tuples] : suspects) {
-    const Relation* rel = store_.GetRelation(pred);
-    for (const Tuple& t : tuples) {
-      if (rel->SupportCount(t) > 0 && !host_.IsBaseFact(pred, t)) {
-        return RederiveCluster(gid);
-      }
+  for (const Node& n : nodes) {
+    if (n.proved) (*proved)[n.pred].insert(*n.tuple);
+    if (n.root) {
+      ++(n.proved ? stats_.suspects_proved : stats_.suspects_disproved);
     }
   }
+  // With every suspect proved no live tuple of the group is unfounded.
+  // Otherwise the search ran to completion: a checked tuple it could not
+  // prove has no derivation outside the unproved set, so it is unfounded.
+  if (open_roots == 0) return Status::OK();
+  std::map<PredId, std::vector<Tuple>> gone;
+  for (const Node& n : nodes) {
+    if (n.expanded && !n.proved) gone[n.pred].push_back(*n.tuple);
+  }
+  for (auto& [pred, tuples] : gone) {
+    std::sort(tuples.begin(), tuples.end());
+    TupleSet& mark = disproved_[pred];
+    for (const Tuple& t : tuples) {
+      mark.insert(t);
+      SB_RETURN_IF_ERROR(host_.EraseTuple(pred, t));
+      ++stats_.deleted;
+    }
+  }
+  *erased = true;
   return Status::OK();
 }
 

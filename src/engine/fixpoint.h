@@ -53,18 +53,30 @@
 // non-base tuple of a recursively derived predicate whose support dropped
 // but did not reach zero, or that lost its base assertion while support
 // kept it (a *suspect*), may rest on cyclic supports alone. When a
-// recursive group's cascade ends with a suspect still live, the group
-// falls back to a cluster recompute (RederiveCluster): over-delete the
-// closure of groups sharing head predicates, reseed just those groups
-// from their body predicates, and re-run them to a local fixpoint (the
-// reseed deltas are large, so this path gains the most from chunked
-// enumeration). Rescued tuples annihilate against their own delete
-// deltas in downstream queues, so downstream work is proportional to the
-// net change. Two kinds of group recompute on every delete or suspect
-// that reaches it instead: one holding a lattice aggregate (whose outputs
-// carry no support count), and one negating its own head, recursive or
-// not (its supports counted each negation as read when the instantiation
-// fired, which retract variants probing the current state cannot replay).
+// recursive group's cascade ends with suspects still live, a
+// Backward/Forward proof search settles them (SettleSuspects): it chains
+// backward from each suspect over the head-bound variants
+// (HeadBoundSteps) of every rule deriving its predicate, checks
+// the group's own tuples it meets and takes base facts and other
+// predicates' tuples as founded, then saturates proofs forward inside the
+// checked set. A proved suspect stays. A checked tuple still unproved once
+// the search is complete is unfounded and is erased; those erasures are
+// the group's next delete delta, counted out like any other. The search
+// runs on the coordinating thread, and its outcome does not depend on the
+// order it meets instantiations in.
+//
+// A cluster recompute (RederiveCluster) over-deletes the closure of groups
+// sharing head predicates, reseeds just those groups from their body
+// predicates, and re-runs them to a local fixpoint. It remains for a
+// delete or suspect reaching a group that holds a lattice aggregate (whose
+// outputs carry no support count) or that negates its own head, recursive
+// or not (its supports counted each negation as read when the
+// instantiation fired, which retract variants probing the current state
+// cannot replay); for a flip blocking a live instantiation in a recursive
+// group (below); and for the suspects of a group whose head predicate a
+// multi-head rule of a later group derives too (ProducersRunFirst).
+// Rescued tuples annihilate against their own delete deltas in downstream
+// queues, so downstream work is proportional to the net change.
 // A change to a negated predicate (a *flip*) is precise: each negating
 // rule runs a flip variant (CompiledRule::flip_steps) that reads the
 // negated atom as a positive occurrence over the flipped tuples, against
@@ -128,11 +140,11 @@ struct FixpointStats {
   /// base fact), plus erased tuples that came back before a consumer
   /// looked (insert/delete annihilation, e.g. after a cluster recompute).
   uint64_t rescued = 0;
-  /// Cluster recomputes (RederiveCluster): a recursive group's counting
-  /// cascade that ended with a live suspect, a delete reaching a group
-  /// that holds a lattice aggregate or negates its own head, and a flip
-  /// that blocks a live instantiation in a recursive group. 0 when
-  /// counting settled every delete.
+  /// Cluster recomputes (RederiveCluster): a delete or suspect reaching a
+  /// group that holds a lattice aggregate or negates its own head, a flip
+  /// that blocks a live instantiation in a recursive group, and the
+  /// suspects of a group whose head predicate a later group derives too.
+  /// 0 when counting and the proof search settled every delete.
   uint64_t group_rederives = 0;
   /// Tuples reseeded into recomputed clusters — the recompute footprint,
   /// bounded by the affected groups instead of the whole database (0 when
@@ -145,6 +157,10 @@ struct FixpointStats {
   /// Instantiations a flip retracted (insert blocked them) or derived
   /// (delete unblocked them).
   uint64_t flip_matches = 0;
+  /// Live suspects the proof search settled: proved founded (kept), or
+  /// disproved (erased with the other unfounded tuples it checked).
+  uint64_t suspects_proved = 0;
+  uint64_t suspects_disproved = 0;
   // -- cost-based planning ---------------------------------------------------
   /// Execution plans built or rebuilt (stats drift) this transaction.
   /// Deterministic: planning inputs are thread- and shard-independent.
@@ -298,11 +314,30 @@ class FixpointDriver {
   /// One group's pending negation flips, delete deltas and suspects:
   /// precise flips first (pending deletes restored), then rounds of
   /// counting retraction against the post-flip state until the group's own
-  /// erasures stop, then the suspect check. Recomputes the cluster when a
-  /// suspect is still live, for deletes reaching a group that holds a
-  /// lattice aggregate or negates its own head, and for recursive flips
-  /// that block something.
+  /// erasures stop, then the proof search over the live suspects, whose
+  /// erasures feed the next counting rounds. Recomputes the cluster for
+  /// deletes reaching a group that holds a lattice aggregate or negates
+  /// its own head, for recursive flips that block something, and for
+  /// suspects when !ProducersRunFirst.
   Status ProcessRetractions(int gid);
+  /// Backward/Forward proof search over `gid`'s live suspects. Chains
+  /// backward from each over the head-bound variants of every rule
+  /// deriving its predicate; base facts and tuples of other predicates are
+  /// founded, tuples of the group's head predicates are checked. Proofs
+  /// then saturate forward inside the checked set. Erases the checked
+  /// tuples still unproved when the search is complete (they are
+  /// unfounded) and sets `*erased` when any went; `proved` keeps the tuples
+  /// proved founded across the searches of one ProcessRetractions.
+  Status SettleSuspects(int gid, const DeltaMap& suspects,
+                        std::map<datalog::PredId, TupleSet>* proved,
+                        bool* erased);
+  /// Does every rule deriving one of `gid`'s head predicates run in the
+  /// group or before it? Then the live state is the one the supports were
+  /// counted on, and no later group retracts an instantiation deriving a
+  /// tuple the search erased. Only a multi-head rule can derive a group's
+  /// head predicate from a group that runs later; such a group's suspects
+  /// go to the cluster recompute, which takes in that group too.
+  bool ProducersRunFirst(int gid) const;
   /// Precise flips for one group: enumerate, per negating rule and
   /// flipped predicate, the live instantiations the inserts block and the
   /// blocked ones the deletes unblock, then retract / derive them. Sets
@@ -328,14 +363,16 @@ class FixpointDriver {
   /// Drop one support of a destroyed instantiation's head tuple. A tuple
   /// of a recursively derived predicate that survives with support left
   /// becomes a suspect of its recursive producer group (its remaining
-  /// supports may be cyclic), checked when that group's cascade ends.
+  /// supports may be cyclic), checked when that group's cascade ends. A
+  /// tuple the proof search erased has nothing left to drop.
   Status RetractOne(datalog::PredId pred, const Tuple& tuple);
-  /// Cluster recompute, the fallback for cycles: over-delete the
-  /// head-sharing closure around `gid`, reseed those groups from their
-  /// body predicates, re-run to a local fixpoint; clears the members'
-  /// pending deltas, flips and suspects. Reached for a live suspect or a
-  /// blocking flip in a recursive group, and for a delete reaching a
-  /// lattice aggregate or a negated own head (see ProcessRetractions).
+  /// Cluster recompute: over-delete the head-sharing closure around
+  /// `gid`, reseed those groups from their body predicates, re-run to a
+  /// local fixpoint; clears the members' pending deltas, flips and
+  /// suspects. Reached for a blocking flip in a recursive group, for a
+  /// delete or suspect reaching a lattice aggregate or a negated own head,
+  /// and for suspects the proof search cannot settle (see
+  /// ProcessRetractions).
   Status RederiveCluster(int gid);
   Status InstantiateHeads(const CompiledRule& rule, Env& env,
                           std::vector<std::pair<datalog::PredId, Tuple>>*
@@ -406,10 +443,15 @@ class FixpointDriver {
   /// Suspects per recursive group: live tuples of its head predicates
   /// whose support a retraction dropped without exhausting it, or that
   /// lost a base assertion while support kept them, so they may rest on
-  /// cyclic supports only (NoteSuspect). Checked (and cleared) when the
-  /// group's counting cascade ends; a cluster recompute clears its
-  /// members'.
+  /// cyclic supports only (NoteSuspect). Settled by the proof search (and
+  /// cleared) when the group's counting cascade ends; a cluster recompute
+  /// clears its members'.
   std::vector<DeltaMap> suspects_;
+  /// Tuples the running ProcessRetractions' proof search erased. Every
+  /// instantiation deriving one reads an erased tuple, so the counting
+  /// round after the search enumerates them all, and RetractOne skips
+  /// their heads instead of dropping supports of a tuple already gone.
+  std::map<datalog::PredId, TupleSet> disproved_;
   /// Groups currently being (re)computed: their own erasure churn (lattice
   /// improvement, over-delete) must not re-queue them, survivors are not
   /// handed to them as suspects, and changes they make to predicates they

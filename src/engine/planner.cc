@@ -130,9 +130,9 @@ bool RebindArg(ArgPat* p, std::vector<bool>* bound, bool may_bind,
 
 /// Copy `base` rebound for a position where exactly `bound` is bound,
 /// updating `bound` with the slots the step binds. `force_scan` turns a
-/// kLookup into a kScan over the same atom (delta-first forcing, or keys
-/// not yet bound) — sound because a functional relation scanned by pattern
-/// enumerates the same rows the lookup would. Occurrence numbers are
+/// kLookup into a kScan over the same atom (its keys are not bound where
+/// it is placed) — sound because a functional relation scanned by
+/// pattern enumerates the same rows the lookup would. Occurrence numbers are
 /// preserved so semi-naïve views keep applying. Returns false when the
 /// step cannot run here (planner bug guard; Build keeps the compiled
 /// steps).
@@ -316,7 +316,10 @@ VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
       for (size_t i = 0; i < n; ++i) {
         if (base[i].occurrence == occ) {
           pick = static_cast<int>(i);
-          force_scan = base[i].kind == Step::Kind::kLookup;
+          // A lookup whose keys are already bound here (constants, or a
+          // zero-key singleton) stays one: kLookup iterates a delta view.
+          force_scan = base[i].kind == Step::Kind::kLookup &&
+                       !StepReady(base[i], bound);
           row.est = -1.0;  // Δ: sized per round, not estimable here
           break;
         }
@@ -425,6 +428,20 @@ const std::vector<Step>& ExecPlanner::PlanForFlip(const CompiledRule& rule,
                   rule.flip_steps[neg], rule.flip_occurrence());
 }
 
+const std::vector<Step>& ExecPlanner::PlanForHead(const CompiledRule& rule,
+                                                  size_t head) {
+  std::vector<std::vector<Step>>& bases = rule.plan_cache->head_steps;
+  if (bases.empty()) {
+    // Built once for every head: plans point into these vectors.
+    for (size_t j = 0; j < rule.heads.size(); ++j) {
+      bases.push_back(HeadBoundSteps(catalog_, rule, j));
+    }
+  }
+  return PlanSlot(rule,
+                  rule.num_scan_occurrences + 1 + rule.flip_steps.size() + head,
+                  bases[head], rule.head_occurrence());
+}
+
 const std::vector<Step>& ExecPlanner::PlanSlot(const CompiledRule& rule,
                                                size_t slot,
                                                const std::vector<Step>& base,
@@ -434,7 +451,7 @@ const std::vector<Step>& ExecPlanner::PlanSlot(const CompiledRule& rule,
     // Sized exactly once: executing code holds interior pointers into the
     // slots, so the vector must never reallocate after this.
     cache.variants.resize(static_cast<size_t>(rule.num_scan_occurrences) +
-                          1 + rule.flip_steps.size());
+                          1 + rule.flip_steps.size() + rule.heads.size());
   }
   std::optional<VariantPlan>& vp = cache.variants[slot];
   if (!vp.has_value() || Stale(*vp)) {
@@ -469,7 +486,9 @@ std::string ExecPlanner::Describe(const CompiledRule& rule, int occ,
   std::string out = "[plan] rule#" + std::to_string(rule.id) + " variant=";
   if (occ < 0) {
     out += "full";
-  } else if (occ >= rule.flip_occurrence()) {
+  } else if (occ == rule.head_occurrence()) {
+    out += "head";
+  } else if (occ == rule.flip_occurrence()) {
     out += "flip";
   } else {
     out += "d" + std::to_string(occ);

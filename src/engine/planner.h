@@ -2,8 +2,9 @@
 //
 // The planner sits between the RuleCompiler and the Executor: every rule
 // body the fixpoint runs goes through it. Per compiled rule it builds one
-// VariantPlan per semi-naïve occurrence variant, per negation-flip variant
-// and for the full body (aggregate recomputes), reordering the compiled
+// VariantPlan per semi-naïve occurrence variant, per negation-flip variant,
+// per head-bound variant (the delete path's proof search) and for the
+// full body (aggregate recomputes), reordering the compiled
 // steps greedily by estimated bound-cardinality. Plans are cached on the
 // rule's RulePlanCache and rebuilt when body-relation sizes drift past a
 // threshold, so long fixpoints replan as relations grow.
@@ -73,6 +74,13 @@ class ExecPlanner {
   /// cost, so each flipped tuple becomes index probes on its bound
   /// columns. Same contract as PlanFor.
   const std::vector<Step>& PlanForFlip(const CompiledRule& rule, size_t neg);
+
+  /// The steps to run for `rule`'s head-bound variant of head `head` (see
+  /// HeadBoundSteps, built here on first use and kept on the rule's plan
+  /// cache): the head atom's scan first, the body by cost after it, so
+  /// each scanned tuple becomes index probes on the body columns its head
+  /// binds. Same contract as PlanFor.
+  const std::vector<Step>& PlanForHead(const CompiledRule& rule, size_t head);
 
   /// Plans built or rebuilt through this planner (EngineStats feed).
   uint64_t plans_built() const { return plans_built_; }

@@ -23,7 +23,7 @@
 //
 // Memo invalidation is therefore *inherited*: magic and answer relations
 // are ordinary counted relations, so the existing delete-delta machinery
-// (counting, recomputing a cluster only on a cycle) maintains them
+// (counting, and a proof search for survivors on a cycle) maintains them
 // incrementally under churn.
 // No cache protocol exists to get wrong — only the per-query answer
 // snapshot carries an epoch (the sum of the slice relations' version

@@ -97,11 +97,12 @@ class RuleGraph {
   /// instantiations (FixpointDriver::ProcessFlips).
   const std::vector<int>& negator_groups_of(datalog::PredId pred) const;
 
-  /// Rules with `pred` among their head predicates. A cluster recompute
-  /// over-deletes a predicate and must re-fire every rule deriving it,
-  /// whichever group it lives in; a counting retraction that leaves a
-  /// tuple alive with support makes it a suspect of the recursive
-  /// producer among them.
+  /// Rules with `pred` among their head predicates. A counting retraction
+  /// that leaves a tuple alive with support makes it a suspect of the
+  /// recursive producer among them, and the proof search enumerates the
+  /// derivations of a suspect through every one of them, whichever group
+  /// it lives in; a cluster recompute over-deletes a predicate and
+  /// re-fires them all.
   const std::vector<size_t>& producers_of(datalog::PredId pred) const;
 
   /// Predicates appearing under negation in some rule body. Base insertions

@@ -6,6 +6,7 @@
 
 #include "common/bytes.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "crypto/sha256.h"
 #include "datalog/typecheck.h"
 
@@ -578,7 +579,7 @@ Status Workspace::BindExistentials(const CompiledRule& rule, Env* envp,
       std::string label = catalog_->decl(type).name + "@" +
                           catalog_->node_tag() + "#" + suffix;
       if (rule.existential_slots.size() > 1) {
-        label += "." + std::to_string(k);
+        label += StrCat({".", std::to_string(k)});
       }
       SB_ASSIGN_OR_RETURN(Value e, catalog_->InternEntity(type, label));
       entities.push_back(std::move(e));
@@ -843,6 +844,8 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
   stats_.rederive_seeded += commit.fixpoint.rederive_seeded;
   stats_.flip_probes += commit.fixpoint.flip_probes;
   stats_.flip_matches += commit.fixpoint.flip_matches;
+  stats_.suspects_proved += commit.fixpoint.suspects_proved;
+  stats_.suspects_disproved += commit.fixpoint.suspects_disproved;
   stats_.plan_builds += commit.fixpoint.plans_built;
   stats_.eval_frame_allocs = EvalFrameAllocs();
   uint64_t index_builds = 0;

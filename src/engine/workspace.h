@@ -18,11 +18,13 @@
 // base-fact delete seeds a delete delta, and only tuples whose support
 // reaches zero cascade, through recursive rule groups too. A change to a
 // negated predicate retracts or derives just the instantiations it blocks
-// or unblocks. A group recomputes its head-sharing cluster, never the
-// whole database, only when counting cannot settle a change: a recursive
-// group left with a survivor that may rest on a cycle or hit by a flip
-// that blocks something, and any group holding a lattice aggregate or
-// negating its own head when a delete reaches it (see engine/fixpoint.h).
+// or unblocks. A survivor that may rest on a cycle is proved or disproved
+// by a proof search over its derivations, and the disproved tuples are
+// counted out like any delete. A group recomputes its head-sharing
+// cluster, never the whole database, only where neither can settle a
+// change: a recursive group hit by a flip that blocks something, and any
+// group holding a lattice aggregate or negating its own head when a
+// delete reaches it (see engine/fixpoint.h).
 // A commit reports as inserted only tuples the transaction added, not
 // ones it erased and rederived.
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
@@ -92,6 +94,8 @@ struct EngineStats {
   uint64_t rederive_seeded = 0;
   uint64_t flip_probes = 0;
   uint64_t flip_matches = 0;
+  uint64_t suspects_proved = 0;
+  uint64_t suspects_disproved = 0;
   /// Secondary-index bucket (re)constructions across all relations. With
   /// in-place erase maintenance this stays at one initial build per
   /// (relation, probe mask); benches watch it to catch regressions to

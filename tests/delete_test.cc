@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/workspace.h"
 #include "oracle_programs.h"
@@ -147,7 +148,8 @@ constexpr const char* kReachableProgram = R"(
 
 /// Links a->b, a->c, c->a, b->d. Deleting a->b leaves reachable(a, b) and
 /// reachable(a, d) supported only through c, which rests on them: a cycle
-/// counting cannot see through, so the delete recomputes the cluster.
+/// counting cannot see through. The two survivors are the suspects, and
+/// the proof search disproves them.
 std::vector<FactUpdate> CyclicLinks() {
   return {{"link", {Value::Str("a"), Value::Str("b")}},
           {"link", {Value::Str("a"), Value::Str("c")}},
@@ -162,7 +164,7 @@ std::vector<FactUpdate> ChainLinks() {
           {"link", {Value::Str("c"), Value::Str("d")}}};
 }
 
-TEST(CountingDeleteTest, RecursiveGroupUsesGroupLocalDRed) {
+TEST(CountingDeleteTest, CyclicSurvivorsAreDisprovedByProofSearch) {
   Workspace ws;
   Install(&ws, kReachableProgram);
   auto commit = ws.Apply(CyclicLinks());
@@ -175,7 +177,10 @@ TEST(CountingDeleteTest, RecursiveGroupUsesGroupLocalDRed) {
             (std::set<std::string>{"(node:a, node:a)", "(node:a, node:c)",
                                    "(node:b, node:d)", "(node:c, node:a)",
                                    "(node:c, node:c)"}));
-  EXPECT_GE(del->fixpoint.group_rederives, 1u);
+  EXPECT_EQ(del->fixpoint.group_rederives, 0u);
+  EXPECT_EQ(del->fixpoint.rederive_seeded, 0u);
+  EXPECT_EQ(del->fixpoint.suspects_disproved, 2u);
+  EXPECT_EQ(del->fixpoint.suspects_proved, 0u);
 }
 
 TEST(CountingDeleteTest, AcyclicRecursiveDeleteRetractsByCounting) {
@@ -196,17 +201,19 @@ TEST(CountingDeleteTest, AcyclicRecursiveDeleteRetractsByCounting) {
   EXPECT_EQ(del->fixpoint.retractions, 4u);
 }
 
-TEST(CountingDeleteTest, RederivedRowsAreNotReportedAsInserted) {
-  // The cyclic delete recomputes the closure: every surviving reachable
-  // row is erased and derived again inside the transaction. The commit
-  // must not report those rows as new — the distribution layer would
-  // re-export them.
+TEST(CountingDeleteTest, CyclicDeleteReportsNothingInserted) {
+  // The cyclic delete erases the disproved rows and derives nothing. The
+  // commit must not report a surviving row as new — the distribution
+  // layer would re-export it.
   Workspace ws;
   Install(&ws, kReachableProgram);
   ASSERT_TRUE(ws.Apply(CyclicLinks()).ok());
   auto del = ws.Apply({}, {{"link", {Value::Str("a"), Value::Str("b")}}});
   ASSERT_TRUE(del.ok()) << del.status().ToString();
-  EXPECT_GE(del->fixpoint.group_rederives, 1u);
+  EXPECT_EQ(del->fixpoint.group_rederives, 0u);
+  EXPECT_EQ(del->fixpoint.rederive_seeded, 0u);
+  EXPECT_EQ(del->fixpoint.suspects_disproved, 2u);
+  EXPECT_EQ(del->fixpoint.suspects_proved, 0u);
   // b->d, a->c, c->a, a->a, c->c
   EXPECT_EQ(QuerySet(ws, "reachable").size(), 5u);
   auto reachable = ws.catalog().Lookup("reachable");
@@ -496,8 +503,8 @@ TEST(CountingDeleteTest, DeleteWorkIsProportionalToAffectedTuples) {
   const int n = 500;
   for (int i = 0; i < n; ++i) {
     inserts.push_back({"pair",
-                       {Value::Str("k" + std::to_string(i)),
-                        Value::Str("v" + std::to_string(i))}});
+                       {Value::Str(StrCat({"k", std::to_string(i)})),
+                        Value::Str(StrCat({"v", std::to_string(i)}))}});
   }
   ASSERT_TRUE(ws.Apply(inserts).ok());
   ASSERT_EQ(QuerySet(ws, "left").size(), static_cast<size_t>(n));
@@ -526,16 +533,16 @@ std::vector<FactUpdate> Pairs(int n) {
   std::vector<FactUpdate> out;
   for (int i = 0; i < n; ++i) {
     out.push_back({"pair",
-                   {Value::Str("k" + std::to_string(i)),
-                    Value::Str("v" + std::to_string(i))}});
+                   {Value::Str(StrCat({"k", std::to_string(i)})),
+                    Value::Str(StrCat({"v", std::to_string(i)}))}});
   }
   return out;
 }
 
-TEST(CountingDeleteTest, GroupLocalDRedDoesNotReseedUnrelatedPredicates) {
-  // A cycle forces the cluster recompute, but rederivation must stay
-  // inside the group's own inputs — the big unrelated predicate family is
-  // untouched.
+TEST(CountingDeleteTest, CyclicDeleteReseedsNothing) {
+  // A cycle sends the delete to the proof search, which reads only the
+  // suspects' derivations: nothing is reseeded, the big unrelated
+  // predicate family included.
   Workspace ws;
   Install(&ws, kReachableAndPairsProgram);
   std::vector<FactUpdate> inserts = Pairs(400);
@@ -546,10 +553,10 @@ TEST(CountingDeleteTest, GroupLocalDRedDoesNotReseedUnrelatedPredicates) {
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   // b->d, a->c, c->a, a->a, c->c
   EXPECT_EQ(QuerySet(ws, "reachable").size(), 5u);
-  EXPECT_GE(del->fixpoint.group_rederives, 1u);
-  // The reseed covers the reachable group's inputs (links + entity
-  // membership), not the 400 unrelated pairs.
-  EXPECT_LT(del->fixpoint.rederive_seeded, 50u);
+  EXPECT_EQ(del->fixpoint.group_rederives, 0u);
+  EXPECT_EQ(del->fixpoint.rederive_seeded, 0u);
+  EXPECT_EQ(del->fixpoint.suspects_disproved, 2u);
+  EXPECT_EQ(del->fixpoint.suspects_proved, 0u);
 }
 
 TEST(CountingDeleteTest, CountedRecursiveDeleteTouchesOnlyItsRows) {
@@ -615,12 +622,13 @@ TEST(CountingDeleteTest, PlacementChurnShapedDeleteRetractsByCounting) {
   std::vector<FactUpdate> facts;
   for (int h = 0; h < kHops; ++h) {
     facts.push_back({"link",
-                     {Value::Str("c" + std::to_string(h)),
-                      Value::Str("c" + std::to_string(h + 1))}});
+                     {Value::Str(StrCat({"c", std::to_string(h)})),
+                      Value::Str(StrCat({"c", std::to_string(h + 1)}))}});
   }
   for (int k = 0; k < kKeys; ++k) {
-    facts.push_back(
-        {"seed", {Value::Str("key" + std::to_string(k)), Value::Str("c0")}});
+    facts.push_back({"seed",
+                     {Value::Str(StrCat({"key", std::to_string(k)})),
+                      Value::Str("c0")}});
   }
   Workspace ws;
   Install(&ws, kGrowProgram);
@@ -641,6 +649,88 @@ TEST(CountingDeleteTest, PlacementChurnShapedDeleteRetractsByCounting) {
   }));
   Workspace fresh;
   Install(&fresh, kGrowProgram);
+  ASSERT_TRUE(fresh.Apply(facts).ok());
+  EXPECT_EQ(Snap(ws), Snap(fresh));
+}
+
+TEST(CountingDeleteTest, CycleHangingOffAProvedSuspectSurvives) {
+  // Deleting x->y leaves reachable(x, y) a suspect, founded through d.
+  // reachable(b, y) has one derivation, through reachable(x, y) on the
+  // x/b cycle: the search may meet reachable(x, y) again from there before
+  // it is proved, which must not disprove reachable(b, y). Inserting x->b
+  // before or after x->d changes the order the search meets the two; with
+  // the path d->e->y the proof lands a level after that meeting.
+  auto link = [](const char* from, const char* to) {
+    return FactUpdate{"link", {Value::Str(from), Value::Str(to)}};
+  };
+  const std::vector<FactUpdate> cases[] = {
+      {link("x", "y"), link("x", "b"), link("b", "x"), link("x", "d"),
+       link("d", "y")},
+      {link("x", "y"), link("x", "d"), link("d", "y"), link("x", "b"),
+       link("b", "x")},
+      {link("x", "y"), link("x", "b"), link("b", "x"), link("x", "d"),
+       link("d", "e"), link("e", "y")},
+  };
+  for (const std::vector<FactUpdate>& links : cases) {
+    for (size_t shards : {size_t{1}, size_t{7}}) {
+      Workspace ws;
+      ws.fixpoint_options().shards = shards;
+      Install(&ws, kReachableProgram);
+      for (const FactUpdate& l : links) ASSERT_TRUE(ws.Apply({l}).ok());
+
+      auto del = ws.Apply({}, {links[0]});
+      ASSERT_TRUE(del.ok()) << del.status().ToString();
+      EXPECT_TRUE(
+          Contains(ws, "reachable", {Value::Str("x"), Value::Str("y")}));
+      EXPECT_TRUE(
+          Contains(ws, "reachable", {Value::Str("b"), Value::Str("y")}));
+      EXPECT_EQ(del->fixpoint.suspects_proved, 1u);
+      EXPECT_EQ(del->fixpoint.suspects_disproved, 0u);
+      EXPECT_EQ(del->fixpoint.deleted, 0u);
+      EXPECT_EQ(del->fixpoint.group_rederives, 0u);
+
+      Workspace fresh;
+      Install(&fresh, kReachableProgram);
+      ASSERT_TRUE(fresh.Apply({links.begin() + 1, links.end()}).ok());
+      EXPECT_EQ(Snap(ws), Snap(fresh)) << "shards=" << shards;
+    }
+  }
+}
+
+TEST(CountingDeleteTest, HeadDerivedByALaterGroupRecomputes) {
+  // The multi-head rule puts p among the recursive group's heads, and the
+  // later group {p <- f, q} derives p too. Deleting e(b, a) leaves p(a, a)
+  // a suspect held up by f(a, a), q(a, a), an instantiation the later
+  // group has yet to retract: the proof search cannot see it, so the
+  // cluster recomputes, taking in that group, and ends where a fresh load
+  // does.
+  constexpr const char* kProgram = R"(
+    e(X, Y) -> string(X), string(Y).
+    f(X, Y) -> string(X), string(Y).
+    q(X, Y) -> string(X), string(Y).
+    p(X, Y) -> string(X), string(Y).
+    q(X, Y) <- e(X, Y).
+    q(X, Y), p(X, Y) <- q(X, Z), e(Z, Y).
+    p(X, Y) <- f(X, Y), q(X, Y).
+  )";
+  auto fact = [](const char* pred, const char* x, const char* y) {
+    return FactUpdate{pred, {Value::Str(x), Value::Str(y)}};
+  };
+  std::vector<FactUpdate> facts = {fact("e", "a", "b"), fact("e", "b", "a"),
+                                   fact("f", "a", "a")};
+  Workspace ws;
+  Install(&ws, kProgram);
+  ASSERT_TRUE(ws.Apply(facts).ok());
+  EXPECT_TRUE(Contains(ws, "p", {Value::Str("a"), Value::Str("a")}));
+
+  auto del = ws.Apply({}, {facts[1]});
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_EQ(del->fixpoint.group_rederives, 1u);
+  EXPECT_FALSE(Contains(ws, "p", {Value::Str("a"), Value::Str("a")}));
+
+  facts.erase(facts.begin() + 1);
+  Workspace fresh;
+  Install(&fresh, kProgram);
   ASSERT_TRUE(fresh.Apply(facts).ok());
   EXPECT_EQ(Snap(ws), Snap(fresh));
 }
@@ -756,7 +846,7 @@ FactUpdate LatticeFact(std::mt19937_64& rng) {
 
 std::string FactKey(const FactUpdate& u) {
   std::string key = u.pred;
-  for (const Value& v : u.values) key += "|" + v.ToString();
+  for (const Value& v : u.values) key += StrCat({"|", v.ToString()});
   return key;
 }
 
@@ -775,6 +865,12 @@ struct OracleRow {
   /// asserted before a transaction may be deleted in it: deleting a
   /// derived-only fact is an error.
   const char* asserted_derived;
+  /// Delete paths beyond counting the stream must reach: cluster
+  /// recomputes (a lattice group, or a flip blocking an instantiation in
+  /// a recursive group), and suspects both proved and disproved by the
+  /// proof search.
+  bool recomputes;
+  bool searches;
 };
 
 /// A seeded insert/delete stream of the row's facts. Transactions mix
@@ -812,8 +908,8 @@ class FromScratchOracleTest : public testing::TestWithParam<OracleRow> {};
 /// After every transaction of every stream, the incrementally maintained
 /// fixpoint — tuples and support counts — must equal a fresh workspace
 /// loaded with the surviving base facts, at every threads × shards
-/// setting. Every row must exercise both delete paths: transactions whose
-/// deletes counting settled (no recompute) and cluster recomputes.
+/// setting. Every row must reach transactions whose deletes counting
+/// settled (no recompute), and the paths the row names beyond that.
 TEST_P(FromScratchOracleTest, IncrementalMatchesFromScratch) {
   const OracleRow& row = GetParam();
   constexpr size_t kTx = 10;
@@ -838,6 +934,8 @@ TEST_P(FromScratchOracleTest, IncrementalMatchesFromScratch) {
   uint64_t flip_matches = 0;
   uint64_t counted = 0;
   uint64_t recomputes = 0;
+  uint64_t proved = 0;
+  uint64_t disproved = 0;
   for (uint64_t seed = 1; seed <= row.seeds; ++seed) {
     const std::vector<OracleTx> stream = OracleStream(seed, kTx, row);
     // The from-scratch oracle after each transaction (setting-independent:
@@ -872,6 +970,8 @@ TEST_P(FromScratchOracleTest, IncrementalMatchesFromScratch) {
             << " shards=" << s.shards;
         const FixpointStats& f = commit->fixpoint;
         flip_matches += f.flip_matches;
+        proved += f.suspects_proved;
+        disproved += f.suspects_disproved;
         if (f.group_rederives > 0) {
           ++recomputes;
         } else if (f.deleted > 0) {
@@ -881,7 +981,13 @@ TEST_P(FromScratchOracleTest, IncrementalMatchesFromScratch) {
     }
   }
   EXPECT_GT(counted, 0u);
-  EXPECT_GT(recomputes, 0u);
+  if (row.recomputes) {
+    EXPECT_GT(recomputes, 0u);
+  }
+  if (row.searches) {
+    EXPECT_GT(proved, 0u);
+    EXPECT_GT(disproved, 0u);
+  }
   if (row.flips) {
     EXPECT_GT(flip_matches, 0u);
   }
@@ -891,9 +997,9 @@ INSTANTIATE_TEST_SUITE_P(
     Rows, FromScratchOracleTest,
     testing::Values(
         OracleRow{"Negation", kNegationProgram, NegationFact, 200, {}, true,
-                  nullptr},
+                  nullptr, true, true},
         OracleRow{"Recursion", kRecursiveProgram, RecursiveFact, 100, {},
-                  true, "grow"},
+                  true, "grow", false, true},
         // A lattice improvement does not retract what the superseded value
         // derived, so `cost` keeps rows that depend on the order values
         // improved in; the aggregate and its reader do not.
@@ -903,7 +1009,9 @@ INSTANTIATE_TEST_SUITE_P(
                   60,
                   {"link", "bestcost", "near"},
                   false,
-                  nullptr}),
+                  nullptr,
+                  true,
+                  false}),
     [](const testing::TestParamInfo<OracleRow>& info) {
       return std::string(info.param.name);
     });

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/workspace.h"
 
@@ -52,7 +53,7 @@ Snapshot Snap(const Workspace& ws) {
   return out;
 }
 
-std::string Label(int i) { return "v" + std::to_string(i); }
+std::string Label(int i) { return StrCat({"v", std::to_string(i)}); }
 
 // fig08-flavoured convergence: transitive closure over a pseudo-random
 // graph, a lattice shortest-path aggregate, and a stratified count on top.
@@ -382,12 +383,12 @@ TEST(ShardedFixpointTest, DeleteAndLatticeIdenticalAcrossShardCounts) {
     seed.push_back({"e", {Value::Str(Label(0)), Value::Str(Label(7))}});
     for (int i = 0; i < 6; ++i) {
       seed.push_back({"link",
-                      {Value::Str("n" + std::to_string(i)),
-                       Value::Str("n" + std::to_string(i + 1)),
+                      {Value::Str(StrCat({"n", std::to_string(i)})),
+                       Value::Str(StrCat({"n", std::to_string(i + 1)})),
                        Value::Int(1)}});
       seed.push_back({"link",
                       {Value::Str("n0"),
-                       Value::Str("n" + std::to_string(i + 1)),
+                       Value::Str(StrCat({"n", std::to_string(i + 1)})),
                        Value::Int(10)}});
     }
     auto seeded = ws.Apply(seed);
@@ -403,10 +404,11 @@ TEST(ShardedFixpointTest, DeleteAndLatticeIdenticalAcrossShardCounts) {
       trace.push_back(Snap(ws));
     }
     for (int i = 0; i < 6; i += 2) {
-      auto del = ws.Apply({}, {{"link",
-                                {Value::Str("n" + std::to_string(i)),
-                                 Value::Str("n" + std::to_string(i + 1)),
-                                 Value::Int(1)}}});
+      auto del = ws.Apply(
+          {}, {{"link",
+                {Value::Str(StrCat({"n", std::to_string(i)})),
+                 Value::Str(StrCat({"n", std::to_string(i + 1)})),
+                 Value::Int(1)}}});
       EXPECT_TRUE(del.ok()) << del.status().ToString();
       trace.push_back(Snap(ws));
     }

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/kernels.h"
 #include "engine/planner.h"
@@ -51,7 +52,7 @@ Tuple T(std::initializer_list<int64_t> vals) {
   return t;
 }
 
-std::string Label(int i) { return "v" + std::to_string(i); }
+std::string Label(int i) { return StrCat({"v", std::to_string(i)}); }
 
 /// Full database image: every predicate's tuples (rendered with entity
 /// labels) with their support counts, order-insensitive.
@@ -301,6 +302,38 @@ TEST(PlannerTest, WorstOrderedBodyReorderedSelectiveFirst) {
   EXPECT_NE(ran->steps[1].probe, Step::Probe::kScanAll);
 }
 
+TEST(PlannerTest, BoundLeadingLookupStoresNoStepCopy) {
+  // The zero-key singleton cfg leads the compiled body: its keys are bound
+  // before anything runs. Its delta variant keeps the lookup there, so the
+  // plan equals the compiled steps and its cache slot stores no copy.
+  Workspace ws;
+  Install(&ws, R"(
+    cfg[] = V -> int(V).
+    item(X) -> int(X).
+    hit(X) -> int(X).
+    hit(X) <- cfg[] = V, item(X), X > V.
+  )");
+  ASSERT_TRUE(ws.Apply({{"item", {Value::Int(1)}},
+                        {"item", {Value::Int(5)}}})
+                  .ok());
+  const datalog::PredId cfg_id = ws.catalog().Lookup("cfg").value();
+  const CompiledRule& rule = ws.compiled_rules().at(0);
+  ASSERT_EQ(rule.steps[0].kind, Step::Kind::kLookup);
+  ASSERT_EQ(rule.steps[0].pred, cfg_id);
+  const int occ = rule.steps[0].occurrence;
+
+  // A cfg insert fires that variant through the workspace's driver.
+  ASSERT_TRUE(ws.Apply({{"cfg", {Value::Int(3)}}}).ok());
+  EXPECT_TRUE(ws.ContainsFact("hit", {Value::Int(5)}).value());
+  EXPECT_FALSE(ws.ContainsFact("hit", {Value::Int(1)}).value());
+  const std::optional<VariantPlan>& ran = rule.plan_cache->variants[occ + 1];
+  ASSERT_TRUE(ran.has_value());
+  EXPECT_TRUE(ran->steps.empty()) << "the plan keeps a copy of "
+                                  << ran->steps.size() << " steps";
+  ExecPlanner planner(&ws.catalog(), &ws, &ws.fixpoint_options());
+  EXPECT_EQ(&planner.PlanFor(rule, occ), &rule.steps);
+}
+
 TEST(PlannerTest, PlansReplanWhenStatsDrift) {
   Workspace ws;
   Install(&ws, kWorstOrderedProgram);
@@ -375,12 +408,12 @@ std::vector<FactUpdate> ConvergenceLinks(int nodes, int degree) {
 /// of paths of one or more links), and `dist[X]` the size of X's closure.
 std::map<std::string, std::set<std::string>> ClosureOracle(
     const std::set<std::pair<std::string, std::string>>& links) {
-  auto node = [](const std::string& v) { return "node:" + v; };
+  auto node = [](const std::string& v) { return StrCat({"node:", v}); };
   std::map<std::string, std::vector<std::string>> succ;
   std::map<std::string, std::set<std::string>> want;
   for (const auto& [x, y] : links) {
     succ[x].push_back(y);
-    want["cost"].insert("(" + node(x) + ", " + node(y) + ")");
+    want["cost"].insert(StrCat({"(", node(x), ", ", node(y), ")"}));
   }
   for (const auto& [x, next] : succ) {
     std::set<std::string> seen(next.begin(), next.end());
@@ -393,10 +426,10 @@ std::map<std::string, std::set<std::string>> ClosureOracle(
       }
     }
     for (const std::string& y : seen) {
-      want["reachable"].insert("(" + node(x) + ", " + node(y) + ")");
+      want["reachable"].insert(StrCat({"(", node(x), ", ", node(y), ")"}));
     }
-    want["dist"].insert("(" + node(x) + ", " + std::to_string(seen.size()) +
-                        ")");
+    want["dist"].insert(
+        StrCat({"(", node(x), ", ", std::to_string(seen.size()), ")"}));
   }
   return want;
 }
@@ -624,7 +657,8 @@ std::vector<Tuple> DeltaFrom(Workspace* ws, datalog::PredId pred) {
 }
 
 TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
-  // Variants with at least one binding, by kind (full, delta, flip).
+  // Variants with at least one binding, by kind (full, delta, flip,
+  // head).
   std::map<std::string, size_t> found;
   size_t reused = 0;  // plans that run the compiled steps themselves
   size_t copied = 0;
@@ -677,11 +711,23 @@ TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
         check("flip", static_cast<int>(k), rule.flip_steps[k],
               planner.PlanForFlip(rule, k), &override);
       }
+      // Head j: the instantiations deriving every other tuple of the
+      // head's predicate (the compiled steps filter by the head last).
+      for (size_t j = 0; j < rule.heads.size(); ++j) {
+        const std::vector<Tuple> heads = DeltaFrom(&ws, rule.heads[j].pred);
+        std::vector<OccView> views(rule.head_occurrence() + 1);
+        views[rule.head_occurrence()].only = &heads;
+        DeltaOverride override;
+        override.views = &views;
+        check("head", static_cast<int>(j),
+              HeadBoundSteps(ws.catalog(), rule, j),
+              planner.PlanForHead(rule, j), &override);
+      }
     }
   }
   // Every kind of variant found bindings, and both plan forms — compiled
   // steps reused and a reordered copy — ran.
-  for (const char* kind : {"full", "delta", "flip"}) {
+  for (const char* kind : {"full", "delta", "flip", "head"}) {
     EXPECT_GT(found[kind], 0u) << kind;
   }
   EXPECT_GT(reused, 0u);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/query.h"
 #include "engine/workspace.h"
@@ -74,10 +75,10 @@ constexpr int kNumIdb = 4;
 constexpr int kNumLabels = 8;
 constexpr int kNumVars = 4;
 
-std::string Edb(int k) { return "e" + std::to_string(k); }
-std::string Idb(int k) { return "i" + std::to_string(k); }
-std::string LabelOf(int k) { return "n" + std::to_string(k); }
-std::string VarOf(int k) { return "V" + std::to_string(k); }
+std::string Edb(int k) { return StrCat({"e", std::to_string(k)}); }
+std::string Idb(int k) { return StrCat({"i", std::to_string(k)}); }
+std::string LabelOf(int k) { return StrCat({"n", std::to_string(k)}); }
+std::string VarOf(int k) { return StrCat({"V", std::to_string(k)}); }
 
 // One random program: fixed schema (all binary over one entity domain),
 // randomized rule set. Bodies are positive atoms over EDBs and IDBs up to
@@ -187,7 +188,7 @@ TEST(QueryFuzzTest, RandomProgramsAgreeWithFixpointUnderChurn) {
   for (uint32_t seed = 1; seed <= 80; ++seed) {
     std::mt19937 rng(seed * 2654435761u);
     const std::string program = RandomProgram(&rng);
-    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + program);
+    SCOPED_TRACE(StrCat({"seed ", std::to_string(seed), "\n", program}));
 
     Workspace mat;
     Install(&mat, program);

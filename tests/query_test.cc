@@ -7,12 +7,14 @@
 // readers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "dist/runtime.h"
 #include "engine/query.h"
@@ -93,8 +95,8 @@ std::vector<FactUpdate> LineLinks(int n) {
   std::vector<FactUpdate> out;
   for (int i = 0; i + 1 < n; ++i) {
     out.push_back({"link",
-                   {Value::Str("v" + std::to_string(i)),
-                    Value::Str("v" + std::to_string(i + 1))}});
+                   {Value::Str(StrCat({"v", std::to_string(i)})),
+                    Value::Str(StrCat({"v", std::to_string(i + 1)}))}});
   }
   return out;
 }
@@ -263,15 +265,17 @@ reachable(X, Y) <- reachable(X, Z), link(Z, Y).
 )";
   std::vector<std::string> edge_preds = {"link"};
   for (size_t f = 0; f < kTagFamilies; ++f) {
-    const std::string e = "attr" + std::to_string(f);
-    const std::string t = "tag" + std::to_string(f);
+    const std::string e = StrCat({"attr", std::to_string(f)});
+    const std::string t = StrCat({"tag", std::to_string(f)});
     program += e + "(X, Y) -> node(X), node(Y).\n";
     program += t + "(X, Y) -> node(X), node(Y).\n";
     program += t + "(X, Y) <- " + e + "(X, Y).\n";
     program += t + "(X, Y) <- " + t + "(X, Z), " + e + "(Z, Y).\n";
     edge_preds.push_back(e);
   }
-  auto label = [](size_t i) { return Value::Str("v" + std::to_string(i)); };
+  auto label = [](size_t i) {
+    return Value::Str(StrCat({"v", std::to_string(i)}));
+  };
   std::vector<FactUpdate> edges;
   for (size_t p = 0; p < edge_preds.size(); ++p) {
     for (size_t i = 0; i + 1 < kNodes; ++i) {
@@ -352,7 +356,8 @@ TEST(QueryTest, AnswerCapEvictsSnapshotsNeverAnswers) {
 
   // Five distinct bound patterns against a cap of two.
   auto goal = [](int i) -> QueryGoal {
-    return {"reachable", {Value::Str("v" + std::to_string(i)), std::nullopt}};
+    return {"reachable",
+            {Value::Str(StrCat({"v", std::to_string(i)})), std::nullopt}};
   };
   std::vector<std::set<std::string>> first;
   for (int i = 0; i < 5; ++i) {
@@ -549,6 +554,117 @@ TEST(QueryTest, GoalErrorsAreReported) {
       qe.Query({"reachable", {Value::Int(3), std::nullopt}}).ok());  // type
 }
 
+// serve-churn's program shape — left-recursive closures over chains with
+// forward and backward skip edges, two families — under single-edge
+// deletes and re-inserts, chain edges included. A delete leaves suspects
+// on the skip-edge cycles; the proof search must keep the founded ones
+// and erase the rest, with no cluster recompute. After every write the
+// query answers equal a fresh materialized load of the edges present then
+// (no delete runs in it), at every threads × shards setting.
+TEST(QueryTest, ServeChurnShapedDeleteDifferential) {
+  constexpr int kNodes = 24;
+  const std::vector<std::pair<std::string, std::string>> families = {
+      {"link", "reachable"}, {"attr0", "tag0"}};
+  std::string program = "node(X) -> .\n";
+  for (const auto& [edge, goal] : families) {
+    program += edge + "(X, Y) -> node(X), node(Y).\n";
+    program += goal + "(X, Y) -> node(X), node(Y).\n";
+    program += goal + "(X, Y) <- " + edge + "(X, Y).\n";
+    program += goal + "(X, Y) <- " + goal + "(X, Z), " + edge + "(Z, Y).\n";
+  }
+  auto v = [](int i) { return Value::Str(StrCat({"v", std::to_string(i)})); };
+  std::vector<FactUpdate> edges;
+  std::vector<size_t> chain, skips;  // indexes into `edges`
+  for (size_t f = 0; f < families.size(); ++f) {
+    const std::string& e = families[f].first;
+    for (int i = 0; i + 1 < kNodes; ++i) {
+      chain.push_back(edges.size());
+      edges.push_back({e, {v(i), v(i + 1)}});
+    }
+    // Forward skips, and backward skips that close cycles over the chain.
+    for (int i = 0; i < 4; ++i) {
+      const int a = (5 * i + 2 + static_cast<int>(f)) % kNodes;
+      skips.push_back(edges.size());
+      edges.push_back({e, {v(a), v((a + 4 + i) % kNodes)}});
+      const int b = (7 * i + 9 + 3 * static_cast<int>(f)) % kNodes;
+      skips.push_back(edges.size());
+      edges.push_back({e, {v(b), v((b + kNodes - 3 - i) % kNodes)}});
+    }
+  }
+  // Each write toggles one edge: deleted when present, re-inserted when
+  // not. Every third write is a chain edge.
+  std::vector<size_t> writes;
+  for (size_t k = 0; k < 48; ++k) {
+    writes.push_back(k % 3 == 0 ? chain[(k * 7) % chain.size()]
+                                : skips[(k * 5) % skips.size()]);
+  }
+  std::vector<QueryGoal> goals;
+  for (const auto& [edge, goal] : families) {
+    for (int src : {0, 3, 10, 17}) {
+      goals.push_back({goal, {v(src), std::nullopt}});
+    }
+  }
+
+  // want[w]: every goal's answers before write w (want[0] after the load).
+  std::vector<std::vector<std::set<std::string>>> want;
+  std::vector<bool> present(edges.size(), true);
+  for (size_t w = 0; w <= writes.size(); ++w) {
+    if (w > 0) present[writes[w - 1]] = !present[writes[w - 1]];
+    std::vector<FactUpdate> live;
+    for (size_t k = 0; k < edges.size(); ++k) {
+      if (present[k]) live.push_back(edges[k]);
+    }
+    Workspace mat;
+    Install(&mat, program);
+    ASSERT_TRUE(mat.Apply(live).ok());
+    std::vector<std::set<std::string>>& answers = want.emplace_back();
+    for (const QueryGoal& g : goals) {
+      answers.push_back(ExpectedSet(mat, g.pred, g.args));
+    }
+  }
+
+  std::vector<uint64_t> first_counts;
+  for (int threads : {1, 4}) {
+    for (size_t shards : {size_t{1}, size_t{7}}) {
+      SCOPED_TRACE(StrCat({"threads=", std::to_string(threads), " shards=",
+                           std::to_string(shards)}));
+      Workspace qws;
+      qws.set_defer_rules(true);
+      qws.fixpoint_options().threads = threads;
+      qws.fixpoint_options().shards = shards;
+      Install(&qws, program);
+      ASSERT_TRUE(qws.Apply(edges).ok());
+      QueryEngine qe(&qws);
+      for (size_t i = 0; i < goals.size(); ++i) {
+        ASSERT_EQ(QueryAnswers(&qe, qws, goals[i]), want[0][i]);
+      }
+      std::fill(present.begin(), present.end(), true);
+      uint64_t proved = 0, disproved = 0;
+      for (size_t w = 0; w < writes.size(); ++w) {
+        const size_t k = writes[w];
+        std::vector<FactUpdate> ins, del;
+        (present[k] ? del : ins).push_back(edges[k]);
+        present[k] = !present[k];
+        auto commit = qws.Apply(ins, del);
+        ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+        EXPECT_EQ(commit->fixpoint.group_rederives, 0u) << "write " << w;
+        proved += commit->fixpoint.suspects_proved;
+        disproved += commit->fixpoint.suspects_disproved;
+        for (size_t i = 0; i < goals.size(); ++i) {
+          ASSERT_EQ(QueryAnswers(&qe, qws, goals[i]), want[w + 1][i])
+              << "write " << w << " goal " << goals[i].pred << "("
+              << goals[i].args[0]->AsString() << ", ?)";
+        }
+      }
+      EXPECT_GT(proved, 0u);
+      EXPECT_GT(disproved, 0u);
+      // The search settles the same suspects at every setting.
+      if (first_counts.empty()) first_counts = {proved, disproved};
+      EXPECT_EQ(std::vector<uint64_t>({proved, disproved}), first_counts);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace secureblox::engine
 
@@ -591,8 +707,8 @@ reachable(X, Y) <- link(X, Z), reachable(Z, Y).
   std::vector<FactUpdate> links;
   for (int i = 0; i + 1 < 6; ++i) {
     links.push_back({"link",
-                     {Value::Str("p" + std::to_string(i)),
-                      Value::Str("p" + std::to_string(i + 1))}});
+                     {Value::Str(StrCat({"p", std::to_string(i)})),
+                      Value::Str(StrCat({"p", std::to_string(i + 1)}))}});
   }
   ASSERT_TRUE(node.InsertLocal(links).ok());
 

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "engine/relation.h"
 
 namespace secureblox::engine {
@@ -192,7 +193,7 @@ std::multiset<std::string> Contents(const Relation& r) {
       Tuple t = r.MaterializeTuple(sh, slot);
       std::string line;
       for (const Value& v : t) line += v.ToString() + ",";
-      line += "#" + std::to_string(r.SupportCount(t));
+      line += StrCat({"#", std::to_string(r.SupportCount(t))});
       out.insert(std::move(line));
     }
   }
@@ -334,7 +335,7 @@ TEST(ShardedRelationTest, WholeTupleProbeReadsTheSetIndex) {
   constexpr uint32_t kWhole = 0b111;
   PredicateDecl decl = MakeDecl(3, false);
   for (size_t shards : {size_t{1}, size_t{7}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SCOPED_TRACE(StrCat({"shards=", std::to_string(shards)}));
     Relation r(&decl, shards);
     const uint64_t builds = r.index_builds();
     uint64_t seed = 0x5eedULL;
@@ -385,7 +386,7 @@ TEST(ShardedRelationTest, WholeTupleProbeReadsTheSetIndex) {
 Tuple Mixed(int64_t k, int64_t tag) {
   Tuple t;
   t.push_back(Value::Int(k));
-  t.push_back(Value::Str("name-" + std::to_string(k % 9)));
+  t.push_back(Value::Str(StrCat({"name-", std::to_string(k % 9)})));
   t.push_back(Value::Int(tag));
   return t;
 }
@@ -470,7 +471,7 @@ TEST(ColumnarRelationTest, ContentMatchesModelAcrossShardCounts) {
   // erased ones (which must come back at support 0).
   PredicateDecl decl = MakeDecl(3, false);
   for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SCOPED_TRACE(StrCat({"shards=", std::to_string(shards)}));
     Relation r(&decl, shards);
     std::map<Tuple, uint32_t> model;
     auto check = [&] {
@@ -526,8 +527,9 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
   for (int64_t i = 0; i < 60; ++i) r.Insert(Mixed(i, i * 10));
   EXPECT_EQ(r.Insert(Mixed(3, 999)), InsertOutcome::kFdConflict);
   for (int64_t i = 0; i < 60; ++i) {
-    const Tuple* row = Lookup(r, {Value::Int(i),
-                                  Value::Str("name-" + std::to_string(i % 9))});
+    const Tuple* row =
+        Lookup(r, {Value::Int(i),
+                   Value::Str(StrCat({"name-", std::to_string(i % 9)}))});
     ASSERT_NE(row, nullptr);
     EXPECT_EQ(row->back().AsInt(), i * 10);
   }

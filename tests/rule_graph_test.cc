@@ -5,6 +5,7 @@
 // the derivation budget.
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/rule_graph.h"
 #include "engine/workspace.h"
@@ -162,8 +163,8 @@ TEST(RuleGraphTest, UntriggeredGroupsNeverRun) {
   std::vector<FactUpdate> links;
   for (int i = 0; i + 1 < 8; ++i) {
     links.push_back({"link",
-                     {Value::Str("v" + std::to_string(i)),
-                      Value::Str("v" + std::to_string(i + 1))}});
+                     {Value::Str(StrCat({"v", std::to_string(i)})),
+                      Value::Str(StrCat({"v", std::to_string(i + 1)}))}});
   }
   auto commit = ws.Apply(links);
   ASSERT_TRUE(commit.ok()) << commit.status().ToString();
@@ -223,8 +224,8 @@ TEST(RuleGraphTest, BudgetExemptsDeleteAndRederive) {
   std::vector<FactUpdate> links;
   for (int i = 0; i + 1 < 10; ++i) {
     links.push_back({"link",
-                     {Value::Str("v" + std::to_string(i)),
-                      Value::Str("v" + std::to_string(i + 1))}});
+                     {Value::Str(StrCat({"v", std::to_string(i)})),
+                      Value::Str(StrCat({"v", std::to_string(i + 1)}))}});
   }
   ASSERT_TRUE(ws.Apply(links).ok());
   ASSERT_EQ(ws.Query("reachable").value().size(), 45u);
