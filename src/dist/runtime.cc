@@ -273,9 +273,7 @@ Result<std::vector<NodeRuntime::Outgoing>> NodeRuntime::CollectOutgoing(
   for (const char* pred_name : kExportPreds) {
     auto pred = catalog.Lookup(pred_name);
     if (!pred.ok()) continue;  // policy without distribution
-    auto it = commit.inserted.find(pred.value());
-    if (it == commit.inserted.end()) continue;
-    for (const Tuple& t : it->second) {
+    for (const Tuple& t : commit.inserted(pred.value())) {
       auto label = catalog.EntityLabel(t[0]);
       if (!label.ok()) continue;
       auto parsed = ParseNodeLabel(label.value());

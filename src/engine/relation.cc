@@ -1,6 +1,7 @@
 #include "engine/relation.h"
 
 #include <algorithm>
+#include <cstdlib>
 
 namespace secureblox::engine {
 
@@ -44,6 +45,23 @@ size_t MaskColumn(uint32_t mask) {
   return col;
 }
 
+/// Hash of the codes code(0) .. code(n - 1).
+template <typename CodeAt>
+uint32_t HashCodesBy(size_t n, CodeAt code) {
+  uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ code(i)) * 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 32;
+  }
+  return static_cast<uint32_t>(h);
+}
+
+/// HashCodes of the first `n` codes of row `slot`, read from the columns.
+uint32_t HashRow(const std::vector<std::vector<uint32_t>>& cols, size_t n,
+                 size_t slot) {
+  return HashCodesBy(n, [&](size_t i) { return cols[i][slot]; });
+}
+
 /// Approximate heap bytes of one unordered_map: the bucket array plus a
 /// node per entry (payload + two pointers of allocator/link overhead).
 size_t MapBytes(size_t bucket_count, size_t entries, size_t entry_payload) {
@@ -52,6 +70,10 @@ size_t MapBytes(size_t bucket_count, size_t entries, size_t entry_payload) {
 }
 
 }  // namespace
+
+uint32_t HashCodes(const uint32_t* codes, size_t n) {
+  return HashCodesBy(n, [&](size_t i) { return codes[i]; });
+}
 
 uint32_t ShardKeyMask(const datalog::PredicateDecl& decl) {
   const size_t arity = decl.arity();
@@ -122,74 +144,184 @@ void Relation::EncodeLookup(const Tuple& t, CodeKey* out) const {
   }
 }
 
-std::optional<size_t> Relation::SlotOf(const Shard& s, const Tuple& t) const {
+uint32_t Relation::SlotTable::Find(
+    const std::vector<std::vector<uint32_t>>& cols, size_t width,
+    uint32_t hash, const uint32_t* key) const {
+  if (entries_.empty()) return kNone;
+  const size_t mask = entries_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Entry& e = entries_[i];
+    if (e.slot == kNone) return kNone;
+    if (e.hash != hash) continue;
+    size_t c = 0;
+    while (c < width && cols[c][e.slot] == key[c]) ++c;
+    if (c == width) return e.slot;
+  }
+}
+
+void Relation::SlotTable::Insert(uint32_t hash, uint32_t slot) {
+  if (2 * (size_ + 1) > entries_.size()) {
+    std::vector<Entry> old = std::move(entries_);
+    entries_.assign(std::max<size_t>(16, 2 * old.size()), Entry{});
+    size_ = 0;
+    for (const Entry& e : old) {
+      if (e.slot != kNone) Insert(e.hash, e.slot);
+    }
+  }
+  const size_t mask = entries_.size() - 1;
+  size_t i = hash & mask;
+  while (entries_[i].slot != kNone) i = (i + 1) & mask;
+  entries_[i] = {slot, hash};
+  ++size_;
+}
+
+size_t Relation::SlotTable::Position(uint32_t hash, uint32_t slot) const {
+  const size_t mask = entries_.size() - 1;
+  size_t i = hash & mask;
+  while (entries_[i].slot != slot) {
+    // Every stored slot has an entry on its probe run; reaching a free
+    // entry first means the table no longer matches the columns.
+    if (entries_[i].slot == kNone) std::abort();
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void Relation::SlotTable::Erase(uint32_t hash, uint32_t slot) {
+  const size_t mask = entries_.size() - 1;
+  size_t hole = Position(hash, slot);
+  // Backward shift: move each later entry of the probe run into the hole
+  // unless its home position lies cyclically in (hole, i], where a probe
+  // for it would stop before reaching the hole.
+  for (size_t i = (hole + 1) & mask; entries_[i].slot != kNone;
+       i = (i + 1) & mask) {
+    const size_t home = entries_[i].hash & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      entries_[hole] = entries_[i];
+      hole = i;
+    }
+  }
+  entries_[hole] = Entry{};
+  --size_;
+}
+
+void Relation::SlotTable::Repoint(uint32_t hash, uint32_t from, uint32_t to) {
+  entries_[Position(hash, from)].slot = to;
+}
+
+std::optional<RowRef> Relation::Find(const Tuple& t) const {
   thread_local CodeKey ck;  // per-thread: const reads may run on workers
   EncodeLookup(t, &ck);
   if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) {
     return std::nullopt;
   }
-  auto it = s.index_.find(ck);
-  if (it == s.index_.end()) return std::nullopt;
-  return it->second;
+  return FindCodes(ShardOf(t), ck.data());
 }
 
-InsertOutcome Relation::Insert(const Tuple& t) {
-  Shard& s = shards_[ShardOf(t)];
-  // Phase A — lookup-only encode. Duplicate and FD checks run on codes;
-  // a kNoCode anywhere means the full tuple cannot already be present,
-  // and a kNoCode in a key column means no FD conflict is possible. No
-  // dictionary state changes until the row is known to commit, so a
-  // rejected insert leaves refcounts and live counts untouched.
-  thread_local CodeKey ck;  // mutations are single-threaded; reused buffer
-  EncodeLookup(t, &ck);
-  const bool all_known = std::find(ck.begin(), ck.end(), kNoCode) == ck.end();
-  if (all_known && s.index_.count(ck)) return InsertOutcome::kDuplicate;
-  if (decl_->functional) {
-    const bool keys_known =
-        std::find(ck.begin(), ck.end() - 1, kNoCode) == ck.end() - 1;
-    if (keys_known && s.fd_index_.count(CodeKey(ck.begin(), ck.end() - 1))) {
-      return InsertOutcome::kFdConflict;
-    }
-  }
-  // Phase B — commit: allocate codes for novel values, take a live
-  // reference on every column, append the row to the column segments.
-  const size_t slot = s.counts.size();
-  for (size_t i = 0; i < t.size(); ++i) {
+std::optional<RowRef> Relation::Locate(const Tuple& t) {
+  ++mutation_encodes_;
+  return Find(t);
+}
+
+std::optional<RowRef> Relation::FindCodes(size_t shard,
+                                          const uint32_t* codes) const {
+  const Shard& s = shards_[shard];
+  const size_t n = dicts_.size();
+  const uint32_t slot = s.index_.Find(s.cols, n, HashCodes(codes, n), codes);
+  if (slot == SlotTable::kNone) return std::nullopt;
+  return RowRef{static_cast<uint32_t>(shard), slot};
+}
+
+RowRef Relation::AppendRow(size_t sh, const uint32_t* codes, uint32_t hash) {
+  Shard& s = shards_[sh];
+  const auto slot = static_cast<uint32_t>(s.counts.size());
+  for (size_t i = 0; i < dicts_.size(); ++i) {
     ColumnDict& d = dicts_[i];
-    uint32_t code = ck[i];
-    if (code == kNoCode) {
-      code = static_cast<uint32_t>(d.values.size());
-      d.values.push_back(t[i]);
-      d.codes.emplace(t[i], code);
-      d.refs.push_back(1);
-      ++d.live;
-    } else if (d.refs[code]++ == 0) {
-      ++d.live;  // erased-out value revived by this row
-    }
-    s.cols[i].push_back(code);
-    ck[i] = code;
+    if (d.refs[codes[i]]++ == 0) ++d.live;  // new, or erased-out and revived
+    s.cols[i].push_back(codes[i]);
   }
   s.counts.push_back(0);
-  s.index_[ck] = slot;
+  s.index_.Insert(hash, slot);
   if (decl_->functional) {
-    s.fd_index_[CodeKey(ck.begin(), ck.end() - 1)] = slot;
+    s.fd_index_.Insert(HashCodes(codes, fd_width()), slot);
   }
-  if (!key_stats_.empty()) StatsInsert(t);
+  if (!key_stats_.empty()) StatsInsert(sh, slot);
   ++total_size_;
   ++version_;
-  return InsertOutcome::kInserted;
+  return RowRef{static_cast<uint32_t>(sh), slot};
+}
+
+InsertResult Relation::Insert(const Tuple& t) {
+  const size_t sh = ShardOf(t);
+  ++mutation_encodes_;
+  // Phase A — lookup-only encode. A tuple of known values is checked and
+  // stored by its codes; a kNoCode anywhere means the full tuple cannot
+  // already be present, and a kNoCode in a key column means no FD
+  // conflict is possible. No dictionary state changes until the row is
+  // known to commit, so a rejected insert leaves refcounts and live
+  // counts untouched.
+  thread_local CodeKey ck;  // mutations are single-threaded; reused buffer
+  EncodeLookup(t, &ck);
+  const size_t n = ck.size();
+  const size_t known = std::find(ck.begin(), ck.end(), kNoCode) - ck.begin();
+  if (known == n) return InsertCodes(sh, ck.data());
+  if (decl_->functional && known >= fd_width()) {
+    const uint32_t slot = FdOccupant(sh, ck.data());
+    if (slot != SlotTable::kNone) {
+      return {InsertOutcome::kFdConflict, {static_cast<uint32_t>(sh), slot}};
+    }
+  }
+  // Phase B — commit: allocate codes for novel values, then append the
+  // row (AppendRow takes the live references).
+  for (size_t i = known; i < n; ++i) {
+    if (ck[i] != kNoCode) continue;
+    ColumnDict& d = dicts_[i];
+    ck[i] = static_cast<uint32_t>(d.values.size());
+    d.values.push_back(t[i]);
+    d.codes.emplace(t[i], ck[i]);
+    d.refs.push_back(0);
+  }
+  return {InsertOutcome::kInserted,
+          AppendRow(sh, ck.data(), HashCodes(ck.data(), n))};
+}
+
+uint32_t Relation::FdOccupant(size_t shard, const uint32_t* codes) const {
+  const Shard& s = shards_[shard];
+  return s.fd_index_.Find(s.cols, fd_width(), HashCodes(codes, fd_width()),
+                          codes);
+}
+
+InsertResult Relation::InsertCodes(size_t shard, const uint32_t* codes) {
+  const Shard& s = shards_[shard];
+  const size_t n = dicts_.size();
+  const uint32_t hash = HashCodes(codes, n);
+  uint32_t slot = s.index_.Find(s.cols, n, hash, codes);
+  if (slot != SlotTable::kNone) {
+    return {InsertOutcome::kDuplicate, {static_cast<uint32_t>(shard), slot}};
+  }
+  if (decl_->functional) {
+    slot = FdOccupant(shard, codes);
+    if (slot != SlotTable::kNone) {
+      return {InsertOutcome::kFdConflict,
+              {static_cast<uint32_t>(shard), slot}};
+    }
+  }
+  return {InsertOutcome::kInserted, AppendRow(shard, codes, hash)};
 }
 
 bool Relation::Erase(const Tuple& t) {
-  Shard& s = shards_[ShardOf(t)];
-  thread_local CodeKey ck;
-  EncodeLookup(t, &ck);
-  if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return false;
-  auto it = s.index_.find(ck);
-  if (it == s.index_.end()) return false;
-  const size_t slot = it->second;
+  const std::optional<RowRef> row = Locate(t);
+  if (!row) return false;
+  EraseRow(*row);
+  return true;
+}
+
+void Relation::EraseRow(RowRef row) {
+  Shard& s = shards_[row.shard];
+  const size_t slot = row.slot;
   const size_t last = s.counts.size() - 1;
-  if (!key_stats_.empty()) StatsErase(t);
+  const size_t n = dicts_.size();
+  if (!key_stats_.empty()) StatsErase(row.shard, slot);
   // Drop the erased row from built secondary buckets before the swap
   // clobbers row `slot`, preserving bucket order so enumeration order does
   // not depend on erase history beyond the erase itself.
@@ -201,29 +333,27 @@ bool Relation::Erase(const Tuple& t) {
     rows.erase(std::remove(rows.begin(), rows.end(), slot), rows.end());
     if (rows.empty()) idx.buckets.erase(bit);
   }
-  s.index_.erase(it);
+  s.index_.Erase(HashRow(s.cols, n, slot), row.slot);
   if (decl_->functional) {
-    s.fd_index_.erase(CodeKey(ck.begin(), ck.end() - 1));
+    s.fd_index_.Erase(HashRow(s.cols, fd_width(), slot), row.slot);
   }
   // Release this row's dictionary references. Codes are never reclaimed —
   // only the live counts (the planner's distinct statistics) move.
-  for (size_t i = 0; i < ck.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     ColumnDict& d = dicts_[i];
-    if (--d.refs[ck[i]] == 0) --d.live;
+    if (--d.refs[s.cols[i][slot]] == 0) --d.live;
   }
-  // Swap-remove within the shard's column segments; fix the moved row's
-  // slots. The moved row belongs to the same shard by construction, so no
-  // cross-shard bookkeeping is needed.
+  // Swap-remove within the shard's column segments; re-point the moved
+  // row's slot-table entries. The moved row belongs to the same shard by
+  // construction, so no cross-shard bookkeeping is needed.
   if (slot != last) {
+    const auto from = static_cast<uint32_t>(last);
+    s.index_.Repoint(HashRow(s.cols, n, last), from, row.slot);
+    if (decl_->functional) {
+      s.fd_index_.Repoint(HashRow(s.cols, fd_width(), last), from, row.slot);
+    }
     for (auto& col : s.cols) col[slot] = col[last];
     s.counts[slot] = s.counts[last];
-    CodeKey moved;
-    moved.reserve(s.cols.size());
-    for (const auto& col : s.cols) moved.push_back(col[slot]);
-    s.index_[moved] = slot;
-    if (decl_->functional) {
-      s.fd_index_[CodeKey(moved.begin(), moved.end() - 1)] = slot;
-    }
   }
   for (auto& col : s.cols) col.pop_back();
   s.counts.pop_back();
@@ -257,25 +387,26 @@ bool Relation::Erase(const Tuple& t) {
   }
   --total_size_;
   ++version_;
-  return true;
 }
 
 uint32_t Relation::SupportCount(const Tuple& t) const {
-  const Shard& s = shards_[ShardOf(t)];
-  const std::optional<size_t> slot = SlotOf(s, t);
-  return slot ? s.counts[*slot] : 0;
+  const std::optional<RowRef> row = Find(t);
+  return row ? support(*row) : 0;
 }
 
-uint32_t Relation::AddSupport(const Tuple& t) {
-  Shard& s = shards_[ShardOf(t)];
-  const std::optional<size_t> slot = SlotOf(s, t);
-  return slot ? ++s.counts[*slot] : 0;
+void Relation::AppendRowCodes(RowRef row, std::vector<uint32_t>* out) const {
+  for (const auto& col : shards_[row.shard].cols) {
+    out->push_back(col[row.slot]);
+  }
 }
 
-void Relation::SetSupport(const Tuple& t, uint32_t count) {
-  Shard& s = shards_[ShardOf(t)];
-  const std::optional<size_t> slot = SlotOf(s, t);
-  if (slot) s.counts[*slot] = count;
+Tuple Relation::DecodeCodes(const uint32_t* codes) const {
+  Tuple out;
+  out.reserve(dicts_.size());
+  for (size_t c = 0; c < dicts_.size(); ++c) {
+    out.push_back(dicts_[c].values[codes[c]]);
+  }
+  return out;
 }
 
 std::optional<Tuple> Relation::ReplaceFunctional(const Tuple& t) {
@@ -294,9 +425,7 @@ std::optional<Tuple> Relation::ReplaceFunctional(const Tuple& t) {
   return displaced;
 }
 
-bool Relation::Contains(const Tuple& t) const {
-  return SlotOf(shards_[ShardOf(t)], t).has_value();
-}
+bool Relation::Contains(const Tuple& t) const { return Find(t).has_value(); }
 
 const Tuple* Relation::LookupByKeys(const Tuple& keys, Tuple* scratch) const {
   // `keys` is exactly the shard-key projection of the row it names.
@@ -307,9 +436,9 @@ const Tuple* Relation::LookupByKeys(const Tuple& keys, Tuple* scratch) const {
   thread_local CodeKey ck;
   EncodeLookup(keys, &ck);
   if (std::find(ck.begin(), ck.end(), kNoCode) != ck.end()) return nullptr;
-  auto it = s.fd_index_.find(ck);
-  if (it == s.fd_index_.end()) return nullptr;
-  const size_t slot = it->second;
+  const uint32_t slot = s.fd_index_.Find(
+      s.cols, ck.size(), HashCodes(ck.data(), ck.size()), ck.data());
+  if (slot == SlotTable::kNone) return nullptr;
   scratch->clear();
   scratch->reserve(s.cols.size());
   for (size_t c = 0; c < s.cols.size(); ++c) {
@@ -440,10 +569,11 @@ const std::vector<size_t>& Relation::ProbeShard(size_t shard, uint32_t mask,
     // A membership test: the shard's set index holds the one possible
     // row, so no secondary index duplicates it (per-thread result, see
     // the reference-stability contract).
-    auto it = s.index_.find(ck);
-    if (it == s.index_.end()) return kEmpty;
+    const uint32_t slot = s.index_.Find(
+        s.cols, ck.size(), HashCodes(ck.data(), ck.size()), ck.data());
+    if (slot == SlotTable::kNone) return kEmpty;
     thread_local std::vector<size_t> one(1);
-    one[0] = it->second;
+    one[0] = slot;
     return one;
   }
   auto sit = s.secondary_.find(mask);
@@ -457,15 +587,26 @@ const std::vector<size_t>& Relation::ProbeShard(size_t shard, uint32_t mask,
   return it == idx.buckets.end() ? kEmpty : it->second;
 }
 
-void Relation::StatsInsert(const Tuple& t) {
+size_t Relation::RowValueHash(size_t shard, size_t slot, uint32_t mask) const {
+  // HashValues over the row's decoded values, read in place.
+  size_t h = 0x811C9DC5;
+  for (size_t i = 0; i < dicts_.size() && i < 32; ++i) {
+    if (mask & (1u << i)) {
+      h ^= At(shard, slot, i).Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
+    }
+  }
+  return h;
+}
+
+void Relation::StatsInsert(size_t shard, size_t slot) {
   for (auto& [mask, stat] : key_stats_) {
-    ++stat.counts[HashValues(t, mask)];
+    ++stat.counts[RowValueHash(shard, slot, mask)];
   }
 }
 
-void Relation::StatsErase(const Tuple& t) {
+void Relation::StatsErase(size_t shard, size_t slot) {
   for (auto& [mask, stat] : key_stats_) {
-    auto it = stat.counts.find(HashValues(t, mask));
+    auto it = stat.counts.find(RowValueHash(shard, slot, mask));
     if (it == stat.counts.end()) continue;  // collision-safety: never go negative
     if (--it->second == 0) stat.counts.erase(it);
   }
@@ -478,20 +619,10 @@ void Relation::EnsureKeyStat(uint32_t mask) {
   if (WholeTuple(mask) || key_stats_.count(mask)) return;
   KeyStat& stat = key_stats_[mask];
   stat.counts.reserve(total_size_);
-  // Seed by hashing the decoded column values with the same mixing
-  // StatsInsert/StatsErase apply to value tuples.
+  // Seed with the same value hash StatsInsert/StatsErase maintain.
   for (size_t sh = 0; sh < shards_.size(); ++sh) {
-    const Shard& s = shards_[sh];
-    const size_t rows = s.counts.size();
-    for (size_t r = 0; r < rows; ++r) {
-      size_t h = 0x811C9DC5;
-      for (size_t i = 0; i < s.cols.size() && i < 32; ++i) {
-        if (mask & (1u << i)) {
-          h ^= At(sh, r, i).Hash() + 0x9E3779B9 + (h << 6) + (h >> 2);
-        }
-      }
-      ++stat.counts[h];
-    }
+    const size_t rows = shards_[sh].counts.size();
+    for (size_t r = 0; r < rows; ++r) ++stat.counts[RowValueHash(sh, r, mask)];
   }
 }
 
@@ -536,7 +667,6 @@ Relation::MemoryFootprint Relation::Memory() const {
   // vectors at one size_t per indexed row. Good enough for the relative
   // comparisons the EngineStats gauges exist for.
   MemoryFootprint m;
-  const size_t arity = decl_->arity();
   for (const ColumnDict& d : dicts_) {
     m.dict_bytes += d.values.capacity() * sizeof(datalog::Value);
     m.dict_bytes += d.refs.capacity() * sizeof(uint32_t);
@@ -548,12 +678,7 @@ Relation::MemoryFootprint Relation::Memory() const {
       m.column_bytes += col.capacity() * sizeof(uint32_t);
     }
     m.column_bytes += s.counts.capacity() * sizeof(uint32_t);
-    m.index_bytes += MapBytes(s.index_.bucket_count(), s.index_.size(),
-                              sizeof(CodeKey) + arity * sizeof(uint32_t));
-    m.index_bytes +=
-        MapBytes(s.fd_index_.bucket_count(), s.fd_index_.size(),
-                 sizeof(CodeKey) +
-                     (arity == 0 ? 0 : arity - 1) * sizeof(uint32_t));
+    m.index_bytes += s.index_.bytes() + s.fd_index_.bytes();
     for (const auto& [mask, idx] : s.secondary_) {
       const size_t key_cols =
           static_cast<size_t>(__builtin_popcount(mask));

@@ -26,9 +26,17 @@
 // of the shard count — only storage order changes.
 //
 // Each row additionally carries a derivation-support count used by the
-// counting-based incremental deletion path: the number of rule
-// instantiations currently deriving the tuple. Base facts and aggregate
-// outputs keep a count of zero; their liveness is tracked elsewhere.
+// counting-based incremental deletion path — the number of rule
+// instantiations currently deriving the tuple — and a base bit, set while
+// the tuple is asserted as a base fact. Aggregate outputs keep a count of
+// zero; their liveness is recompute-managed.
+//
+// Row identity: each shard keeps two slot tables — the set index (every
+// column) and, for functional predicates, the FD index (the key columns)
+// — open-addressing arrays of slots keyed by the codes the column
+// segments hold at each slot, so no row owns a key copy. Mutation paths
+// locate a row once and then act on its RowRef; a RowRef is valid only
+// until the next mutation, because swap-remove erasure moves rows.
 //
 // Concurrency contract (parallel fixpoint): all mutations are
 // single-threaded. Concurrent Probe() calls are safe only for masks whose
@@ -43,9 +51,10 @@
 // EnsureIndex() calls while the relation's version() is unchanged — those
 // are pure reads on an up-to-date index — and across index builds for
 // *other* masks or *other* shards (bucket maps are node-based, so foreign
-// inserts never move this mask's vectors). Any mutation (Insert, Erase,
-// ReplaceFunctional) or an EnsureIndex that catches an index up to a
-// newer version may reallocate buckets and invalidates it. The
+// inserts never move this mask's vectors). Any mutation (Insert,
+// InsertCodes, Erase, EraseRow, ReplaceFunctional) or an EnsureIndex
+// that catches an index up to a newer version may reallocate buckets and
+// invalidates it. The
 // executor relies on exactly the safe window: a rule body holds probe
 // results across nested probes of the same enumeration, and the fixpoint
 // drivers never mutate relations while an enumeration runs (derived heads
@@ -81,6 +90,22 @@ enum class InsertOutcome {
   kFdConflict,   // functional dependency violated (same keys, other value)
 };
 
+/// A stored row: its shard and shard-local slot. Valid only until the
+/// relation's next mutation — swap-remove erasure moves rows — so a
+/// handle is used inside one mutation and never kept.
+struct RowRef {
+  uint32_t shard = 0;
+  uint32_t slot = 0;
+};
+
+/// An insertion's outcome and the row it concerns: the new row
+/// (kInserted), the stored copy (kDuplicate), or the row holding the keys
+/// (kFdConflict).
+struct InsertResult {
+  InsertOutcome outcome = InsertOutcome::kInserted;
+  RowRef row;
+};
+
 /// Where a cardinality estimate for a bound-column mask comes from
 /// (SB_EXPLAIN surfaces this per plan step).
 enum class EstimateSource : uint8_t {
@@ -94,6 +119,9 @@ enum class EstimateSource : uint8_t {
 /// per declaration, so probe strategies fixed from it are identical at
 /// every shard count.
 uint32_t ShardKeyMask(const datalog::PredicateDecl& decl);
+
+/// Hash of a key of `n` dictionary codes: the key hash of the slot tables.
+uint32_t HashCodes(const uint32_t* codes, size_t n);
 
 class Relation {
  public:
@@ -112,13 +140,24 @@ class Relation {
 
   const datalog::PredicateDecl& decl() const { return *decl_; }
 
-  /// Insert with set semantics and FD checking.
-  InsertOutcome Insert(const Tuple& t);
+  /// Insert with set semantics and FD checking: one encode and one probe
+  /// of each slot table. A new row starts with support 0, not base.
+  InsertResult Insert(const Tuple& t);
 
-  /// Remove a tuple; returns true if it was present. Built secondary
-  /// indexes are patched in place (swap-remove aware, shard-local), never
-  /// invalidated.
+  /// Remove a tuple; returns true if it was present.
   bool Erase(const Tuple& t);
+
+  /// Remove the row at `row`. Built secondary indexes are patched in
+  /// place (swap-remove aware, shard-local), never invalidated; the
+  /// shard's last row moves into the freed slot and its slot-table
+  /// entries are re-pointed.
+  void EraseRow(RowRef row);
+
+  /// The row holding `t`, for a mutation path: the encode counts in
+  /// mutation_encodes(). Single-threaded, like all mutations.
+  std::optional<RowRef> Locate(const Tuple& t);
+  /// The row holding `t`, or nullopt. A pure read (no counter).
+  std::optional<RowRef> Find(const Tuple& t) const;
 
   /// For functional predicates: replace any existing tuple with the same
   /// keys. Returns the displaced tuple if one existed.
@@ -174,6 +213,19 @@ class Relation {
   /// Exact number of distinct values currently live in `col`.
   size_t ColumnDistinct(size_t col) const { return dicts_[col].live; }
 
+  /// Append the codes of the row at `row` (one per column) to `out`.
+  void AppendRowCodes(RowRef row, std::vector<uint32_t>* out) const;
+  /// The row of `shard` whose codes equal `codes` (arity codes, as
+  /// AppendRowCodes wrote them), or nullopt: a probe with no encode.
+  std::optional<RowRef> FindCodes(size_t shard, const uint32_t* codes) const;
+  /// Insert a row of codes this relation has assigned (Insert's path for
+  /// known values, and rollback's restore of an erased row). Codes are
+  /// never reclaimed, so nothing is encoded; `shard` must be the shard
+  /// the row's values hash to.
+  InsertResult InsertCodes(size_t shard, const uint32_t* codes);
+  /// The tuple `codes` (arity codes) decode to.
+  Tuple DecodeCodes(const uint32_t* codes) const;
+
   /// Append the dictionary code of each of `t`'s values to `out`. Returns
   /// false — leaving `out` as it was passed in — when any value is absent
   /// from its column's dictionary: such a tuple cannot be stored in this
@@ -197,14 +249,39 @@ class Relation {
   const std::vector<uint32_t>* SortedRunBoundsIfWarm(size_t shard,
                                                      size_t col) const;
 
-  // -- derivation-support counts (counting-based deletion) -------------------
+  // -- derivation support and base bit (counting-based deletion) -------------
 
   /// Current support of `t`; 0 when absent or purely base.
   uint32_t SupportCount(const Tuple& t) const;
-  /// Add one derivation support. Returns the new count (0 if `t` absent).
-  uint32_t AddSupport(const Tuple& t);
-  /// Overwrite the support of `t` (rollback / over-delete bookkeeping).
-  void SetSupport(const Tuple& t, uint32_t count);
+  /// Support of the row at `row` (at most 2^31 - 1).
+  uint32_t support(RowRef row) const {
+    return shards_[row.shard].counts[row.slot] & ~kBaseBit;
+  }
+  /// Add one derivation support. Returns the new count.
+  uint32_t AddSupport(RowRef row) {
+    return ++shards_[row.shard].counts[row.slot] & ~kBaseBit;
+  }
+  /// Overwrite the support of the row, keeping its base bit.
+  void SetSupport(RowRef row, uint32_t count) {
+    uint32_t& c = shards_[row.shard].counts[row.slot];
+    c = (c & kBaseBit) | (count & ~kBaseBit);
+  }
+  /// Whether the row is asserted as a base fact.
+  bool is_base(RowRef row) const {
+    return (shards_[row.shard].counts[row.slot] & kBaseBit) != 0;
+  }
+  void SetBase(RowRef row, bool base) {
+    uint32_t& c = shards_[row.shard].counts[row.slot];
+    c = base ? (c | kBaseBit) : (c & ~kBaseBit);
+  }
+  /// Support and base bit as one word (undo logging saves and restores
+  /// both with it).
+  uint32_t row_state(RowRef row) const {
+    return shards_[row.shard].counts[row.slot];
+  }
+  void set_row_state(RowRef row, uint32_t state) {
+    shards_[row.shard].counts[row.slot] = state;
+  }
 
   /// Monotonically increasing change counter (secondary index freshness).
   uint64_t version() const { return version_; }
@@ -281,8 +358,16 @@ class Relation {
   /// relation) — the EngineStats counter benches watch.
   uint64_t index_builds() const { return index_builds_; }
 
+  /// Value-to-code encodes of whole tuples in the mutation entry points
+  /// (Insert, Erase, Locate): one per call. The EngineStats counter
+  /// benches read to pin encodes per inserted tuple.
+  uint64_t mutation_encodes() const { return mutation_encodes_; }
+
  private:
-  /// Projected dictionary codes, the key of every index.
+  /// Row-state bit marking a base fact; the low 31 bits hold the support.
+  static constexpr uint32_t kBaseBit = 1u << 31;
+
+  /// Projected dictionary codes, the key of every secondary index.
   using CodeKey = std::vector<uint32_t>;
   struct CodeKeyHash {
     size_t operator()(const CodeKey& k) const {
@@ -331,13 +416,44 @@ class Relation {
     std::vector<uint32_t> bounds;
   };
 
+  /// Open-addressing table of one shard's slots, keyed by the codes of
+  /// each slot's first `width` columns as the column segments hold them:
+  /// linear probing over a power-of-two array at most half full, and
+  /// backward-shift deletion (no tombstones). An entry keeps its key's
+  /// hash, so growth rehashes without reading the columns and a probe
+  /// reads them only on a hash match.
+  class SlotTable {
+   public:
+    static constexpr uint32_t kNone = 0xFFFFFFFFu;
+    /// Slot whose first `width` codes equal `key`, or kNone.
+    uint32_t Find(const std::vector<std::vector<uint32_t>>& cols,
+                  size_t width, uint32_t hash, const uint32_t* key) const;
+    /// Add `slot` (its key must be absent).
+    void Insert(uint32_t hash, uint32_t slot);
+    /// Remove `slot`, stored under `hash`.
+    void Erase(uint32_t hash, uint32_t slot);
+    /// Point the entry for `from`, stored under `hash`, at `to`.
+    void Repoint(uint32_t hash, uint32_t from, uint32_t to);
+    size_t bytes() const { return entries_.capacity() * sizeof(Entry); }
+
+   private:
+    struct Entry {
+      uint32_t slot = kNone;
+      uint32_t hash = 0;
+    };
+    /// Index of the entry holding `slot` under `hash`.
+    size_t Position(uint32_t hash, uint32_t slot) const;
+    std::vector<Entry> entries_;  // empty until the first insert
+    size_t size_ = 0;
+  };
+
   /// One hash partition: the pre-shard Relation layout in miniature. All
   /// slot values (indexes, secondary buckets) are shard-local.
   struct Shard {
     std::vector<std::vector<uint32_t>> cols;  // [column][slot] -> code
-    std::vector<uint32_t> counts;             // parallel to rows
-    std::unordered_map<CodeKey, size_t, CodeKeyHash> index_;     // row -> slot
-    std::unordered_map<CodeKey, size_t, CodeKeyHash> fd_index_;  // keys -> slot
+    std::vector<uint32_t> counts;  // parallel to rows: support | kBaseBit
+    SlotTable index_;     // every column -> slot
+    SlotTable fd_index_;  // functional: key columns -> slot
     std::unordered_map<uint32_t, SecondaryIndex> secondary_;
     std::vector<RunCache> runs_;  // per column, sized on first EnsureSortedRuns
   };
@@ -356,11 +472,22 @@ class Relation {
   /// Lookup-only full-tuple encoding: out[i] = code of t[i], or kNoCode
   /// for a value absent from column i's dictionary.
   void EncodeLookup(const Tuple& t, CodeKey* out) const;
-  /// Slot of `t` in its shard `s`, or nullopt when `t` is not stored.
-  std::optional<size_t> SlotOf(const Shard& s, const Tuple& t) const;
-  /// Maintain every tracked KeyStat for an inserted / erased tuple.
-  void StatsInsert(const Tuple& t);
-  void StatsErase(const Tuple& t);
+  /// Columns in the FD index key (functional predicates only).
+  size_t fd_width() const { return dicts_.empty() ? 0 : dicts_.size() - 1; }
+  /// Slot of `shard` whose FD key equals the first fd_width() `codes`, or
+  /// SlotTable::kNone.
+  uint32_t FdOccupant(size_t shard, const uint32_t* codes) const;
+  /// Append a row of known codes to shard `sh`: takes a live reference on
+  /// every code and enters the row in the slot tables. `hash` is the
+  /// set-index hash of `codes`.
+  RowRef AppendRow(size_t sh, const uint32_t* codes, uint32_t hash);
+  /// HashValues(row, mask) of the row at (shard, slot): the content hash
+  /// KeyStat counts by.
+  size_t RowValueHash(size_t shard, size_t slot, uint32_t mask) const;
+  /// Maintain every tracked KeyStat for the row at (shard, slot), just
+  /// inserted / about to be erased.
+  void StatsInsert(size_t shard, size_t slot);
+  void StatsErase(size_t shard, size_t slot);
 
   const datalog::PredicateDecl* decl_;
   /// Bit i set = column i participates in the shard key.
@@ -375,6 +502,7 @@ class Relation {
   size_t total_size_ = 0;
   uint64_t version_ = 1;
   uint64_t index_builds_ = 0;
+  uint64_t mutation_encodes_ = 0;
   /// Tracked distinct-key statistics by mask (EnsureKeyStat).
   std::unordered_map<uint32_t, KeyStat> key_stats_;
   /// Probe() gather buffer (see reference-stability contract).

@@ -81,6 +81,8 @@ Status Workspace::Install(const datalog::Program& program) {
   SB_ASSIGN_OR_RETURN(
       datalog::AnalyzedProgram analyzed,
       datalog::AnalyzeProgram(program, catalog_.get(), builtins_.Signatures()));
+  // The program may have added supertypes, which known entities lack.
+  members_known_.clear();
   if (defer_rules_) {
     // Query-serving mode: record the rules for the query front end and
     // drop runtime constraints — nothing is materialized until a query
@@ -121,6 +123,7 @@ Status Workspace::InstallSlice(const datalog::Program& program) {
   if (!analyzed.facts.empty() || !analyzed.runtime_constraints.empty()) {
     return Status::InvalidArgument("query slice must contain rules only");
   }
+  members_known_.clear();  // as in Install
   for (auto& r : analyzed.rules) installed_rules_.push_back(std::move(r));
   return Recompile();
 }
@@ -202,117 +205,186 @@ Result<Tuple> Workspace::NormalizeTuple(PredId pred,
   return out;
 }
 
-Status Workspace::EnsureEntityMembership(const Value& v, TxState* tx) {
-  if (!v.is_entity()) return Status::OK();
-  std::vector<PredId> types = {v.entity_type()};
-  for (PredId up : catalog_->SupertypesOf(v.entity_type())) types.push_back(up);
-  for (PredId type : types) {
-    Relation* rel = GetRelation(type);
-    Tuple membership = {v};
-    if (rel->Contains(membership)) continue;
-    rel->Insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kInserted, type, membership});
-    // Membership facts are base: they persist across delete-and-rederive.
-    base_tuples_[type].insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kBaseAdded, type, membership});
-    NoteInserted(type, membership, tx);
-    driver_->NotifyInsert(type, membership);
+std::vector<Tuple> TxCommit::Decode(const std::vector<Added>& added,
+                                     const std::vector<uint32_t>& codes,
+                                     PredId pred) {
+  std::vector<Tuple> out;
+  for (const Added& a : added) {
+    if (a.live && a.rel->decl().id == pred) {
+      out.push_back(a.rel->DecodeCodes(codes.data() + a.key));
+    }
   }
+  return out;
+}
+
+size_t Workspace::TxKeyHash::operator()(const TxKey& k) const {
+  return (static_cast<size_t>(static_cast<uint32_t>(k.pred)) << 32) ^
+         HashCodes(codes->data() + k.key, k.width);
+}
+
+bool Workspace::TxKeyEq::operator()(const TxKey& a, const TxKey& b) const {
+  return a.pred == b.pred && a.width == b.width &&
+         std::equal(codes->data() + a.key, codes->data() + a.key + a.width,
+                    codes->data() + b.key);
+}
+
+Status Workspace::EnsureEntityMembership(const Value& v, bool seed_deltas,
+                                         TxState* tx) {
+  if (!v.is_entity()) return Status::OK();
+  const PredId type = v.entity_type();
+  const auto id = static_cast<size_t>(v.entity_id());
+  if (static_cast<size_t>(type) >= members_known_.size()) {
+    members_known_.resize(type + 1);
+  }
+  std::vector<bool>& known = members_known_[type];
+  if (id < known.size() && known[id]) return Status::OK();
+  std::vector<PredId> types = {type};
+  for (PredId up : catalog_->SupertypesOf(type)) types.push_back(up);
+  for (PredId t : types) {
+    Relation* rel = GetRelation(t);
+    const Tuple membership = {v};
+    const InsertResult r = rel->Insert(membership);
+    if (r.outcome != InsertOutcome::kInserted) continue;
+    // Membership facts are base: they persist across delete-and-rederive.
+    rel->SetBase(r.row, true);
+    const uint32_t key = LogKey(*rel, r.row, tx);
+    tx->undo.push_back({UndoOp::Kind::kInserted, t, r.row.shard, key});
+    if (seed_deltas) {
+      NoteInserted(rel, key, tx);
+      driver_->NotifyInsert(t, membership);
+    }
+  }
+  if (id >= known.size()) known.resize(id + 1);
+  known[id] = true;
+  tx->members_noted.push_back(v);
   return Status::OK();
+}
+
+void Workspace::ForgetMembership(const Value& v) {
+  if (!v.is_entity()) return;
+  const auto type = static_cast<size_t>(v.entity_type());
+  const auto id = static_cast<size_t>(v.entity_id());
+  if (type < members_known_.size() && id < members_known_[type].size()) {
+    members_known_[type][id] = false;
+  }
+}
+
+uint32_t Workspace::LogKey(const Relation& rel, RowRef row, TxState* tx) {
+  const auto key = static_cast<uint32_t>(tx->codes.size());
+  rel.AppendRowCodes(row, &tx->codes);
+  return key;
 }
 
 Result<bool> Workspace::InsertTuple(PredId pred, const Tuple& tuple,
                                     bool is_base, bool counted, TxState* tx) {
   Relation* rel = GetRelation(pred);
-  InsertOutcome outcome = rel->Insert(tuple);
-  if (outcome == InsertOutcome::kFdConflict) {
-    Tuple scratch;
-    const Tuple* existing = rel->LookupByKeys(
-        Tuple(tuple.begin(), tuple.end() - 1), &scratch);
+  const InsertResult r = rel->Insert(tuple);
+  if (r.outcome == InsertOutcome::kFdConflict) {
     return Status::ConstraintViolation(
         "functional dependency violation on '" + catalog_->decl(pred).name +
         "': keys map to " +
-        (existing ? catalog_->ValueToString(existing->back()) : "?") +
+        catalog_->ValueToString(
+            rel->At(r.row.shard, r.row.slot, tuple.size() - 1)) +
         " but derived " + catalog_->ValueToString(tuple.back()));
   }
-  if (outcome == InsertOutcome::kDuplicate) {
-    if (is_base && !base_tuples_[pred].count(tuple)) {
-      base_tuples_[pred].insert(tuple);
-      tx->undo.push_back({UndoOp::Kind::kBaseAdded, pred, tuple, 0});
+  if (r.outcome == InsertOutcome::kDuplicate) {
+    const bool asserts = is_base && !rel->is_base(r.row);
+    if (!asserts && !counted) return false;
+    const uint32_t key = LogKey(*rel, r.row, tx);
+    if (asserts) {
+      rel->SetBase(r.row, true);
+      tx->undo.push_back({UndoOp::Kind::kBaseAdded, pred, r.row.shard, key});
     }
     if (counted) {
-      rel->AddSupport(tuple);
-      tx->undo.push_back({UndoOp::Kind::kSupportAdded, pred, tuple, 0});
+      rel->AddSupport(r.row);
+      tx->undo.push_back(
+          {UndoOp::Kind::kSupportAdded, pred, r.row.shard, key});
     }
     return false;
   }
-  tx->undo.push_back({UndoOp::Kind::kInserted, pred, tuple, 0});
+  // Undoing the insert erases the row, base bit and support with it.
+  const uint32_t key = LogKey(*rel, r.row, tx);
+  tx->undo.push_back({UndoOp::Kind::kInserted, pred, r.row.shard, key});
   if (is_base) {
-    base_tuples_[pred].insert(tuple);
-    tx->undo.push_back({UndoOp::Kind::kBaseAdded, pred, tuple, 0});
+    rel->SetBase(r.row, true);
   } else {
     ++tx->num_derived;
-    if (counted) {
-      rel->AddSupport(tuple);
-      tx->undo.push_back({UndoOp::Kind::kSupportAdded, pred, tuple, 0});
-    }
+    if (counted) rel->AddSupport(r.row);
   }
-  NoteInserted(pred, tuple, tx);
+  NoteInserted(rel, key, tx);
   driver_->NotifyInsert(pred, tuple);
   for (const Value& v : tuple) {
-    SB_RETURN_IF_ERROR(EnsureEntityMembership(v, tx));
+    SB_RETURN_IF_ERROR(EnsureEntityMembership(v, /*seed_deltas=*/true, tx));
   }
   return true;
 }
 
-Status Workspace::EraseTupleTx(PredId pred, const Tuple& tuple, TxState* tx) {
-  Relation* rel = GetRelation(pred);
-  // `tuple` may point into a caller's reusable lookup buffer (aggregate
-  // replacement passes the LookupByKeys result); work on a private copy so
-  // nothing below depends on that buffer staying unchanged.
-  Tuple copy = tuple;
-  uint32_t support = rel->SupportCount(copy);
-  if (!rel->Erase(copy)) return Status::OK();
+Status Workspace::EraseRowTx(PredId pred, Relation* rel, RowRef row,
+                             TxState* tx) {
+  // The delete delta carries values; decode them before the row goes.
+  const Tuple tuple = rel->MaterializeTuple(row.shard, row.slot);
+  const uint32_t key = LogKey(*rel, row, tx);
+  tx->undo.push_back(
+      {UndoOp::Kind::kErased, pred, row.shard, key, rel->row_state(row)});
+  rel->EraseRow(row);
   ++tx->num_erased;
-  tx->undo.push_back({UndoOp::Kind::kErased, pred, copy, support});
-  auto base_it = base_tuples_.find(pred);
-  if (base_it != base_tuples_.end() && base_it->second.erase(copy)) {
-    tx->undo.push_back({UndoOp::Kind::kBaseRemoved, pred, copy, 0});
-  }
-  bool born_in_tx = false;
-  auto ins_it = tx->inserted.find(pred);
-  if (ins_it != tx->inserted.end()) {
-    auto& vec = ins_it->second;
-    auto mid = std::remove(vec.begin(), vec.end(), copy);
-    born_in_tx = mid != vec.end();
-    vec.erase(mid, vec.end());
-  }
-  if (!born_in_tx) tx->erased_preexisting[pred].insert(copy);
-  driver_->NotifyDelete(pred, copy);
+  NoteErased(rel, key, tx);
+  if (catalog_->decl(pred).is_entity_type) ForgetMembership(tuple[0]);
+  driver_->NotifyDelete(pred, tuple);
   return Status::OK();
 }
 
-void Workspace::NoteInserted(PredId pred, const Tuple& tuple, TxState* tx) {
-  auto it = tx->erased_preexisting.find(pred);
-  if (it != tx->erased_preexisting.end() && it->second.count(tuple)) return;
-  tx->inserted[pred].push_back(tuple);
-}
-
-Status Workspace::EnsureEntityMembershipRaw(const Value& v, TxState* tx) {
-  if (!v.is_entity()) return Status::OK();
-  std::vector<PredId> types = {v.entity_type()};
-  for (PredId up : catalog_->SupertypesOf(v.entity_type())) types.push_back(up);
-  for (PredId type : types) {
-    Relation* rel = GetRelation(type);
-    Tuple membership = {v};
-    if (rel->Contains(membership)) continue;
-    rel->Insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kInserted, type, membership, 0});
-    base_tuples_[type].insert(membership);
-    tx->undo.push_back({UndoOp::Kind::kBaseAdded, type, membership, 0});
-  }
+Status Workspace::UnassertRow(PredId pred, Relation* rel, RowRef row,
+                              const Tuple& tuple, TxState* tx) {
+  rel->SetBase(row, false);
+  tx->undo.push_back(
+      {UndoOp::Kind::kBaseRemoved, pred, row.shard, LogKey(*rel, row, tx)});
+  if (rel->support(row) == 0) return EraseRowTx(pred, rel, row, tx);
+  driver_->NoteSuspect(pred, tuple);
   return Status::OK();
 }
+
+Result<bool> Workspace::RetractRow(PredId pred, Relation* rel, RowRef row,
+                                   TxState* tx) {
+  const uint32_t left = rel->support(row) - 1;
+  rel->SetSupport(row, left);
+  tx->undo.push_back(
+      {UndoOp::Kind::kSupportDropped, pred, row.shard, LogKey(*rel, row, tx)});
+  // An alternative derivation remains, or the tuple is still asserted.
+  if (left > 0 || rel->is_base(row)) return false;
+  SB_RETURN_IF_ERROR(EraseRowTx(pred, rel, row, tx));
+  return true;
+}
+
+void Workspace::NoteInserted(const Relation* rel, uint32_t key, TxState* tx) {
+  const auto index = static_cast<uint32_t>(tx->added.size());
+  if (tx->erasures_indexed) {
+    auto [it, fresh] = tx->erasures.try_emplace(TxKey::Of(rel, key), index);
+    if (!fresh) {
+      if (it->second == kPreexisting) return;  // it only came back
+      it->second = index;
+    }
+  }
+  tx->added.push_back({rel, key, true});
+}
+
+void Workspace::NoteErased(const Relation* rel, uint32_t key, TxState* tx) {
+  if (!tx->erasures_indexed) {
+    for (uint32_t i = 0; i < tx->added.size(); ++i) {
+      const Added& a = tx->added[i];
+      if (a.live) tx->erasures.emplace(TxKey::Of(a.rel, a.key), i);
+    }
+    tx->erasures_indexed = true;
+  }
+  auto [it, fresh] =
+      tx->erasures.try_emplace(TxKey::Of(rel, key), kPreexisting);
+  if (!fresh && it->second != kPreexisting) {
+    // Born in this transaction: it is no longer an insert to report.
+    tx->added[it->second].live = false;
+    tx->erasures.erase(it);
+  }
+}
+
 
 // -- placement ----------------------------------------------------------------
 
@@ -372,19 +444,15 @@ Status Workspace::ApplyOneRemoteOp(const RemoteOp& op,
       // already includes every shard-local instantiation at the old
       // owner; firing here would double-count. A replayed handoff finds
       // the row present and is ignored.
-      if (rel->Contains(t)) return Status::OK();
-      rel->Insert(t);
-      tx->undo.push_back({UndoOp::Kind::kInserted, pred, t, 0});
-      if (op.is_base) {
-        base_tuples_[pred].insert(t);
-        tx->undo.push_back({UndoOp::Kind::kBaseAdded, pred, t, 0});
-      }
-      if (op.support > 0) {
-        tx->undo.push_back({UndoOp::Kind::kSupportCleared, pred, t, 0});
-        rel->SetSupport(t, op.support);
-      }
+      const InsertResult r = rel->Insert(t);
+      if (r.outcome != InsertOutcome::kInserted) return Status::OK();
+      tx->undo.push_back({UndoOp::Kind::kInserted, pred, r.row.shard,
+                          LogKey(*rel, r.row, tx)});
+      rel->SetBase(r.row, op.is_base);
+      rel->SetSupport(r.row, op.support);
       for (const Value& v : t) {
-        SB_RETURN_IF_ERROR(EnsureEntityMembershipRaw(v, tx));
+        SB_RETURN_IF_ERROR(
+            EnsureEntityMembership(v, /*seed_deltas=*/false, tx));
       }
       return Status::OK();
     }
@@ -397,27 +465,22 @@ Status Workspace::ApplyOneRemoteOp(const RemoteOp& op,
       return r.ok() ? Status::OK() : r.status();
     }
     case RemoteDelta::Kind::kBaseDelete: {
-      if (!rel->Contains(t) || !base_tuples_[pred].count(t)) {
+      const std::optional<RowRef> row = rel->Locate(t);
+      if (!row || !rel->is_base(*row)) {
         // The matching insert is still in flight (deliveries are not
         // FIFO): park and retry on the next transaction.
         deferred->push_back(op);
         return Status::OK();
       }
-      base_tuples_[pred].erase(t);
-      tx->undo.push_back({UndoOp::Kind::kBaseRemoved, pred, t, 0});
-      if (rel->SupportCount(t) == 0) {
-        SB_RETURN_IF_ERROR(EraseTupleTx(pred, t, tx));
-      } else {
-        driver_->NoteSuspect(pred, t);
-      }
-      return Status::OK();
+      return UnassertRow(pred, rel, *row, t, tx);
     }
     case RemoteDelta::Kind::kSupportDrop: {
-      if (!rel->Contains(t) || rel->SupportCount(t) == 0) {
+      const std::optional<RowRef> row = rel->Locate(t);
+      if (!row || rel->support(*row) == 0) {
         deferred->push_back(op);
         return Status::OK();
       }
-      SB_ASSIGN_OR_RETURN(bool erased, RetractSupport(pred, t));
+      SB_ASSIGN_OR_RETURN(bool erased, RetractRow(pred, rel, *row, tx));
       if (!erased) driver_->NoteSuspect(pred, t);
       return Status::OK();
     }
@@ -435,30 +498,28 @@ Result<std::vector<RemoteDelta>> Workspace::DetachShard(PredId pred,
     return Status::InvalidArgument("DetachShard: shard " +
                                    std::to_string(shard) + " out of range");
   }
-  std::vector<Tuple> rows;
-  rows.reserve(rel->shard_size(shard));
-  for (size_t i = 0; i < rel->shard_size(shard); ++i) {
-    rows.push_back(rel->MaterializeTuple(shard, i));
-  }
-  auto& base = base_tuples_[pred];
   std::vector<RemoteDelta> out;
-  out.reserve(rows.size());
-  for (Tuple& t : rows) {
+  out.reserve(rel->shard_size(shard));
+  for (size_t i = 0; i < rel->shard_size(shard); ++i) {
+    const RowRef row{static_cast<uint32_t>(shard), static_cast<uint32_t>(i)};
     RemoteDelta d;
     d.kind = RemoteDelta::Kind::kHandoff;
     d.pred = pred;
     d.shard = shard;
-    d.support = rel->SupportCount(t);
-    d.is_base = base.count(t) > 0;
-    d.tuple = std::move(t);
+    d.support = rel->support(row);
+    d.is_base = rel->is_base(row);
+    d.tuple = rel->MaterializeTuple(shard, i);
     out.push_back(std::move(d));
   }
   // Erase after snapshotting: co-shardability guarantees no rule at this
   // node can rederive into the departing shard between transactions, so a
-  // plain storage erase (no delete deltas, no cascades) is sound.
-  for (const RemoteDelta& d : out) {
-    base.erase(d.tuple);
-    rel->Erase(d.tuple);
+  // plain storage erase (no delete deltas, no cascades) is sound. Erasing
+  // from the back moves no row.
+  for (size_t i = rel->shard_size(shard); i-- > 0;) {
+    rel->EraseRow({static_cast<uint32_t>(shard), static_cast<uint32_t>(i)});
+  }
+  if (catalog_->decl(pred).is_entity_type) {
+    for (const RemoteDelta& d : out) ForgetMembership(d.tuple[0]);
   }
   return out;
 }
@@ -488,7 +549,10 @@ Result<bool> Workspace::InsertDerivedTuple(PredId pred, const Tuple& tuple) {
 }
 
 Status Workspace::EraseTuple(PredId pred, const Tuple& tuple) {
-  return EraseTupleTx(pred, tuple, current_tx_);
+  Relation* rel = GetRelation(pred);
+  const std::optional<RowRef> row = rel->Locate(tuple);
+  if (!row) return Status::OK();
+  return EraseRowTx(pred, rel, *row, current_tx_);
 }
 
 Result<bool> Workspace::RetractSupport(PredId pred, const Tuple& tuple) {
@@ -500,46 +564,43 @@ Result<bool> Workspace::RetractSupport(PredId pred, const Tuple& tuple) {
     return false;
   }
   Relation* rel = GetRelation(pred);
-  uint32_t support = rel->SupportCount(tuple);
-  if (!rel->Contains(tuple) || support == 0) {
+  const std::optional<RowRef> row = rel->Locate(tuple);
+  if (!row || rel->support(*row) == 0) {
     return Status::Internal(
         "support underflow on '" + catalog_->decl(pred).name +
         "': retraction of an uncounted derivation of " +
         TupleToString(tuple, *catalog_));
   }
-  rel->SetSupport(tuple, support - 1);
-  current_tx_->undo.push_back(
-      {UndoOp::Kind::kSupportDropped, pred, tuple, 0});
-  if (support - 1 > 0) return false;  // alternative derivation remains
-  auto base_it = base_tuples_.find(pred);
-  if (base_it != base_tuples_.end() && base_it->second.count(tuple)) {
-    return false;  // still asserted as a base fact
-  }
-  SB_RETURN_IF_ERROR(EraseTupleTx(pred, tuple, current_tx_));
-  return true;
+  return RetractRow(pred, rel, *row, current_tx_);
 }
 
 bool Workspace::IsBaseFact(PredId pred, const Tuple& tuple) const {
-  auto it = base_tuples_.find(pred);
-  return it != base_tuples_.end() && it->second.count(tuple) > 0;
+  const Relation* rel = GetRelationIfExists(pred);
+  if (rel == nullptr) return false;
+  const std::optional<RowRef> row = rel->Find(tuple);
+  return row && rel->is_base(*row);
 }
 
 Result<uint64_t> Workspace::OverDeleteDerived(PredId pred) {
   Relation* rel = GetRelation(pred);
-  const auto& base = base_tuples_[pred];
-  std::vector<Tuple> copy = rel->AllTuples();
+  // Snapshot first: erasures move rows.
+  const std::vector<Tuple> copy = rel->AllTuples();
   uint64_t erased = 0;
   for (const Tuple& t : copy) {
-    if (base.count(t)) {
+    const std::optional<RowRef> row = rel->Locate(t);
+    if (!row) continue;
+    if (rel->is_base(*row)) {
       // Base facts survive over-delete; rederivation recounts them.
-      uint32_t support = rel->SupportCount(t);
+      const uint32_t support = rel->support(*row);
       if (support > 0) {
-        current_tx_->undo.push_back(
-            {UndoOp::Kind::kSupportCleared, pred, t, support});
-        rel->SetSupport(t, 0);
+        current_tx_->undo.push_back({UndoOp::Kind::kSupportCleared, pred,
+                                     row->shard,
+                                     LogKey(*rel, *row, current_tx_),
+                                     support});
+        rel->SetSupport(*row, 0);
       }
     } else {
-      SB_RETURN_IF_ERROR(EraseTupleTx(pred, t, current_tx_));
+      SB_RETURN_IF_ERROR(EraseRowTx(pred, rel, *row, current_tx_));
       ++erased;
     }
   }
@@ -621,14 +682,8 @@ Status Workspace::CheckConstraints(TxState* tx) {
       continue;
     }
     for (int occ = 0; occ < c.num_scan_occurrences; ++occ) {
-      auto it = tx->inserted.find(c.scan_preds[occ]);
-      if (it == tx->inserted.end() || it->second.empty()) continue;
-      // Filter tuples that were later erased (aggregate replacement).
-      std::vector<Tuple> live;
-      Relation* rel = GetRelation(c.scan_preds[occ]);
-      for (const Tuple& t : it->second) {
-        if (rel->Contains(t)) live.push_back(t);
-      }
+      std::vector<Tuple> live =
+          TxCommit::Decode(tx->added, tx->codes, c.scan_preds[occ]);
       if (live.empty()) continue;
       DeltaOverride override{occ, &live};
       Env env(c.num_slots);
@@ -644,46 +699,54 @@ void Workspace::Rollback(TxState* tx) {
   // the tuple that reoccupied it (logged later) has been undone.
   for (auto it = tx->undo.rbegin(); it != tx->undo.rend(); ++it) {
     Relation* rel = GetRelation(it->pred);
+    const uint32_t* codes = tx->codes.data() + it->key;
+    if (it->kind == UndoOp::Kind::kErased) {
+      InsertResult r = rel->InsertCodes(it->shard, codes);
+      if (r.outcome == InsertOutcome::kFdConflict) {
+        // The key slot is still occupied — the undo log cannot express
+        // this interleaving, which indicates a missing undo entry.
+        // Restore deterministically: the erased tuple wins.
+        SB_LOG_STREAM(Error) << "rollback: functional slot of '"
+                      << catalog_->decl(it->pred).name
+                      << "' still occupied while restoring "
+                      << TupleToString(rel->DecodeCodes(codes), *catalog_)
+                      << "; displacing the occupant";
+        rel->EraseRow(r.row);
+        r = rel->InsertCodes(it->shard, codes);
+      }
+      if (r.outcome == InsertOutcome::kInserted) {
+        rel->set_row_state(r.row, it->state);
+      } else {
+        SB_LOG_STREAM(Error) << "rollback: could not restore erased tuple "
+                      << TupleToString(rel->DecodeCodes(codes), *catalog_)
+                      << " into '" << catalog_->decl(it->pred).name << "'";
+      }
+      continue;
+    }
+    const std::optional<RowRef> row = rel->FindCodes(it->shard, codes);
+    if (!row) {
+      SB_LOG_STREAM(Error) << "rollback: row "
+                    << TupleToString(rel->DecodeCodes(codes), *catalog_)
+                    << " of '" << catalog_->decl(it->pred).name
+                    << "' is missing";
+      continue;
+    }
     switch (it->kind) {
       case UndoOp::Kind::kInserted:
-        rel->Erase(it->tuple);
+        rel->EraseRow(*row);
         break;
-      case UndoOp::Kind::kErased: {
-        InsertOutcome outcome = rel->Insert(it->tuple);
-        if (outcome == InsertOutcome::kFdConflict) {
-          // The key slot is still occupied — the undo log cannot express
-          // this interleaving, which indicates a missing undo entry.
-          // Restore deterministically: the erased tuple wins.
-          SB_LOG_STREAM(Error) << "rollback: functional slot of '"
-                        << catalog_->decl(it->pred).name
-                        << "' still occupied while restoring "
-                        << TupleToString(it->tuple, *catalog_)
-                        << "; displacing the occupant";
-          Tuple scratch;
-          const Tuple* occupant = rel->LookupByKeys(
-              Tuple(it->tuple.begin(), it->tuple.end() - 1), &scratch);
-          if (occupant != nullptr) rel->Erase(*occupant);
-          outcome = rel->Insert(it->tuple);
-        }
-        if (outcome == InsertOutcome::kInserted) {
-          if (it->count > 0) rel->SetSupport(it->tuple, it->count);
-        } else {
-          SB_LOG_STREAM(Error) << "rollback: could not restore erased tuple "
-                        << TupleToString(it->tuple, *catalog_) << " into '"
-                        << catalog_->decl(it->pred).name << "'";
-        }
-        break;
-      }
+      case UndoOp::Kind::kErased:
+        break;  // handled above
       case UndoOp::Kind::kBaseAdded:
-        base_tuples_[it->pred].erase(it->tuple);
+        rel->SetBase(*row, false);
         break;
       case UndoOp::Kind::kBaseRemoved:
-        base_tuples_[it->pred].insert(it->tuple);
+        rel->SetBase(*row, true);
         break;
       case UndoOp::Kind::kSupportAdded: {
-        uint32_t support = rel->SupportCount(it->tuple);
+        const uint32_t support = rel->support(*row);
         if (support > 0) {
-          rel->SetSupport(it->tuple, support - 1);
+          rel->SetSupport(*row, support - 1);
         } else {
           SB_LOG_STREAM(Error) << "rollback: support underflow undoing an insert "
                         << "into '" << catalog_->decl(it->pred).name << "'";
@@ -691,13 +754,15 @@ void Workspace::Rollback(TxState* tx) {
         break;
       }
       case UndoOp::Kind::kSupportDropped:
-        rel->AddSupport(it->tuple);
+        rel->AddSupport(*row);
         break;
       case UndoOp::Kind::kSupportCleared:
-        rel->SetSupport(it->tuple, it->count);
+        rel->SetSupport(*row, it->state);
         break;
     }
   }
+  // Membership the transaction recorded may rest on rows just removed.
+  for (const Value& v : tx->members_noted) ForgetMembership(v);
   ++stats_.aborts;
 }
 
@@ -771,20 +836,14 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
       continue;
     }
     Relation* rel = GetRelation(pred.value());
-    if (!rel->Contains(*normalized)) continue;
-    if (!base_tuples_[pred.value()].count(*normalized)) {
+    const std::optional<RowRef> row = rel->Locate(*normalized);
+    if (!row) continue;
+    if (!rel->is_base(*row)) {
       return fail(Status::InvalidArgument(
           "cannot delete derived fact from '" + d.pred + "'"));
     }
-    base_tuples_[pred.value()].erase(*normalized);
-    tx.undo.push_back({UndoOp::Kind::kBaseRemoved, pred.value(), *normalized,
-                       0});
-    if (rel->SupportCount(*normalized) == 0) {
-      Status st = EraseTupleTx(pred.value(), *normalized, &tx);
-      if (!st.ok()) return fail(st);
-    } else {
-      driver_->NoteSuspect(pred.value(), *normalized);
-    }
+    Status st = UnassertRow(pred.value(), rel, *row, *normalized, &tx);
+    if (!st.ok()) return fail(st);
   }
 
   for (const FactUpdate& ins : inserts) {
@@ -816,14 +875,8 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
 
   // Commit.
   TxCommit commit;
-  for (auto& [pred, tuples] : tx.inserted) {
-    Relation* rel = GetRelation(pred);
-    std::vector<Tuple> live;
-    for (Tuple& t : tuples) {
-      if (rel->Contains(t)) live.push_back(std::move(t));
-    }
-    if (!live.empty()) commit.inserted[pred] = std::move(live);
-  }
+  commit.codes_ = std::move(tx.codes);
+  commit.added_ = std::move(tx.added);
   commit.remote = std::move(tx.remote);
   if (ran_remote) deferred_remote_ = std::move(still_deferred);
   commit.num_derived = tx.num_derived;
@@ -849,16 +902,19 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
   stats_.plan_builds += commit.fixpoint.plans_built;
   stats_.eval_frame_allocs = EvalFrameAllocs();
   uint64_t index_builds = 0;
+  uint64_t encodes = 0;
   Relation::MemoryFootprint mem;
   for (const auto& rel : relations_) {
     if (rel == nullptr) continue;
     index_builds += rel->index_builds();
+    encodes += rel->mutation_encodes();
     const Relation::MemoryFootprint m = rel->Memory();
     mem.dict_bytes += m.dict_bytes;
     mem.column_bytes += m.column_bytes;
     mem.index_bytes += m.index_bytes;
   }
   stats_.index_rebuilds = index_builds;
+  stats_.mutation_encodes = encodes;
   stats_.relation_dict_bytes = mem.dict_bytes;
   stats_.relation_column_bytes = mem.column_bytes;
   stats_.relation_index_bytes = mem.index_bytes;

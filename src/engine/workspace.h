@@ -27,6 +27,12 @@
 // delete reaches it (see engine/fixpoint.h).
 // A commit reports as inserted only tuples the transaction added, not
 // ones it erased and rederived.
+//
+// The transaction keeps no Value copy of a stored tuple: the undo log and
+// the list of added tuples name rows by their dictionary codes, kept back
+// to back in one per-transaction buffer (codes are never reclaimed, so a
+// code key stays valid). Base-ness is a bit on the row, and entity
+// membership is checked once per interned entity.
 #ifndef SECUREBLOX_ENGINE_WORKSPACE_H_
 #define SECUREBLOX_ENGINE_WORKSPACE_H_
 
@@ -35,7 +41,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -57,11 +62,18 @@ struct FactUpdate {
   std::vector<datalog::Value> values;
 };
 
-/// Committed transaction summary.
-struct TxCommit {
-  /// New tuples per predicate (base + derived) that survived the commit:
-  /// absent before the transaction, present after it.
-  std::map<datalog::PredId, std::vector<Tuple>> inserted;
+/// Committed transaction summary. The inserted tuples are kept as
+/// dictionary codes and decoded on request, so read a TxCommit while the
+/// Workspace that committed it lives.
+class TxCommit {
+ public:
+  /// New tuples of `pred` (base + derived) that survived the commit:
+  /// absent before the transaction, present after it, in the order the
+  /// transaction inserted them. Decoded on each call.
+  std::vector<Tuple> inserted(datalog::PredId pred) const {
+    return Decode(added_, codes_, pred);
+  }
+
   /// Mutations staged for remote shard owners (placement mode; see
   /// engine/placement.h). The distribution layer ships these per owner
   /// and shard; empty without a placement map.
@@ -70,6 +82,23 @@ struct TxCommit {
   size_t num_derived = 0;
   /// Fixpoint counters for this transaction (rounds, firings, skips).
   FixpointStats fixpoint;
+
+ private:
+  friend class Workspace;
+  /// A tuple the transaction inserted: `live` goes false if the
+  /// transaction erases it again.
+  struct Added {
+    const Relation* rel;
+    uint32_t key;  // offset of the tuple's codes in `codes`
+    bool live;
+  };
+  /// The live entries of `pred` in `added`, decoded.
+  static std::vector<Tuple> Decode(const std::vector<Added>& added,
+                                   const std::vector<uint32_t>& codes,
+                                   datalog::PredId pred);
+  /// The transaction's code buffer (TxState::codes) and added tuples.
+  std::vector<uint32_t> codes_;
+  std::vector<Added> added_;
 };
 
 /// Cumulative engine counters (per-transaction values in TxCommit).
@@ -103,6 +132,10 @@ struct EngineStats {
   uint64_t index_rebuilds = 0;
   /// Execution plans built or rebuilt by the cost-based planner.
   uint64_t plan_builds = 0;
+  /// Whole-tuple value-to-code encodes in the relations' mutation entry
+  /// points (Relation::mutation_encodes, summed over relations at each
+  /// commit): one per Relation insert and one per located delete.
+  uint64_t mutation_encodes = 0;
   /// Process-wide evaluation frames ever allocated (EvalFrameAllocs):
   /// flat in steady state — benches and tests pin the no-allocation
   /// property of the Executor's probe paths on this staying constant
@@ -231,29 +264,72 @@ class Workspace : public RelationStore, private FixpointHost {
 
  private:
   struct UndoOp {
-    enum class Kind {
-      kInserted,
-      kErased,
-      kBaseAdded,
-      kBaseRemoved,
+    enum class Kind : uint8_t {
+      kInserted,        // undo: erase the row
+      kErased,          // undo: restore the row with `state`
+      kBaseAdded,       // undo: clear the base bit
+      kBaseRemoved,     // undo: set the base bit
       kSupportAdded,    // undo: drop one derivation support
       kSupportDropped,  // undo: add one derivation support
-      kSupportCleared,  // undo: restore `count` (over-delete of base facts)
+      kSupportCleared,  // undo: restore support `state` (over-delete)
     };
     Kind kind;
     datalog::PredId pred;
-    Tuple tuple;
-    /// kErased / kSupportCleared: the support count to restore.
-    uint32_t count = 0;
+    uint32_t shard;
+    uint32_t key;  // offset of the row's codes in TxState::codes
+    /// kErased: the row's support and base bit (Relation::row_state);
+    /// kSupportCleared: the support to restore.
+    uint32_t state = 0;
   };
 
+  using Added = TxCommit::Added;
+
+  /// A (predicate, code key) named in TxState::codes, hashed and compared
+  /// by the codes it points at.
+  struct TxKey {
+    datalog::PredId pred;
+    uint32_t key;
+    uint32_t width;
+    /// The key of a tuple of `rel` whose codes start at `key`.
+    static TxKey Of(const Relation* rel, uint32_t key) {
+      return {rel->decl().id, key, static_cast<uint32_t>(rel->decl().arity())};
+    }
+  };
+  struct TxKeyHash {
+    const std::vector<uint32_t>* codes;
+    size_t operator()(const TxKey& k) const;
+  };
+  struct TxKeyEq {
+    const std::vector<uint32_t>* codes;
+    bool operator()(const TxKey& a, const TxKey& b) const;
+  };
+  /// TxState::erasures value of a tuple that existed before the
+  /// transaction and was erased in it.
+  static constexpr uint32_t kPreexisting = 0xFFFFFFFFu;
+
   struct TxState {
+    TxState() = default;
+    // The erasures map's hasher points at `codes`.
+    TxState(const TxState&) = delete;
+    TxState& operator=(const TxState&) = delete;
+
+    /// Code keys of the rows the undo log and `added` name, back to back.
+    std::vector<uint32_t> codes;
     std::vector<UndoOp> undo;
-    std::map<datalog::PredId, std::vector<Tuple>> inserted;
-    /// Tuples that existed before the transaction and were erased in it:
-    /// one that comes back (a recursive group's rederivation) is not new,
-    /// so it stays out of `inserted`.
-    std::map<datalog::PredId, TupleSet> erased_preexisting;
+    /// Tuples the transaction inserted, in insertion order.
+    std::vector<Added> added;
+    /// Empty until the transaction's first erase, which indexes every live
+    /// `added` entry here by its tuple; later inserts are indexed as they
+    /// come. An erased tuple born in the transaction leaves the map (its
+    /// entry dies); one that existed before maps to kPreexisting, so if it
+    /// comes back (a recursive group's rederivation) it is not new and
+    /// stays out of `added`.
+    std::unordered_map<TxKey, uint32_t, TxKeyHash, TxKeyEq> erasures{
+        0, TxKeyHash{&codes}, TxKeyEq{&codes}};
+    bool erasures_indexed = false;
+    /// Entities whose membership the transaction recorded in
+    /// Workspace::members_known_ (forgotten again on rollback).
+    std::vector<datalog::Value> members_noted;
     /// Mutations staged for remote shard owners (placement mode).
     std::vector<RemoteDelta> remote;
     size_t num_derived = 0;
@@ -271,14 +347,33 @@ class Workspace : public RelationStore, private FixpointHost {
   // derivation support (rule heads). Returns true if newly inserted.
   Result<bool> InsertTuple(datalog::PredId pred, const Tuple& tuple,
                            bool is_base, bool counted, TxState* tx);
-  Status EraseTupleTx(datalog::PredId pred, const Tuple& tuple, TxState* tx);
-  // Record a newly stored tuple in tx->inserted unless it only came back.
-  static void NoteInserted(datalog::PredId pred, const Tuple& tuple,
-                           TxState* tx);
-  Status EnsureEntityMembership(const datalog::Value& v, TxState* tx);
-  // Handoff variant: installs membership rows without seeding deltas (the
-  // snapshot's supports already include every shard-local derivation).
-  Status EnsureEntityMembershipRaw(const datalog::Value& v, TxState* tx);
+  // Append the codes of `row` to tx->codes; returns their offset.
+  static uint32_t LogKey(const Relation& rel, RowRef row, TxState* tx);
+  // Erase the row at `row` with undo logging and a delete delta.
+  Status EraseRowTx(datalog::PredId pred, Relation* rel, RowRef row,
+                    TxState* tx);
+  // Drop the base assertion of a stored base fact; erases the row when no
+  // derivation supports it, else notes it as a suspect.
+  Status UnassertRow(datalog::PredId pred, Relation* rel, RowRef row,
+                     const Tuple& tuple, TxState* tx);
+  // Drop one derivation support of a row that has one; erases the row
+  // when that was its last support and it is not asserted. Returns true
+  // when erased.
+  Result<bool> RetractRow(datalog::PredId pred, Relation* rel, RowRef row,
+                          TxState* tx);
+  // Record a newly stored tuple (codes at `key`) in tx->added unless it
+  // only came back.
+  static void NoteInserted(const Relation* rel, uint32_t key, TxState* tx);
+  // Bookkeeping for an erased tuple (codes at `key`).
+  static void NoteErased(const Relation* rel, uint32_t key, TxState* tx);
+  // Make sure entity `v` is a member of its type and every supertype.
+  // `seed_deltas` routes new membership rows to the fixpoint; a handoff
+  // installs them raw (the snapshot's supports already include every
+  // shard-local derivation).
+  Status EnsureEntityMembership(const datalog::Value& v, bool seed_deltas,
+                                TxState* tx);
+  // Forget that entity `v` has all its membership rows.
+  void ForgetMembership(const datalog::Value& v);
 
   // FixpointHost (the driver's mutation interface; current_tx_ is the
   // transaction being applied).
@@ -315,9 +410,10 @@ class Workspace : public RelationStore, private FixpointHost {
   EvalContext ctx_;
 
   std::vector<std::unique_ptr<Relation>> relations_;  // by PredId
-  std::unordered_map<datalog::PredId,
-                     std::unordered_set<Tuple, TupleHash>>
-      base_tuples_;
+  // members_known_[type][id]: the entity (type, id) has its membership
+  // row in `type` and in every supertype. Forgotten on rollback, when a
+  // membership row is erased, and on Install (which can add supertypes).
+  std::vector<std::vector<bool>> members_known_;
 
   // Installed program (sources kept for recompilation on later installs).
   std::vector<datalog::Rule> installed_rules_;

@@ -218,9 +218,8 @@ TEST(CountingDeleteTest, CyclicDeleteReportsNothingInserted) {
   EXPECT_EQ(QuerySet(ws, "reachable").size(), 5u);
   auto reachable = ws.catalog().Lookup("reachable");
   ASSERT_TRUE(reachable.ok());
-  auto it = del->inserted.find(reachable.value());
-  EXPECT_TRUE(it == del->inserted.end() || it->second.empty())
-      << it->second.size() << " rederived rows reported as inserted";
+  EXPECT_EQ(del->inserted(reachable.value()).size(), 0u)
+      << "rederived rows reported as inserted";
 }
 
 TEST(CountingDeleteTest, CountedRecursiveDeleteReportsNothingInserted) {
@@ -238,9 +237,8 @@ TEST(CountingDeleteTest, CountedRecursiveDeleteReportsNothingInserted) {
   EXPECT_EQ(QuerySet(ws, "reachable").size(), 3u);  // a->b, b->c, a->c
   auto reachable = ws.catalog().Lookup("reachable");
   ASSERT_TRUE(reachable.ok());
-  auto it = del->inserted.find(reachable.value());
-  EXPECT_TRUE(it == del->inserted.end() || it->second.empty())
-      << it->second.size() << " rows reported as inserted";
+  EXPECT_EQ(del->inserted(reachable.value()).size(), 0u)
+      << "rows reported as inserted";
 }
 
 TEST(CountingDeleteTest, DeleteRetractsAggregateAndDownstream) {
@@ -487,6 +485,90 @@ TEST(CountingDeleteTest, RollbackRestoresReoccupiedFunctionalSlot) {
                                       Value::Str("ann")}}});
   ASSERT_TRUE(del.ok()) << del.status().ToString();
   EXPECT_EQ(QuerySet(ws, "owner").size(), 0u);
+}
+
+// Every stored row of `preds` with its support count and base bit.
+std::set<std::string> StorageSnapshot(Workspace& ws,
+                                      const std::vector<std::string>& preds) {
+  std::set<std::string> out;
+  for (const std::string& pred : preds) {
+    auto id = ws.catalog().Lookup(pred);
+    EXPECT_TRUE(id.ok()) << pred;
+    if (!id.ok()) continue;
+    const Relation* rel = ws.GetRelationIfExists(id.value());
+    if (rel == nullptr) continue;
+    for (size_t sh = 0; sh < rel->shard_count(); ++sh) {
+      for (size_t i = 0; i < rel->shard_size(sh); ++i) {
+        const RowRef row{static_cast<uint32_t>(sh), static_cast<uint32_t>(i)};
+        out.insert(StrCat(
+            {pred, TupleToString(rel->MaterializeTuple(sh, i), ws.catalog()),
+             "#", std::to_string(rel->support(row)),
+             rel->is_base(row) ? " base" : ""}));
+      }
+    }
+  }
+  return out;
+}
+
+// One transaction that fails its constraint after it introduced a new
+// entity, added support to existing derived tuples, un-asserted a base
+// fact that keeps derivation support and erased tuples: the rollback
+// restores every row, support count and base bit, and forgets the new
+// entity's membership.
+TEST(CountingDeleteTest, RollbackRestoresSupportsBaseBitsAndMembership) {
+  const std::string program = R"(
+    node(X) -> .
+    link(X, Y) -> node(X), node(Y).
+    banned(X) -> node(X).
+    reach(X, Y) -> node(X), node(Y).
+    reach(X, Y) <- link(X, Y).
+    reach(X, Y) <- link(X, Z), reach(Z, Y).
+    reach(X, Y) -> !banned(Y).
+  )";
+  auto s = [](const char* v) { return Value::Str(v); };
+  const std::vector<FactUpdate> load = {
+      {"link", {s("a"), s("b")}}, {"link", {s("b"), s("c")}},
+      {"link", {s("a"), s("c")}}, {"link", {s("c"), s("d")}},
+      {"reach", {s("a"), s("d")}},  // asserted, and derived twice
+      {"banned", {s("x")}}};
+  const std::vector<std::string> preds = {"node", "link", "banned", "reach"};
+  for (size_t shards : {size_t{1}, size_t{7}}) {
+    SCOPED_TRACE(StrCat({"shards=", std::to_string(shards)}));
+    Workspace ws, twin;
+    ws.fixpoint_options().shards = shards;
+    twin.fixpoint_options().shards = shards;
+    Install(&ws, program);
+    Install(&twin, program);
+    ASSERT_TRUE(ws.Apply(load).ok());
+    ASSERT_TRUE(twin.Apply(load).ok());
+    const std::set<std::string> before = StorageSnapshot(ws, preds);
+    ASSERT_TRUE(before.count("reach(node:a, node:d)#2 base"));
+
+    auto bad = ws.Apply(
+        {{"link", {s("b"), s("z")}},   // new entity z
+         {"link", {s("b"), s("d")}},   // more support for reach(a|b, d)
+         {"link", {s("z"), s("x")}}},  // reach(_, x): the violation
+        {{"reach", {s("a"), s("d")}},  // un-asserted, still derived
+         {"link", {s("a"), s("b")}}}); // erased, with what it derived
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kConstraintViolation);
+    EXPECT_EQ(StorageSnapshot(ws, preds), before);
+
+    // The restored assertion deletes exactly as in a workspace that never
+    // ran the failed transaction.
+    auto del = ws.Apply({}, {{"reach", {s("a"), s("d")}}});
+    auto twin_del = twin.Apply({}, {{"reach", {s("a"), s("d")}}});
+    ASSERT_TRUE(del.ok()) << del.status().ToString();
+    ASSERT_TRUE(twin_del.ok()) << twin_del.status().ToString();
+    EXPECT_EQ(StorageSnapshot(ws, preds), StorageSnapshot(twin, preds));
+
+    // z was interned but its membership row rolled back: the next use of
+    // z must create it again.
+    ASSERT_TRUE(ws.Apply({{"link", {s("c"), s("z")}}}).ok());
+    EXPECT_TRUE(Contains(ws, "node", {s("z")}));
+    ASSERT_TRUE(twin.Apply({{"link", {s("c"), s("z")}}}).ok());
+    EXPECT_EQ(StorageSnapshot(ws, preds), StorageSnapshot(twin, preds));
+  }
 }
 
 TEST(CountingDeleteTest, DeleteWorkIsProportionalToAffectedTuples) {

@@ -91,8 +91,7 @@ TEST(WorkspaceTest, CommitReportsInsertedTuples) {
   auto commit = ws.Apply({{"link", {Value::Str("a"), Value::Str("b")}}});
   ASSERT_TRUE(commit.ok());
   auto reachable_id = ws.catalog().Lookup("reachable").value();
-  ASSERT_TRUE(commit->inserted.count(reachable_id));
-  EXPECT_EQ(commit->inserted.at(reachable_id).size(), 1u);
+  EXPECT_EQ(commit->inserted(reachable_id).size(), 1u);
 }
 
 TEST(WorkspaceTest, JoinWithComparisonAndArithmetic) {
@@ -381,6 +380,17 @@ TEST(WorkspaceTest, RecursiveLatticeMinShortestPath) {
       ws.ContainsFact("bestcost",
                       {Value::Str("a"), Value::Str("d"), Value::Int(3)})
           .value());
+  // The transaction replaced bestcost[a, c] = 5 (and [a, d] = 6) with the
+  // cheaper path: the commit reports each surviving row once and none of
+  // the superseded ones it erased.
+  const auto bestcost = ws.catalog().Lookup("bestcost").value();
+  std::vector<std::string> reported;
+  for (const Tuple& t : commit->inserted(bestcost)) {
+    reported.push_back(TupleToString(t, ws.catalog()));
+  }
+  const std::set<std::string> stored = QuerySet(ws, "bestcost");
+  EXPECT_EQ(reported.size(), stored.size());
+  EXPECT_EQ(std::set<std::string>(reported.begin(), reported.end()), stored);
 }
 
 TEST(WorkspaceTest, RecursiveSumRejected) {
@@ -532,6 +542,75 @@ TEST(WorkspaceTest, SubtypePropagation) {
   EXPECT_EQ(QuerySet(ws, "sound").size(), 1u);
   // rex is a member of both dog and animal.
   EXPECT_EQ(QuerySet(ws, "animal").size(), 1u);
+}
+
+TEST(WorkspaceTest, InstallAddingASupertypeReachesEntitiesInUse) {
+  Workspace ws;
+  Install(&ws, R"(
+    person(X) -> .
+    knows(X, Y) -> person(X), person(Y).
+  )");
+  ASSERT_TRUE(ws.Insert("knows", {Value::Str("ann"), Value::Str("bob")}).ok());
+  // person gains a supertype after ann is in use: the next insert that
+  // mentions ann gives her the new membership row.
+  Install(&ws, R"(
+    agent(X) -> .
+    person(X) -> agent(X).
+  )");
+  ASSERT_TRUE(ws.Insert("knows", {Value::Str("ann"), Value::Str("cy")}).ok());
+  EXPECT_EQ(QuerySet(ws, "agent"),
+            (std::set<std::string>{"(person:ann)", "(person:cy)"}));
+}
+
+TEST(WorkspaceTest, DeletedMembershipComesBackWithTheNextUse) {
+  Workspace ws;
+  Install(&ws, kGraphSchema);
+  ASSERT_TRUE(ws.Insert("link", {Value::Str("a"), Value::Str("b")}).ok());
+  // Separate transactions, then delete and re-use in one transaction.
+  ASSERT_TRUE(ws.Apply({}, {{"node", {Value::Str("a")}}}).ok());
+  EXPECT_FALSE(ws.ContainsFact("node", {Value::Str("a")}).value());
+  ASSERT_TRUE(ws.Insert("link", {Value::Str("a"), Value::Str("c")}).ok());
+  EXPECT_TRUE(ws.ContainsFact("node", {Value::Str("a")}).value());
+  auto both = ws.Apply({{"link", {Value::Str("b"), Value::Str("d")}}},
+                       {{"node", {Value::Str("b")}}});
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_TRUE(ws.ContainsFact("node", {Value::Str("b")}).value());
+  EXPECT_EQ(QuerySet(ws, "node").size(), 4u);
+}
+
+// One value-to-code encode per Relation insert (base facts, each new
+// entity's membership row, every counted head derivation) and one per
+// located delete (the base delete and each retraction).
+TEST(WorkspaceTest, MutationEncodesOnePerInsertAndDelete) {
+  Workspace ws;
+  Install(&ws, kGraphSchema);
+  const uint64_t start = ws.stats().mutation_encodes;
+  const std::vector<FactUpdate> links = {
+      {"link", {Value::Str("a"), Value::Str("b")}},
+      {"link", {Value::Str("b"), Value::Str("c")}},
+      {"link", {Value::Str("a"), Value::Str("c")}},
+      {"link", {Value::Str("c"), Value::Str("d")}}};
+  ASSERT_TRUE(ws.Apply(links).ok());
+  // Every derivation of a counted head is one insert (new or duplicate),
+  // so the derivations are the sum of the supports.
+  const Relation* reach =
+      ws.GetRelationIfExists(ws.catalog().Lookup("reachable").value());
+  ASSERT_NE(reach, nullptr);
+  uint64_t derivations = 0;
+  for (const Tuple& t : reach->AllTuples()) {
+    derivations += reach->SupportCount(t);
+  }
+  EXPECT_EQ(derivations, 8u);  // a->c and a->d twice each
+  const uint64_t nodes = QuerySet(ws, "node").size();
+  EXPECT_EQ(ws.stats().mutation_encodes - start,
+            links.size() + nodes + derivations);
+
+  const uint64_t before = ws.stats().mutation_encodes;
+  auto del = ws.Apply({}, {{"link", {Value::Str("a"), Value::Str("c")}}});
+  ASSERT_TRUE(del.ok()) << del.status().ToString();
+  EXPECT_EQ(del->fixpoint.retractions, 2u);
+  EXPECT_EQ(ws.stats().mutation_encodes - before,
+            1 + del->fixpoint.retractions);
 }
 
 TEST(WorkspaceTest, TypeErrorsSurfaceAtInstall) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,12 +40,19 @@ const Tuple* Lookup(const Relation& r, const Tuple& keys) {
   return r.LookupByKeys(keys, &scratch);
 }
 
+// Support updates take a row handle; these tests name rows by tuple.
+// Returns the new count, 0 when `t` is absent (no-op).
+uint32_t AddSupport(Relation* r, const Tuple& t) {
+  const std::optional<RowRef> row = r->Find(t);
+  return row ? r->AddSupport(*row) : 0;
+}
+
 TEST(RelationTest, InsertAndDuplicate) {
   PredicateDecl decl = MakeDecl(2, false);
   Relation r(&decl);
-  EXPECT_EQ(r.Insert(T({1, 2})), InsertOutcome::kInserted);
-  EXPECT_EQ(r.Insert(T({1, 2})), InsertOutcome::kDuplicate);
-  EXPECT_EQ(r.Insert(T({1, 3})), InsertOutcome::kInserted);
+  EXPECT_EQ(r.Insert(T({1, 2})).outcome, InsertOutcome::kInserted);
+  EXPECT_EQ(r.Insert(T({1, 2})).outcome, InsertOutcome::kDuplicate);
+  EXPECT_EQ(r.Insert(T({1, 3})).outcome, InsertOutcome::kInserted);
   EXPECT_EQ(r.size(), 2u);
   EXPECT_TRUE(r.Contains(T({1, 2})));
   EXPECT_FALSE(r.Contains(T({9, 9})));
@@ -53,10 +61,10 @@ TEST(RelationTest, InsertAndDuplicate) {
 TEST(RelationTest, FunctionalDependency) {
   PredicateDecl decl = MakeDecl(2, true);
   Relation r(&decl);
-  EXPECT_EQ(r.Insert(T({1, 10})), InsertOutcome::kInserted);
-  EXPECT_EQ(r.Insert(T({1, 10})), InsertOutcome::kDuplicate);
-  EXPECT_EQ(r.Insert(T({1, 20})), InsertOutcome::kFdConflict);
-  EXPECT_EQ(r.Insert(T({2, 20})), InsertOutcome::kInserted);
+  EXPECT_EQ(r.Insert(T({1, 10})).outcome, InsertOutcome::kInserted);
+  EXPECT_EQ(r.Insert(T({1, 10})).outcome, InsertOutcome::kDuplicate);
+  EXPECT_EQ(r.Insert(T({1, 20})).outcome, InsertOutcome::kFdConflict);
+  EXPECT_EQ(r.Insert(T({2, 20})).outcome, InsertOutcome::kInserted);
   const Tuple* found = Lookup(r, T({1}));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->back().AsInt(), 10);
@@ -76,7 +84,7 @@ TEST(RelationTest, EraseMaintainsIndexes) {
   EXPECT_TRUE(r.Contains(T({9, 90})));
   ASSERT_NE(Lookup(r, T({9})), nullptr);
   // Reinsert after erase works (FD slot freed).
-  EXPECT_EQ(r.Insert(T({4, 44})), InsertOutcome::kInserted);
+  EXPECT_EQ(r.Insert(T({4, 44})).outcome, InsertOutcome::kInserted);
 }
 
 TEST(RelationTest, ReplaceFunctional) {
@@ -152,10 +160,10 @@ TEST(RelationTest, SupportCountsTrackTuples) {
   EXPECT_EQ(r.SupportCount(T({1, 2})), 0u);  // absent
   r.Insert(T({1, 2}));
   EXPECT_EQ(r.SupportCount(T({1, 2})), 0u);  // present, uncounted
-  EXPECT_EQ(r.AddSupport(T({1, 2})), 1u);
-  EXPECT_EQ(r.AddSupport(T({1, 2})), 2u);
-  EXPECT_EQ(r.AddSupport(T({9, 9})), 0u);  // absent: no-op
-  r.SetSupport(T({1, 2}), 7u);
+  EXPECT_EQ(AddSupport(&r, T({1, 2})), 1u);
+  EXPECT_EQ(AddSupport(&r, T({1, 2})), 2u);
+  EXPECT_EQ(AddSupport(&r, T({9, 9})), 0u);  // absent: no-op
+  r.SetSupport(*r.Find(T({1, 2})), 7u);
   EXPECT_EQ(r.SupportCount(T({1, 2})), 7u);
   r.Erase(T({1, 2}));
   EXPECT_EQ(r.SupportCount(T({1, 2})), 0u);
@@ -168,7 +176,7 @@ TEST(RelationTest, SupportCountsSurviveSwapRemove) {
   Relation r(&decl);
   for (int64_t i = 0; i < 8; ++i) {
     r.Insert(T({i, i + 100}));
-    for (int64_t j = 0; j <= i; ++j) r.AddSupport(T({i, i + 100}));
+    for (int64_t j = 0; j <= i; ++j) AddSupport(&r, T({i, i + 100}));
   }
   r.Erase(T({2, 102}));
   r.Erase(T({5, 105}));
@@ -205,7 +213,7 @@ TEST(ShardedRelationTest, ContentIdenticalAcrossShardCounts) {
   auto fill = [&](Relation* r) {
     for (int64_t i = 0; i < 200; ++i) {
       r->Insert(T({i % 11, i, i % 3}));
-      if (i % 4 == 0) r->AddSupport(T({i % 11, i, i % 3}));
+      if (i % 4 == 0) AddSupport(r, T({i % 11, i, i % 3}));
     }
     for (int64_t i = 0; i < 200; i += 5) r->Erase(T({i % 11, i, i % 3}));
   };
@@ -262,7 +270,7 @@ TEST(ShardedRelationTest, FunctionalShardsByKeysAndReplaces) {
     EXPECT_EQ(row->back().AsInt(), i * 10);
   }
   // FD conflicts are detected across the sharded layout.
-  EXPECT_EQ(r.Insert(T({3, 3, 999})), InsertOutcome::kFdConflict);
+  EXPECT_EQ(r.Insert(T({3, 3, 999})).outcome, InsertOutcome::kFdConflict);
   // Replacement lands in the displaced row's shard (same keys, same
   // shard) and keeps the FD index exact.
   auto displaced = r.ReplaceFunctional(T({3, 3, 31}));
@@ -421,7 +429,7 @@ TEST(ColumnarRelationTest, DictionaryRoundTripUnderChurn) {
       EXPECT_EQ(r.Contains(Mixed(i, i % 5)), i % 3 != 0) << "i=" << i;
     }
     for (int64_t i = 0; i < 150; i += 3) {
-      EXPECT_EQ(r.Insert(Mixed(i, i % 5)), InsertOutcome::kInserted);
+      EXPECT_EQ(r.Insert(Mixed(i, i % 5)).outcome, InsertOutcome::kInserted);
     }
     EXPECT_EQ(r.size(), 150u);
     for (size_t sh = 0; sh < r.shard_count(); ++sh) {
@@ -463,61 +471,121 @@ TEST(ColumnarRelationTest, ColumnDistinctTracksLiveValuesExactly) {
 }
 
 TEST(ColumnarRelationTest, ContentMatchesModelAcrossShardCounts) {
-  // The oracle is a map from tuple to support count, driven by the same
-  // operation stream: Insert adds an absent tuple at support 0, AddSupport
-  // counts only present tuples, Erase drops the tuple with its support.
+  // The oracle maps each tuple to its support count and base bit, driven
+  // by the same operation stream: Insert adds an absent tuple at support
+  // 0, not base (or reports the duplicate, or — functional — the FD
+  // conflict of a stored tuple with the same keys); AddSupport counts and
+  // SetBase toggles only present tuples; Erase drops the tuple with both.
   // The stream revisits a small domain, so it produces duplicate inserts,
-  // supports on absent tuples, erases of absent tuples and reinserts of
-  // erased ones (which must come back at support 0).
-  PredicateDecl decl = MakeDecl(3, false);
-  for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
-    SCOPED_TRACE(StrCat({"shards=", std::to_string(shards)}));
-    Relation r(&decl, shards);
-    std::map<Tuple, uint32_t> model;
-    auto check = [&] {
-      EXPECT_EQ(r.size(), model.size());
-      std::multiset<std::string> want;
-      for (const auto& [t, support] : model) {
-        std::string line;
-        for (const Value& v : t) line += v.ToString() + ",";
-        want.insert(line + "#" + std::to_string(support));
-      }
-      EXPECT_EQ(Contents(r), want);
-      for (int64_t k = 0; k < 23; ++k) {
-        for (int64_t tag = 0; tag < 6; ++tag) {
-          const Tuple t = Mixed(k, tag);
-          auto it = model.find(t);
-          EXPECT_EQ(r.Contains(t), it != model.end());
-          EXPECT_EQ(r.SupportCount(t), it != model.end() ? it->second : 0u);
+  // FD conflicts, updates of absent tuples, erases of absent tuples and
+  // reinserts of erased ones (which must come back at support 0, not
+  // base), and its swap-removes move rows whose slot-table entries must
+  // follow them.
+  struct State {
+    uint32_t support = 0;
+    bool base = false;
+  };
+  for (bool functional : {false, true}) {
+    PredicateDecl decl = MakeDecl(3, functional);  // FD keys: columns 0..1
+    for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
+      SCOPED_TRACE(StrCat({functional ? "functional" : "set", " shards=",
+                           std::to_string(shards)}));
+      Relation r(&decl, shards);
+      std::map<Tuple, State> model;
+      auto keys_of = [](const Tuple& t) {
+        return Tuple(t.begin(), t.end() - 1);
+      };
+      auto stored_with_keys = [&](const Tuple& t) {
+        for (auto it = model.begin(); it != model.end(); ++it) {
+          if (keys_of(it->first) == keys_of(t)) return it;
         }
+        return model.end();
+      };
+      auto check = [&] {
+        EXPECT_EQ(r.size(), model.size());
+        std::multiset<std::string> want, got;
+        for (const auto& [t, st] : model) {
+          std::string line;
+          for (const Value& v : t) line += v.ToString() + ",";
+          want.insert(StrCat({line, "#", std::to_string(st.support),
+                              st.base ? "b" : ""}));
+        }
+        for (size_t sh = 0; sh < r.shard_count(); ++sh) {
+          for (size_t slot = 0; slot < r.shard_size(sh); ++slot) {
+            const RowRef row{static_cast<uint32_t>(sh),
+                             static_cast<uint32_t>(slot)};
+            std::string line;
+            for (const Value& v : r.MaterializeTuple(sh, slot)) {
+              line += v.ToString() + ",";
+            }
+            got.insert(StrCat({line, "#", std::to_string(r.support(row)),
+                               r.is_base(row) ? "b" : ""}));
+          }
+        }
+        EXPECT_EQ(got, want);
+        for (int64_t k = 0; k < 23; ++k) {
+          for (int64_t tag = 0; tag < 6; ++tag) {
+            const Tuple t = Mixed(k, tag);
+            auto it = model.find(t);
+            EXPECT_EQ(r.Contains(t), it != model.end());
+            EXPECT_EQ(r.SupportCount(t),
+                      it != model.end() ? it->second.support : 0u);
+            const std::optional<RowRef> row = r.Find(t);
+            EXPECT_EQ(row && r.is_base(*row),
+                      it != model.end() && it->second.base);
+          }
+          if (!functional) continue;
+          Tuple scratch;
+          const Tuple* found = r.LookupByKeys(keys_of(Mixed(k, 0)), &scratch);
+          auto it = stored_with_keys(Mixed(k, 0));
+          ASSERT_EQ(found != nullptr, it != model.end()) << "k=" << k;
+          if (found != nullptr) {
+            EXPECT_EQ(*found, it->first);
+          }
+        }
+      };
+      uint64_t seed = 0x5eedULL;
+      for (int op = 0; op < 900; ++op) {
+        seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+        const uint64_t draw = seed >> 33;
+        const Tuple t = Mixed(static_cast<int64_t>(draw % 23),
+                              static_cast<int64_t>((draw / 23) % 6));
+        auto it = model.find(t);
+        const std::optional<RowRef> row = r.Find(t);
+        ASSERT_EQ(row.has_value(), it != model.end());
+        switch ((draw / 138) % 6) {
+          case 0:
+          case 1: {
+            InsertOutcome want = InsertOutcome::kDuplicate;
+            if (it == model.end()) {
+              want = functional && stored_with_keys(t) != model.end()
+                         ? InsertOutcome::kFdConflict
+                         : InsertOutcome::kInserted;
+            }
+            EXPECT_EQ(r.Insert(t).outcome, want);
+            if (want == InsertOutcome::kInserted) model.emplace(t, State{});
+            break;
+          }
+          case 2:
+            if (row) {
+              EXPECT_EQ(r.AddSupport(*row), ++it->second.support);
+            }
+            break;
+          case 3:
+            if (row) {
+              it->second.base = !it->second.base;
+              r.SetBase(*row, it->second.base);
+            }
+            break;
+          default:
+            EXPECT_EQ(r.Erase(t), it != model.end());
+            if (it != model.end()) model.erase(it);
+            break;
+        }
+        if (op % 100 == 99) check();
       }
-    };
-    uint64_t seed = 0x5eedULL;
-    for (int op = 0; op < 600; ++op) {
-      seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
-      const uint64_t draw = seed >> 33;
-      const Tuple t = Mixed(static_cast<int64_t>(draw % 23),
-                            static_cast<int64_t>((draw / 23) % 6));
-      auto it = model.find(t);
-      switch ((draw / 138) % 5) {
-        case 0:
-        case 1:
-          EXPECT_EQ(r.Insert(t), it == model.end() ? InsertOutcome::kInserted
-                                                   : InsertOutcome::kDuplicate);
-          model.emplace(t, 0);
-          break;
-        case 2:
-        case 3:
-          EXPECT_EQ(r.AddSupport(t), it == model.end() ? 0u : ++it->second);
-          break;
-        default:
-          EXPECT_EQ(r.Erase(t), it != model.end());
-          if (it != model.end()) model.erase(it);
-          break;
-      }
-      if (op % 100 == 99) check();
+      ASSERT_FALSE(model.empty());
     }
-    ASSERT_FALSE(model.empty());
   }
 }
 
@@ -525,7 +593,7 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
   PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
   Relation r(&decl, 7);
   for (int64_t i = 0; i < 60; ++i) r.Insert(Mixed(i, i * 10));
-  EXPECT_EQ(r.Insert(Mixed(3, 999)), InsertOutcome::kFdConflict);
+  EXPECT_EQ(r.Insert(Mixed(3, 999)).outcome, InsertOutcome::kFdConflict);
   for (int64_t i = 0; i < 60; ++i) {
     const Tuple* row =
         Lookup(r, {Value::Int(i),
@@ -539,7 +607,7 @@ TEST(ColumnarRelationTest, FunctionalReplaceAndSupportSurviveSwapRemove) {
   EXPECT_EQ(r.size(), 60u);
   // Support moves with swap-removed rows.
   for (int64_t i = 0; i < 8; ++i) {
-    for (int64_t j = 0; j <= i; ++j) r.AddSupport(Mixed(i, i * 10));
+    for (int64_t j = 0; j <= i; ++j) AddSupport(&r, Mixed(i, i * 10));
   }
   r.Erase(r.MaterializeTuple(r.ShardOf(Mixed(2, 20)), 0));  // arbitrary row
   for (int64_t i = 4; i < 8; ++i) {
@@ -695,13 +763,13 @@ TEST(ColumnarRelationTest, RejectedInsertsLeaveDictionaryRefcountsClean) {
     PredicateDecl decl = MakeDecl(3, false);
     Relation r(&decl, 3);
     for (int64_t i = 0; i < 30; ++i) {
-      ASSERT_EQ(r.Insert(Mixed(i % 6, i)), InsertOutcome::kInserted);
+      ASSERT_EQ(r.Insert(Mixed(i % 6, i)).outcome, InsertOutcome::kInserted);
     }
     const auto live0 = r.ColumnDistinct(0);
     const auto live2 = r.ColumnDistinct(2);
     const Relation::MemoryFootprint before = r.Memory();
     for (int64_t i = 0; i < 30; ++i) {
-      EXPECT_EQ(r.Insert(Mixed(i % 6, i)), InsertOutcome::kDuplicate);
+      EXPECT_EQ(r.Insert(Mixed(i % 6, i)).outcome, InsertOutcome::kDuplicate);
     }
     EXPECT_EQ(r.ColumnDistinct(0), live0);
     EXPECT_EQ(r.ColumnDistinct(2), live2);
@@ -716,13 +784,14 @@ TEST(ColumnarRelationTest, RejectedInsertsLeaveDictionaryRefcountsClean) {
     PredicateDecl decl = MakeDecl(3, true);  // keys = columns 0..1
     Relation r(&decl, 3);
     for (int64_t i = 0; i < 20; ++i) {
-      ASSERT_EQ(r.Insert(Mixed(i, i)), InsertOutcome::kInserted);
+      ASSERT_EQ(r.Insert(Mixed(i, i)).outcome, InsertOutcome::kInserted);
     }
     const auto live2 = r.ColumnDistinct(2);
     // Conflicting value column: the key exists with a different payload.
     // The novel payload value must NOT be interned by the rejection.
     for (int64_t i = 0; i < 20; ++i) {
-      EXPECT_EQ(r.Insert(Mixed(i, i + 5000)), InsertOutcome::kFdConflict);
+      EXPECT_EQ(r.Insert(Mixed(i, i + 5000)).outcome,
+                InsertOutcome::kFdConflict);
       EXPECT_FALSE(r.CodeOf(2, Value::Int(i + 5000)).has_value());
     }
     EXPECT_EQ(r.ColumnDistinct(2), live2);
