@@ -22,9 +22,11 @@ if [ -x "$build/micro_engine" ]; then
   # workloads: 1/2/4/8 workers at the unsharded layout plus the
   # shard-scaling curve (SB_SHARDS 1/4/8 at one and four workers),
   # recorded so the perf trajectory is tracked. The shards:1 rows double
-  # as the regression gate for shard-aligned chunking.
+  # as the regression gate for shard-aligned chunking. BM_InsertPath
+  # records time and value-to-code encodes per stored tuple on a
+  # hashjoin-shaped insert batch.
   "$build/micro_engine" --benchmark_min_time=0.05 \
-      --benchmark_filter='BM_ParallelFixpoint(Convergence|Join)' \
+      --benchmark_filter='BM_(ParallelFixpoint(Convergence|Join)|InsertPath)' \
       --benchmark_out="$build/BENCH_fixpoint.json" \
       --benchmark_out_format=json
   echo "wrote $build/BENCH_fixpoint.json"
