@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/strings.h"
 
 namespace secureblox::dist {
 
@@ -28,28 +27,15 @@ double SimCluster::Metrics::MeanTxDurationMs() const {
 }
 
 Result<std::unique_ptr<SimCluster>> SimCluster::Create(Config config) {
-  if (config.num_nodes == 0) {
-    return Status::InvalidArgument("cluster needs at least one node");
-  }
   std::unique_ptr<SimCluster> cluster(new SimCluster());
-  std::vector<std::string> principals;
-  for (size_t i = 0; i < config.num_nodes; ++i) {
-    principals.push_back(StrCat({"p", std::to_string(i)}));
-  }
-  policy::CredentialAuthority authority(principals, config.credentials);
-  for (size_t i = 0; i < config.num_nodes; ++i) {
-    NodeRuntime::Config ncfg;
-    ncfg.index = static_cast<NodeIndex>(i);
-    ncfg.principals = principals;
-    SB_ASSIGN_OR_RETURN(ncfg.creds, authority.IssueFor(principals[i]));
-    ncfg.batch_security = config.batch_security;
-    ncfg.placement = config.placement;
-    ncfg.placed_preds = config.placed_preds;
-    ncfg.storage_shards = config.storage_shards;
-    SB_ASSIGN_OR_RETURN(std::unique_ptr<NodeRuntime> node,
-                        NodeRuntime::Create(std::move(ncfg), config.sources));
-    cluster->nodes_.push_back(std::move(node));
-  }
+  NodeRuntime::Config ncfg;
+  ncfg.batch_security = config.batch_security;
+  ncfg.placement = config.placement;
+  ncfg.placed_preds = config.placed_preds;
+  ncfg.storage_shards = config.storage_shards;
+  SB_ASSIGN_OR_RETURN(cluster->nodes_,
+                      CreateClusterNodes(config.num_nodes, config.credentials,
+                                         std::move(ncfg), config.sources));
   if (config.placement) {
     size_t members = config.initial_members == 0 ? config.num_nodes
                                                  : config.initial_members;

@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "common/strings.h"
 #include "crypto/aes.h"
 #include "crypto/hmac.h"
 #include "crypto/rsa.h"
@@ -36,6 +37,29 @@ Result<size_t> ParseNodeLabel(const std::string& label) {
     value = value * 10 + static_cast<size_t>(label[i] - '0');
   }
   return value;
+}
+
+Result<std::vector<std::unique_ptr<NodeRuntime>>> CreateClusterNodes(
+    size_t num_nodes, const policy::CredentialAuthority::Options& credentials,
+    NodeRuntime::Config node, const std::vector<std::string>& sources) {
+  if (num_nodes == 0) {
+    return Status::InvalidArgument("cluster needs at least one node");
+  }
+  std::vector<std::string> principals;
+  for (size_t i = 0; i < num_nodes; ++i) {
+    principals.push_back(StrCat({"p", std::to_string(i)}));
+  }
+  policy::CredentialAuthority authority(principals, credentials);
+  node.principals = principals;
+  std::vector<std::unique_ptr<NodeRuntime>> nodes;
+  for (size_t i = 0; i < num_nodes; ++i) {
+    node.index = static_cast<NodeIndex>(i);
+    SB_ASSIGN_OR_RETURN(node.creds, authority.IssueFor(principals[i]));
+    SB_ASSIGN_OR_RETURN(std::unique_ptr<NodeRuntime> rt,
+                        NodeRuntime::Create(node, sources));
+    nodes.push_back(std::move(rt));
+  }
+  return nodes;
 }
 
 Result<std::unique_ptr<NodeRuntime>> NodeRuntime::Create(

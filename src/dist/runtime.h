@@ -267,6 +267,14 @@ class NodeRuntime {
   Stats stats_;
 };
 
+/// The nodes of one cluster: node i runs as principal "p<i>" with
+/// credentials that one authority over all `num_nodes` principals issues.
+/// Every other setting comes from `node` (its index, principals and creds
+/// are overwritten per node).
+Result<std::vector<std::unique_ptr<NodeRuntime>>> CreateClusterNodes(
+    size_t num_nodes, const policy::CredentialAuthority::Options& credentials,
+    NodeRuntime::Config node, const std::vector<std::string>& sources);
+
 }  // namespace secureblox::dist
 
 #endif  // SECUREBLOX_DIST_RUNTIME_H_

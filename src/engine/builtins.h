@@ -39,8 +39,8 @@ struct BuiltinImpl {
   BuiltinFn fn;
   /// Safe to call from concurrent enumeration workers. False for builtins
   /// that mutate shared state (e.g. deserializers that intern entities in
-  /// the catalog); rules using them are pinned to the sequential merge
-  /// phase of the parallel fixpoint.
+  /// the catalog); rules using them enumerate inline on the coordinating
+  /// thread, after the pool drains, against the round's snapshot.
   bool thread_safe = true;
   std::string name;  // the registry key, for error messages
 };

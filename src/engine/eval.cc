@@ -589,7 +589,8 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
     out.existential_types.push_back(type);
   }
   // Head existentials create entities (catalog + memo mutation) during
-  // enumeration, so such rules stay on the sequential merge phase.
+  // enumeration, so such rules enumerate inline on the coordinating
+  // thread, after the pool drains, against the round's snapshot.
   if (!out.existential_slots.empty()) out.parallel_safe = false;
   out.memo_key_slots.assign(memo_slots.begin(), memo_slots.end());
   out.num_slots = slots.size();

@@ -185,7 +185,8 @@ struct CompiledRule {
   std::vector<int> memo_key_slots;  // bound slots used anywhere in heads
   /// Body enumeration is free of side effects (no head existentials, no
   /// thread-unsafe builtins), so the parallel fixpoint may run it on
-  /// worker threads; other rules are pinned to the sequential merge phase.
+  /// worker threads; other rules enumerate inline on the coordinating
+  /// thread, after the pool drains, against the round's snapshot.
   bool parallel_safe = true;
   /// Cost-based plans per semi-naïve variant (see RulePlanCache). Shared
   /// across copies of the compiled rule; null only for value-initialized

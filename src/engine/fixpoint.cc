@@ -394,6 +394,7 @@ void FixpointDriver::StageVariantTasks(
     proto.rule_idx = rule_idx;
     proto.gid = gid;
     proto.retract = retract;
+    proto.inline_only = !rule.parallel_safe;
     proto.occ = occ;
     proto.base_views = std::move(views);
     proto.excl = std::move(excl);
@@ -589,13 +590,11 @@ Status FixpointDriver::RunWave(const std::vector<int>& wave) {
     }
     if (rounds.empty()) return Status::OK();
 
-    // Enumeration phase: chunked semi-naïve variants of every
-    // parallel-safe rule with a delta, run against the frozen pre-round
-    // state. Nothing mutates the database until the merge phase, so the
-    // tasks are pure reads staging into private buffers. Each rule's
-    // tasks are contiguous; `staged` records the range for the merge.
+    // Enumeration phase: chunked semi-naïve variants of every rule with a
+    // delta, run against the frozen pre-round state. Nothing mutates the
+    // database until the merge phase, so the tasks are pure reads staging
+    // into private buffers. Each group's tasks are contiguous.
     std::vector<std::unique_ptr<EnumTask>> tasks;
-    std::map<std::pair<int, size_t>, std::pair<size_t, size_t>> staged;
     for (auto& [gid, delta] : rounds) {
       for (size_t idx : graph_.group(gid).rules) {
         const CompiledRule& rule = rules_[idx];
@@ -605,12 +604,7 @@ Status FixpointDriver::RunWave(const std::vector<int>& wave) {
           continue;
         }
         ++stats_.rule_firings;
-        if (rule.parallel_safe) {
-          size_t begin = tasks.size();
-          StageVariantTasks(rule, idx, gid, delta, /*retract=*/false,
-                            &tasks);
-          staged[{gid, idx}] = {begin, tasks.size()};
-        }
+        StageVariantTasks(rule, idx, gid, delta, /*retract=*/false, &tasks);
       }
     }
     SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
@@ -619,21 +613,12 @@ Status FixpointDriver::RunWave(const std::vector<int>& wave) {
     // (topological) group order, install-order rules, staged chunk order —
     // so insertion order, entity interning, and FD-conflict detection are
     // reproducible at every thread count.
+    size_t next = 0;
     for (auto& [gid, delta] : rounds) {
       const RuleGroup& group = graph_.group(gid);
-      for (size_t idx : group.rules) {
-        const CompiledRule& rule = rules_[idx];
-        if (rule.agg.has_value()) continue;
-        if (!HasDeltaFor(rule, delta)) continue;
-        if (rule.parallel_safe) {
-          const auto& [begin, end] = staged.at({gid, idx});
-          SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, end));
-        } else {
-          // Side effects (head existentials, thread-unsafe builtins):
-          // classic sequential evaluation against the live state.
-          SB_RETURN_IF_ERROR(RunRuleVariants(rule, delta, gid));
-        }
-      }
+      const size_t begin = next;
+      while (next < tasks.size() && tasks[next]->gid == gid) ++next;
+      SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, next));
       // Lattice aggregates re-run after every round of their group.
       for (size_t idx : group.rules) {
         const CompiledRule& rule = rules_[idx];
@@ -720,33 +705,17 @@ Status FixpointDriver::ProcessRetractions(int gid) {
       delta_[gid].dels.clear();
       ++stats_.rounds;
       std::vector<std::unique_ptr<EnumTask>> tasks;
-      std::map<size_t, std::pair<size_t, size_t>> staged;
-      std::vector<size_t> fired;
       for (size_t idx : group.rules) {
         const CompiledRule& rule = rules_[idx];
         if (HasDeltaFor(rule, dels)) {
           ++stats_.retract_firings;
-          fired.push_back(idx);
-          if (rule.parallel_safe) {
-            size_t begin = tasks.size();
-            StageVariantTasks(rule, idx, gid, dels, /*retract=*/true,
-                              &tasks);
-            staged[idx] = {begin, tasks.size()};
-          }
+          StageVariantTasks(rule, idx, gid, dels, /*retract=*/true, &tasks);
         } else {
           ++stats_.firings_skipped;
         }
       }
       SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
-      for (size_t idx : fired) {
-        const CompiledRule& rule = rules_[idx];
-        if (rule.parallel_safe) {
-          const auto& [begin, end] = staged.at(idx);
-          SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, end));
-        } else {
-          SB_RETURN_IF_ERROR(RunRetractVariants(rule, dels, gid));
-        }
-      }
+      SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, 0, tasks.size()));
     }
 
     // The supports are exact now. A survivor that lost every well-founded
@@ -1269,73 +1238,6 @@ Status FixpointDriver::InstantiateHeads(
     pending->emplace_back(head.pred, std::move(t));
   }
   for (int s : bound_here) env[s].reset();
-  return Status::OK();
-}
-
-Status FixpointDriver::RunRuleVariants(const CompiledRule& rule,
-                                       const DeltaMap& delta, int gid) {
-  Executor executor(&ctx_, &store_);
-  std::vector<std::pair<PredId, Tuple>> pending;
-  // Tuples born earlier in the current round (queued for the next one):
-  // enumerating against them now would count their instantiations twice.
-  const DeltaMap& next = delta_[gid].adds;
-  const int n = rule.num_scan_occurrences;
-
-  for (int occ = 0; occ < n; ++occ) {
-    auto it = delta.find(rule.scan_preds[occ]);
-    if (it == delta.end() || it->second.empty()) continue;
-    std::vector<OccView> views(n);
-    std::vector<TupleSet> excl(n);
-    views[occ].only = &it->second;
-    BuildVariantViews(rule, delta, next, occ, /*retract=*/false, &views,
-                      &excl);
-    DeltaOverride override;
-    override.views = &views;
-    Env env(rule.num_slots);
-    SB_RETURN_IF_ERROR(executor.Run(
-        planner_->PlanFor(rule, occ), &env, &override,
-        [&](Env& e) -> Status {
-          return InstantiateHeads(rule, e, &pending);
-        }));
-  }
-
-  for (auto& [pred, tuple] : pending) {
-    SB_ASSIGN_OR_RETURN(bool inserted, host_.InsertHeadTuple(pred, tuple));
-    if (inserted) ++stats_.derivations;
-  }
-  return Status::OK();
-}
-
-Status FixpointDriver::RunRetractVariants(const CompiledRule& rule,
-                                          const DeltaMap& dels, int gid) {
-  Executor executor(&ctx_, &store_);
-  std::vector<std::pair<PredId, Tuple>> pending;
-  // Insert deltas this group has not consumed yet: their instantiations
-  // were never counted, so retraction must not see those tuples either.
-  const DeltaMap& unconsumed = delta_[gid].adds;
-  const int n = rule.num_scan_occurrences;
-
-  for (int occ = 0; occ < n; ++occ) {
-    auto it = dels.find(rule.scan_preds[occ]);
-    if (it == dels.end() || it->second.empty()) continue;
-    std::vector<OccView> views(n);
-    std::vector<TupleSet> excl(n);
-    views[occ].only = &it->second;
-    BuildVariantViews(rule, dels, unconsumed, occ, /*retract=*/true, &views,
-                      &excl);
-    DeltaOverride override;
-    override.views = &views;
-    Env env(rule.num_slots);
-    SB_RETURN_IF_ERROR(executor.Run(
-        planner_->PlanFor(rule, occ), &env, &override,
-        [&](Env& e) -> Status {
-          return InstantiateHeads(rule, e, &pending);
-        }));
-  }
-
-  for (auto& [pred, tuple] : pending) {
-    SB_RETURN_IF_ERROR(RetractOne(pred, tuple));
-  }
   return Status::OK();
 }
 

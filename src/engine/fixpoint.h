@@ -10,21 +10,21 @@
 // them together is indistinguishable from draining them one at a time.
 //
 // Each wave round splits into two phases:
-//   - an *enumeration* phase that fires every parallel-safe rule's
-//     semi-naïve variants on the worker pool, with each delta first cut on
-//     the target relation's shard boundaries (equal-shard-key tuples stay
-//     together — shard-local probes are cache-local) and large shard
-//     partitions further split into fixed-size windows so one rule's
-//     firing spreads across workers; relations
-//     are frozen (no writer exists), so enumeration is a pure read against
-//     the pre-round snapshot and tasks stage derived tuples into private
-//     buffers;
+//   - an *enumeration* phase that fires every rule's semi-naïve variants as
+//     staged tasks, with each delta first cut on the target relation's
+//     shard boundaries (equal-shard-key tuples stay together — shard-local
+//     probes are cache-local) and large shard partitions further split
+//     into fixed-size windows so one rule's firing spreads across workers;
+//     relations are frozen (no writer exists), so enumeration is a pure
+//     read against the pre-round snapshot and tasks stage derived tuples
+//     into private buffers. Tasks of rules with side effects (head
+//     existentials, thread-unsafe builtins) enumerate inline on the
+//     coordinating thread, after the pool drains, against the same
+//     snapshot;
 //   - a *merge* phase on the coordinating thread that applies the staged
 //     buffers in a fixed order (group, rule, occurrence, shard, window),
-//     runs
-//     rules with side effects (head existentials, thread-unsafe builtins)
-//     the classic sequential way, re-runs lattice aggregates, and routes
-//     new deltas into the (multi-producer) per-group queues.
+//     re-runs lattice aggregates, and routes new deltas into the
+//     (multi-producer) per-group queues.
 //
 // The work decomposition — waves, rounds, chunks, merge order — depends
 // only on the program, the data, and the shard count, never on the thread
@@ -88,8 +88,8 @@
 // evaluation causes (see active_).
 //
 // The driver mutates the database exclusively through the FixpointHost
-// interface — only ever from the merge phase — so the workspace keeps
-// single-threaded ownership of undo logging, entity interning, and
+// interface — only ever from the coordinating thread — so the workspace
+// keeps single-threaded ownership of undo logging, entity interning, and
 // base-fact bookkeeping.
 #ifndef SECUREBLOX_ENGINE_FIXPOINT_H_
 #define SECUREBLOX_ENGINE_FIXPOINT_H_
@@ -126,8 +126,10 @@ struct FixpointStats {
   // -- parallel scheduling ---------------------------------------------------
   /// Scheduling waves (each drains >= 1 footprint-disjoint rule groups).
   uint64_t waves = 0;
-  /// Enumeration tasks staged for the worker pool. Independent of the
-  /// thread count: the same tasks run inline when threads=1.
+  /// Enumeration tasks staged, including those of rules with side effects,
+  /// which run inline on the coordinating thread after the pool drains.
+  /// Independent of the thread count: every task runs inline when
+  /// threads=1.
   uint64_t parallel_tasks = 0;
   // -- deletion path ---------------------------------------------------------
   /// Retraction rule evaluations (delete-delta analogue of rule_firings).
@@ -307,10 +309,6 @@ class FixpointDriver {
   /// Drain every wave member to its local fixpoint: rounds of a parallel
   /// enumeration phase followed by a deterministic sequential merge.
   Status RunWave(const std::vector<int>& wave);
-  /// Sequential (merge-phase) evaluation of one rule's insert variants —
-  /// rules with side effects, and the pre-parallel reference semantics.
-  Status RunRuleVariants(const CompiledRule& rule, const DeltaMap& delta,
-                         int gid);
   /// One group's pending negation flips, delete deltas and suspects:
   /// precise flips first (pending deletes restored), then rounds of
   /// counting retraction against the post-flip state until the group's own
@@ -358,8 +356,6 @@ class FixpointDriver {
   /// locally stored head, a row whose head tuple is absent has none.
   void DropHeadlessRows(const CompiledRule& rule, const Step& atom,
                         std::vector<Tuple>* rows);
-  Status RunRetractVariants(const CompiledRule& rule, const DeltaMap& dels,
-                            int gid);
   /// Drop one support of a destroyed instantiation's head tuple. A tuple
   /// of a recursively derived predicate that survives with support left
   /// becomes a suspect of its recursive producer group (its remaining
@@ -420,9 +416,8 @@ class FixpointDriver {
   /// — the executor only takes the run fast path when that cache is
   /// current (Relation::SortedRunBoundsIfWarm).
   void WarmProbes(const std::vector<Step>& steps);
-  /// Apply the staged buffers tasks[begin, end) — one rule's contiguous
-  /// staging range — in order: InsertHeadTuple for insert tasks,
-  /// RetractSupport for retract tasks.
+  /// Apply the staged buffers tasks[begin, end) in staging order:
+  /// InsertHeadTuple for insert tasks, RetractSupport for retract tasks.
   Status ApplyStagedTasks(std::vector<std::unique_ptr<EnumTask>>& tasks,
                           size_t begin, size_t end);
   WorkerPool* pool();

@@ -926,6 +926,14 @@ FactUpdate LatticeFact(std::mt19937_64& rng) {
                    Value::Int(1 + static_cast<int64_t>(rng() % 3))}};
 }
 
+/// e, f and g facts for kExistentialProgram.
+FactUpdate ExistentialFact(std::mt19937_64& rng) {
+  const uint64_t kind = rng() % 5;
+  if (kind < 1) return {"e", {Site(rng)}};
+  if (kind < 3) return {"f", {Site(rng)}};
+  return {"g", {Site(rng), Site(rng)}};
+}
+
 std::string FactKey(const FactUpdate& u) {
   std::string key = u.pred;
   for (const Value& v : u.values) key += StrCat({"|", v.ToString()});
@@ -1093,7 +1101,18 @@ INSTANTIATE_TEST_SUITE_P(
                   false,
                   nullptr,
                   true,
-                  false}),
+                  false},
+        // `tag` holds the membership rows of created entities, which are
+        // base facts and outlive the instantiations that created them.
+        OracleRow{"Existential",
+                  kExistentialProgram,
+                  ExistentialFact,
+                  60,
+                  {"site", "e", "f", "g", "q", "s"},
+                  false,
+                  nullptr,
+                  false,
+                  true}),
     [](const testing::TestParamInfo<OracleRow>& info) {
       return std::string(info.param.name);
     });

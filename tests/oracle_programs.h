@@ -72,6 +72,24 @@ constexpr const char* kLatticeProgram = R"(
   near(X, Y) <- bestcost[X, Y] = C, C < 3.
 )";
 
+// A recursive group whose last rule has a head existential (an entity
+// created per instantiation, as path-vector's `extend` creates `pathvar`
+// entities; delete_test only): its variants enumerate on the coordinating
+// thread, and a delete can erase a `q` tuple through the second rule in
+// the same round in which `s` loses the instantiation that read it.
+constexpr const char* kExistentialProgram = R"(
+  site(X) -> string(X).
+  tag(T) -> .
+  e(X) -> string(X).
+  f(X) -> string(X).
+  g(X, Y) -> string(X), string(Y).
+  q(X) -> string(X).
+  s(X, T) -> string(X), tag(T).
+  q(X) <- e(X).
+  q(Y) <- s(X, _), g(X, Y), f(Y).
+  s(X, T) <- q(X), f(X).
+)";
+
 }  // namespace secureblox::engine
 
 #endif  // SECUREBLOX_TESTS_ORACLE_PROGRAMS_H_

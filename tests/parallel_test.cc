@@ -207,9 +207,9 @@ TEST(ParallelFixpointTest, DeleteScenariosIdenticalAcrossThreadCounts) {
   }
 }
 
-// Head existentials create anonymous entities in the sequential merge
-// phase, so even their generated labels must not depend on the thread
-// count.
+// Head existentials create anonymous entities on the coordinating thread,
+// after the pool drains, so even their generated labels must not depend on
+// the thread count.
 TEST(ParallelFixpointTest, ExistentialLabelsIdenticalAcrossThreadCounts) {
   const std::string program = R"(
     node(X) -> .
