@@ -1,5 +1,7 @@
 // Microbenchmarks for the cryptographic substrate (google-benchmark):
-// the primitive costs that drive every curve in Figures 4-12.
+// the primitive costs that drive every curve in Figures 4-12. SHA-1, HMAC
+// and AES-CTR rows are labelled with the tier they ran: the one this CPU
+// picks, plus a portable row each so the fallback's speed stays tracked.
 #include <benchmark/benchmark.h>
 
 #include "crypto/aes.h"
@@ -24,8 +26,21 @@ void BM_Sha1(benchmark::State& state) {
     benchmark::DoNotOptimize(Sha1Digest(payload));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(Sha1TierName(DetectSha1Tier()));
 }
 BENCHMARK(BM_Sha1)->Arg(64)->Arg(1024)->Arg(65536);
+
+void BM_Sha1Portable(benchmark::State& state) {
+  Bytes payload = MakePayload(state.range(0));
+  for (auto _ : state) {
+    Sha1 h(Sha1Tier::kPortable);
+    h.Update(payload);
+    benchmark::DoNotOptimize(h.Finish());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(Sha1TierName(Sha1Tier::kPortable));
+}
+BENCHMARK(BM_Sha1Portable)->Arg(65536);
 
 void BM_Sha256(benchmark::State& state) {
   Bytes payload = MakePayload(state.range(0));
@@ -43,6 +58,7 @@ void BM_HmacSha1(benchmark::State& state) {
     benchmark::DoNotOptimize(HmacSha1(key, payload));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(Sha1TierName(DetectSha1Tier()));
 }
 BENCHMARK(BM_HmacSha1)->Arg(64)->Arg(1024);
 
@@ -54,8 +70,26 @@ void BM_AesCtrEncrypt(benchmark::State& state) {
     benchmark::DoNotOptimize(AesCtrEncrypt(key, nonce, payload));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(AesTierName(DetectAesTier()));
 }
 BENCHMARK(BM_AesCtrEncrypt)->Arg(64)->Arg(1024)->Arg(65536);
+
+// The keystream XOR alone (no key expansion or copy), on the portable tier.
+void BM_AesCtrPortable(benchmark::State& state) {
+  Aes128 aes = Aes128::Create(MakePayload(16)).value();
+  Bytes nonce = MakePayload(16);
+  Bytes payload = MakePayload(state.range(0));
+  for (auto _ : state) {
+    Bytes counter = nonce;
+    aes.CtrXor(AesTier::kPortable, counter.data(), payload.data(),
+               payload.size());
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(AesTierName(AesTier::kPortable));
+}
+BENCHMARK(BM_AesCtrPortable)->Arg(65536);
 
 const RsaKeyPair& KeyOf(size_t bits) {
   static auto* keys = new std::map<size_t, RsaKeyPair>();

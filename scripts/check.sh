@@ -43,11 +43,13 @@ if [ -x "$build/micro_delete" ]; then
   "$build/micro_delete" --benchmark_min_time=0.01 \
       --benchmark_filter='BM_(CountingDeleteFlat|RecursiveCountingDelete|RecursiveRingDelete)'
 fi
-# Crypto smoke: RSA sign and verify at 512 and 1024 bits, the cost of every
-# RSA seal and open, recorded so the trajectory is tracked.
+# Crypto smoke: RSA sign and verify at 512 and 1024 bits, SHA-1, HMAC-SHA1
+# and AES-CTR on the tier this CPU picks (each row's label names it) plus
+# portable SHA-1 and AES-CTR rows: the costs of every seal and open,
+# recorded so the trajectory is tracked.
 if [ -x "$build/micro_crypto" ]; then
   "$build/micro_crypto" --benchmark_min_time=0.05 \
-      --benchmark_filter='BM_Rsa(Sign|Verify)' \
+      --benchmark_filter='BM_(Rsa(Sign|Verify)|Sha1|HmacSha1|AesCtr)' \
       --benchmark_out="$build/BENCH_crypto.json" \
       --benchmark_out_format=json
   echo "wrote $build/BENCH_crypto.json"

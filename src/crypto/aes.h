@@ -2,7 +2,15 @@
 //
 // The paper encrypts serialized fact batches with AES under pairwise
 // 128-bit shared secrets. We use CTR mode with a random 16-byte nonce
-// prepended to the ciphertext; decryption is the same keystream XOR.
+// prepended to the ciphertext; decryption is the same keystream XOR, so
+// only the forward cipher exists.
+//
+// Dispatch: two tiers of the CTR keystream. The AES-NI tier is compiled
+// with per-function target attributes (no global -maes) and runs when the
+// CPU has AES-NI; otherwise, and on every non-x86 build, the portable
+// EncryptBlock loop runs. There is no knob: AesCtrEncrypt/AesCtrDecrypt
+// pass DetectAesTier(). Both tiers take the round keys of the one portable
+// key expansion, and their output is identical.
 #ifndef SECUREBLOX_CRYPTO_AES_H_
 #define SECUREBLOX_CRYPTO_AES_H_
 
@@ -13,6 +21,16 @@
 #include "common/status.h"
 
 namespace secureblox::crypto {
+
+/// Instruction set the CTR keystream executes with.
+enum class AesTier : uint8_t { kPortable, kAesNi };
+
+/// Lowercase name for logs and benchmark labels: "portable" | "aes-ni".
+const char* AesTierName(AesTier tier);
+
+/// kAesNi when this CPU has AES-NI, else kPortable (probed once, then
+/// cached).
+AesTier DetectAesTier();
 
 /// AES-128 block cipher with a fixed expanded key schedule.
 class Aes128 {
@@ -25,8 +43,13 @@ class Aes128 {
 
   /// Encrypt one 16-byte block in place.
   void EncryptBlock(uint8_t block[kBlockSize]) const;
-  /// Decrypt one 16-byte block in place.
-  void DecryptBlock(uint8_t block[kBlockSize]) const;
+
+  /// XOR `data` with the CTR keystream from `counter`, a 128-bit
+  /// big-endian integer advanced by one per block (a final partial block
+  /// included). `tier` must be kPortable or the tier DetectAesTier()
+  /// reports.
+  void CtrXor(AesTier tier, uint8_t counter[kBlockSize], uint8_t* data,
+              size_t len) const;
 
  private:
   Aes128() = default;

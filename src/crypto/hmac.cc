@@ -7,13 +7,15 @@ namespace secureblox::crypto {
 
 namespace {
 
-// Generic HMAC over an incremental hasher type.
-template <typename Hasher>
-Bytes HmacImpl(const Bytes& key, const Bytes& message) {
+// Generic HMAC over an incremental hasher type, each hasher constructed
+// from `hasher_args`.
+template <typename Hasher, typename... HasherArgs>
+Bytes HmacImpl(const Bytes& key, const Bytes& message,
+               HasherArgs... hasher_args) {
   constexpr size_t kBlock = Hasher::kBlockSize;
   Bytes k = key;
   if (k.size() > kBlock) {
-    Hasher h;
+    Hasher h(hasher_args...);
     h.Update(k);
     k = h.Finish();
   }
@@ -25,12 +27,12 @@ Bytes HmacImpl(const Bytes& key, const Bytes& message) {
     opad[i] = k[i] ^ 0x5c;
   }
 
-  Hasher inner;
+  Hasher inner(hasher_args...);
   inner.Update(ipad);
   inner.Update(message);
   Bytes inner_digest = inner.Finish();
 
-  Hasher outer;
+  Hasher outer(hasher_args...);
   outer.Update(opad);
   outer.Update(inner_digest);
   return outer.Finish();
@@ -38,8 +40,8 @@ Bytes HmacImpl(const Bytes& key, const Bytes& message) {
 
 }  // namespace
 
-Bytes HmacSha1(const Bytes& key, const Bytes& message) {
-  return HmacImpl<Sha1>(key, message);
+Bytes HmacSha1(const Bytes& key, const Bytes& message, Sha1Tier tier) {
+  return HmacImpl<Sha1>(key, message, tier);
 }
 
 Bytes HmacSha256(const Bytes& key, const Bytes& message) {

@@ -7,11 +7,13 @@
 #define SECUREBLOX_CRYPTO_HMAC_H_
 
 #include "common/bytes.h"
+#include "crypto/sha1.h"
 
 namespace secureblox::crypto {
 
-/// HMAC-SHA1(key, message) -> 20-byte MAC.
-Bytes HmacSha1(const Bytes& key, const Bytes& message);
+/// HMAC-SHA1(key, message) -> 20-byte MAC, hashed on `tier` (see sha1.h).
+Bytes HmacSha1(const Bytes& key, const Bytes& message,
+               Sha1Tier tier = DetectSha1Tier());
 
 /// HMAC-SHA256(key, message) -> 32-byte MAC.
 Bytes HmacSha256(const Bytes& key, const Bytes& message);

@@ -42,34 +42,55 @@ datalog::BuiltinSignatureMap BuiltinRegistry::Signatures() const {
 
 namespace {
 
-// Canonical byte encoding of a value for hashing: kind tag + payload.
-// Entities encode as type name + label so the encoding is identical on
-// every node regardless of local intern order.
-Result<Bytes> CanonicalBytes(EvalContext& ctx, const Value& v) {
-  ByteWriter w;
-  w.PutU8(static_cast<uint8_t>(v.kind()));
+void HashLengthPrefixed(const std::string& s, crypto::Sha1* sha) {
+  // Unsigned LEB128 length, as ByteWriter::PutLengthPrefixedString writes.
+  uint8_t prefix[10];
+  size_t n = 0;
+  uint64_t len = s.size();
+  for (; len >= 0x80; len >>= 7) {
+    prefix[n++] = static_cast<uint8_t>(len) | 0x80;
+  }
+  prefix[n++] = static_cast<uint8_t>(len);
+  sha->Update(prefix, n);
+  sha->Update(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
+// Hash the canonical byte encoding of a value: kind tag + payload, fed to
+// `sha` in pieces so no buffer is built. Entities encode as type name +
+// label so the encoding is identical on every node regardless of local
+// intern order.
+Status HashCanonical(EvalContext& ctx, const Value& v, crypto::Sha1* sha) {
+  const uint8_t kind = static_cast<uint8_t>(v.kind());
+  sha->Update(&kind, 1);
   switch (v.kind()) {
-    case ValueKind::kBool:
-      w.PutU8(v.AsBool() ? 1 : 0);
+    case ValueKind::kBool: {
+      const uint8_t b = v.AsBool() ? 1 : 0;
+      sha->Update(&b, 1);
       break;
-    case ValueKind::kInt:
-      w.PutU64(static_cast<uint64_t>(v.AsInt()));
+    }
+    case ValueKind::kInt: {
+      // Big-endian, as ByteWriter::PutU64 writes.
+      uint8_t be[8];
+      uint64_t x = static_cast<uint64_t>(v.AsInt());
+      for (int i = 7; i >= 0; --i, x >>= 8) be[i] = static_cast<uint8_t>(x);
+      sha->Update(be, sizeof(be));
       break;
+    }
     case ValueKind::kString:
     case ValueKind::kBlob:
-      w.PutLengthPrefixedString(v.BlobRef());
+      HashLengthPrefixed(v.BlobRef(), sha);
       break;
     case ValueKind::kEntity: {
       if (ctx.catalog == nullptr) {
         return Status::Internal("entity hashing requires a catalog");
       }
       SB_ASSIGN_OR_RETURN(std::string label, ctx.catalog->EntityLabel(v));
-      w.PutLengthPrefixedString(ctx.catalog->decl(v.entity_type()).name);
-      w.PutLengthPrefixedString(label);
+      HashLengthPrefixed(ctx.catalog->decl(v.entity_type()).name, sha);
+      HashLengthPrefixed(label, sha);
       break;
     }
   }
-  return w.Take();
+  return Status::OK();
 }
 
 }  // namespace
@@ -79,8 +100,9 @@ void RegisterCoreBuiltins(BuiltinRegistry* registry) {
       "sha1", BuiltinSignature{{"any", "blob"}, 1},
       [](EvalContext& ctx, const std::vector<Value>& in,
          std::vector<Value>* out) -> Result<bool> {
-        SB_ASSIGN_OR_RETURN(Bytes bytes, CanonicalBytes(ctx, in[0]));
-        out->push_back(Value::MakeBlob(crypto::Sha1Digest(bytes)));
+        crypto::Sha1 sha;
+        SB_RETURN_IF_ERROR(HashCanonical(ctx, in[0], &sha));
+        out->push_back(Value::MakeBlob(sha.Finish()));
         return true;
       });
 
@@ -91,8 +113,10 @@ void RegisterCoreBuiltins(BuiltinRegistry* registry) {
         if (in[1].AsInt() <= 0) {
           return Status::InvalidArgument("sha1_bucket modulus must be > 0");
         }
-        SB_ASSIGN_OR_RETURN(Bytes bytes, CanonicalBytes(ctx, in[0]));
-        Bytes digest = crypto::Sha1Digest(bytes);
+        crypto::Sha1 sha;
+        SB_RETURN_IF_ERROR(HashCanonical(ctx, in[0], &sha));
+        uint8_t digest[crypto::Sha1::kDigestSize];
+        sha.Finish(digest);
         uint64_t h = 0;
         for (int i = 0; i < 8; ++i) h = (h << 8) | digest[i];
         out->push_back(

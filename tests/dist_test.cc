@@ -277,25 +277,85 @@ TEST(DistTest, SealOpenRoundTripAllSchemes) {
   }
 }
 
-// Byte-identity pins for RSA-sealed batches: the signature (PKCS#1 v1.5)
-// and the AES nonce (HMAC of key and plaintext) are deterministic, so a
-// sealed batch is a pure function of the credentials and the payload.
+// Byte-identity pins for sealed batches: the MAC, the signature (PKCS#1
+// v1.5) and the AES nonce (HMAC of key and plaintext) are deterministic, so
+// a sealed batch is a pure function of the credentials and the payload.
+// The generated payloads of 1,000 and 7,800 bytes (hashjoin's mean batch)
+// reach multi-block SHA-1 updates and four-block AES-CTR strides.
+struct SealPin {
+  EncScheme enc;
+  size_t raw_size;
+  size_t sealed_size;
+  const char* sealed_sha1;
+};
+
+Bytes PinPayload(size_t size) {
+  Bytes out(size);
+  uint64_t x = 0x5eed;
+  for (uint8_t& b : out) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    b = static_cast<uint8_t>(x >> 56);
+  }
+  return out;
+}
+
+void ExpectSealPin(AuthScheme auth, const Bytes& raw, const SealPin& pin) {
+  const std::string name = BatchSecurity{auth, pin.enc}.Name() +
+                           " raw=" + std::to_string(raw.size());
+  Bytes sealed = SealTestNode(0, auth, pin.enc)->SealForPeer(raw, 1).value();
+  EXPECT_EQ(sealed.size(), pin.sealed_size) << name;
+  EXPECT_EQ(ToHex(crypto::Sha1Digest(sealed)), pin.sealed_sha1) << name;
+  EXPECT_EQ(SealTestNode(1, auth, pin.enc)->OpenFromPeer(sealed, 0).value(),
+            raw)
+      << name;
+}
+
+TEST(DistTest, HmacSealedBatchesKnownAnswers) {
+  // 20-byte MAC, plus the 16-byte nonce with AES.
+  for (const SealPin& pin : {
+           SealPin{EncScheme::kNone, 21, 41,
+                   "57d96a8afad3383667198526ed0b48674b02ec28"},
+           SealPin{EncScheme::kNone, 1000, 1020,
+                   "250dcca0f7c73aa79f8b495d00dc0b95244d6c86"},
+           SealPin{EncScheme::kNone, 7800, 7820,
+                   "54fc49dd69936671cb2f924417640514064b0d73"},
+           SealPin{EncScheme::kAes, 21, 57,
+                   "db2856094ee4106383297e01d67a21cd9e615f1f"},
+           SealPin{EncScheme::kAes, 1000, 1036,
+                   "d70d3225823ecfb7fd09427bee16e01c270a58dd"},
+           SealPin{EncScheme::kAes, 7800, 7836,
+                   "cc4bb61dab5505e74e33aa76c12be3692fd9dddf"},
+       }) {
+    ExpectSealPin(AuthScheme::kHmac, PinPayload(pin.raw_size), pin);
+  }
+}
+
 TEST(DistTest, RsaSealedBatchesKnownAnswers) {
+  // 64-byte signature, plus the 16-byte nonce with AES.
   const Bytes raw = BytesFromString("payload-for-roundtrip");
-  struct Case {
-    EncScheme enc;
-    size_t overhead;  // 64-byte signature, plus the 16-byte nonce with AES
-    const char* sealed_sha1;
-  };
-  for (const Case& c :
-       {Case{EncScheme::kNone, 64, "2dc155eb63f9e4d5d8c9ad3e0852d621ae9ff37c"},
-        Case{EncScheme::kAes, 80,
-             "f2d74d24699243ff6df4d2c6bf55b6b22227f602"}}) {
-    Bytes sealed =
-        SealTestNode(0, AuthScheme::kRsa, c.enc)->SealForPeer(raw, 1).value();
-    EXPECT_EQ(sealed.size(), raw.size() + c.overhead);
-    EXPECT_EQ(ToHex(crypto::Sha1Digest(sealed)), c.sealed_sha1)
-        << BatchSecurity{AuthScheme::kRsa, c.enc}.Name();
+  for (const SealPin& pin : {
+           SealPin{EncScheme::kNone, 21, 85,
+                   "2dc155eb63f9e4d5d8c9ad3e0852d621ae9ff37c"},
+           SealPin{EncScheme::kAes, 21, 101,
+                   "f2d74d24699243ff6df4d2c6bf55b6b22227f602"},
+       }) {
+    ExpectSealPin(AuthScheme::kRsa, raw, pin);
+  }
+  for (const SealPin& pin : {
+           SealPin{EncScheme::kNone, 21, 85,
+                   "044ce259eee4d0ff983e4d4e7097d6e9e13a165a"},
+           SealPin{EncScheme::kNone, 1000, 1064,
+                   "5bd0db8aa3d12080d3c01ed6e107dec55b76a623"},
+           SealPin{EncScheme::kNone, 7800, 7864,
+                   "fc2cb5ec0da44ed3d3a361b7910f7e5f4b558fcc"},
+           SealPin{EncScheme::kAes, 21, 101,
+                   "6265cd0942f24b9f159ee5f0bf7b534acd0306cd"},
+           SealPin{EncScheme::kAes, 1000, 1080,
+                   "94fa273cee0227bff2ae1f574d0046c401b1c483"},
+           SealPin{EncScheme::kAes, 7800, 7880,
+                   "50af837ceef5b3423165152bfe7133b3a3add7a0"},
+       }) {
+    ExpectSealPin(AuthScheme::kRsa, PinPayload(pin.raw_size), pin);
   }
 }
 

@@ -489,6 +489,56 @@ TEST(WorkspaceTest, BuiltinInRuleBody) {
   }
 }
 
+// Pins sha1_bucket for every value kind it hashes, including a string whose
+// canonical bytes span two SHA-1 blocks: hash-join placement and the
+// benchmark's balanced join values depend on these exact buckets.
+TEST(WorkspaceTest, Sha1BucketKnownAnswers) {
+  Workspace ws;
+  Install(&ws, R"(
+    node(X) -> .
+    bv(X) -> bool(X).
+    iv(X) -> int(X).
+    sv(X) -> string(X).
+    bb(X, B) -> bool(X), int(B).
+    bb(X, B) <- bv(X), sha1_bucket(X, 1000000, B).
+    ib(X, B) -> int(X), int(B).
+    ib(X, B) <- iv(X), sha1_bucket(X, 1000000, B).
+    sb(X, B) -> string(X), int(B).
+    sb(X, B) <- sv(X), sha1_bucket(X, 1000000, B).
+    db(X, B) -> string(X), int(B).
+    db(X, B) <- sv(X), sha1(X, D), sha1_bucket(D, 1000000, B).
+    eb(X, B) -> node(X), int(B).
+    eb(X, B) <- node(X), sha1_bucket(X, 1000000, B).
+    node("n1").
+    node("n2").
+  )");
+  for (bool b : {false, true}) {
+    ASSERT_TRUE(ws.Insert("bv", {Value::Bool(b)}).ok());
+  }
+  for (int64_t i : {int64_t{0}, int64_t{-1}, int64_t{42}, int64_t{1} << 40}) {
+    ASSERT_TRUE(ws.Insert("iv", {Value::Int(i)}).ok());
+  }
+  const std::string long_value =
+      "join-value-0123456789-0123456789-0123456789-0123456789-0123456789";
+  for (const std::string& s : {std::string(), std::string("a"), long_value}) {
+    ASSERT_TRUE(ws.Insert("sv", {Value::Str(s)}).ok());
+  }
+  EXPECT_EQ(QuerySet(ws, "bb"),
+            (std::set<std::string>{"(false, 885225)", "(true, 354501)"}));
+  EXPECT_EQ(QuerySet(ws, "ib"),
+            (std::set<std::string>{"(-1, 772469)", "(0, 786124)",
+                                   "(1099511627776, 394267)",
+                                   "(42, 838103)"}));
+  EXPECT_EQ(QuerySet(ws, "sb"),
+            (std::set<std::string>{"(\"\", 156804)", "(\"a\", 254887)",
+                                   "(\"" + long_value + "\", 411436)"}));
+  EXPECT_EQ(QuerySet(ws, "db"),
+            (std::set<std::string>{"(\"\", 851028)", "(\"a\", 302267)",
+                                   "(\"" + long_value + "\", 420810)"}));
+  EXPECT_EQ(QuerySet(ws, "eb"),
+            (std::set<std::string>{"(node:n1, 507453)", "(node:n2, 560636)"}));
+}
+
 TEST(WorkspaceTest, FactsInProgramSource) {
   Workspace ws;
   Install(&ws, R"(

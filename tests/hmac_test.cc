@@ -1,5 +1,9 @@
-// HMAC-SHA1 against RFC 2202 vectors and HMAC-SHA256 against RFC 4231.
+// HMAC-SHA1 against RFC 2202 vectors (on every SHA-1 tier the host has) and
+// HMAC-SHA256 against RFC 4231.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "crypto/hmac.h"
@@ -10,30 +14,52 @@ namespace {
 Bytes B(const std::string& s) { return BytesFromString(s); }
 Bytes H(const std::string& hex) { return FromHex(hex).value(); }
 
-TEST(HmacSha1Test, Rfc2202Case1) {
+/// Every SHA-1 tier the host can execute: portable, plus SHA-NI when the
+/// CPU has it.
+std::vector<Sha1Tier> HostTiers() {
+  std::vector<Sha1Tier> tiers = {Sha1Tier::kPortable};
+  if (DetectSha1Tier() == Sha1Tier::kShaNi) tiers.push_back(Sha1Tier::kShaNi);
+  return tiers;
+}
+
+// RFC 2202 known answers, each on every SHA-1 tier.
+class HmacSha1TierTest : public ::testing::TestWithParam<Sha1Tier> {};
+
+TEST_P(HmacSha1TierTest, Rfc2202Case1) {
   Bytes key(20, 0x0b);
-  EXPECT_EQ(ToHex(HmacSha1(key, B("Hi There"))),
+  EXPECT_EQ(ToHex(HmacSha1(key, B("Hi There"), GetParam())),
             "b617318655057264e28bc0b6fb378c8ef146be00");
 }
 
-TEST(HmacSha1Test, Rfc2202Case2) {
-  EXPECT_EQ(ToHex(HmacSha1(B("Jefe"), B("what do ya want for nothing?"))),
+TEST_P(HmacSha1TierTest, Rfc2202Case2) {
+  EXPECT_EQ(ToHex(HmacSha1(B("Jefe"), B("what do ya want for nothing?"),
+                           GetParam())),
             "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
 }
 
-TEST(HmacSha1Test, Rfc2202Case3) {
+TEST_P(HmacSha1TierTest, Rfc2202Case3) {
   Bytes key(20, 0xaa);
   Bytes data(50, 0xdd);
-  EXPECT_EQ(ToHex(HmacSha1(key, data)),
+  EXPECT_EQ(ToHex(HmacSha1(key, data, GetParam())),
             "125d7342b9ac11cd91a39af48aa17b4f63f175d3");
 }
 
-TEST(HmacSha1Test, Rfc2202Case6LongKey) {
+TEST_P(HmacSha1TierTest, Rfc2202Case6LongKey) {
   Bytes key(80, 0xaa);
-  EXPECT_EQ(ToHex(HmacSha1(key, B("Test Using Larger Than Block-Size Key - "
-                                  "Hash Key First"))),
+  EXPECT_EQ(ToHex(HmacSha1(key,
+                           B("Test Using Larger Than Block-Size Key - "
+                             "Hash Key First"),
+                           GetParam())),
             "aa4ae5e15272d00e95705637ce8a3b55ed402112");
 }
+
+INSTANTIATE_TEST_SUITE_P(Tiers, HmacSha1TierTest,
+                         ::testing::ValuesIn(HostTiers()),
+                         [](const auto& info) {
+                           return info.param == Sha1Tier::kShaNi
+                                      ? std::string("ShaNi")
+                                      : std::string("Portable");
+                         });
 
 TEST(HmacSha1Test, VerifyAcceptsCorrectTag) {
   Bytes key = B("secret");
