@@ -196,8 +196,8 @@ BENCHMARK(BM_FusedFilterRange)
 //  - *join* (fig10 flavour): a selective three-way hash join with a
 //    digest prefilter, the secure-hash-join shape where candidates vastly
 //    outnumber results.
-// Both put the weight in body enumeration, which is the phase the wave
-// scheduler spreads across workers; the merge phase stays sequential.
+// Both put the weight in body enumeration, which is the phase the
+// fixpoint spreads across workers; the merge phase stays sequential.
 
 const char* kAuthTcProgram = R"(
   warm(X) -> int(X).

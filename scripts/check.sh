@@ -31,11 +31,13 @@ if [ -x "$build/micro_engine" ]; then
       --benchmark_out_format=json
   echo "wrote $build/BENCH_fixpoint.json"
 fi
-# Sharded-storage determinism smoke: the storage/fixpoint suites at a
-# prime shard count (SB_SHARDS routes every relation through the
-# hash-partitioned layout; results must be byte-identical).
+# Sharded determinism smoke: the storage/fixpoint, placement and query
+# suites at a prime shard count (SB_SHARDS routes every relation through
+# the hash-partitioned layout; results must be byte-identical). Placement
+# covers routing, handoff and the invariance matrix; query covers the
+# query/fixpoint differentials.
 SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'relation_test|parallel_test|engine_test|delete_test'
+    -R 'relation_test|parallel_test|engine_test|delete_test|placement_test|dist_test|query_test|query_fuzz_test|udp_cluster_test'
 # Counting-deletion smoke: per-delete work must not scale with the
 # database (see the seeded/iter and retract_firings/iter counters), on the
 # counting cascade through a recursive group and on a ring's proof search.
@@ -75,14 +77,5 @@ SB_QUICK=1 SB_BENCH_OUT="$build/BENCH_placement.json" "$build/abl_placement"
   printf '}\n'
 } > "$build/BENCH_dist.json"
 echo "wrote $build/BENCH_dist.json"
-# Placement determinism smoke: the partitioned-placement suite at the
-# prime storage shard count (routing, handoff, invariance matrix).
-SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'placement_test|dist_test'
-
-# Query-path determinism smoke: the query/fixpoint differential suites
-# at a prime shard count.
-SB_SHARDS=7 ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'query_test|query_fuzz_test|udp_cluster_test'
 
 echo "check.sh: OK"

@@ -136,13 +136,6 @@ Result<Value> Catalog::FindEntity(PredId type, const std::string& label) const {
   return Value::Entity(type, found->second);
 }
 
-Result<Value> Catalog::CreateAnonymousEntity(PredId type,
-                                             const std::string& hint) {
-  std::string label =
-      hint + "@" + node_tag_ + "#" + std::to_string(anon_counter_++);
-  return InternEntity(type, label);
-}
-
 Result<std::string> Catalog::EntityLabel(const Value& v) const {
   if (!v.is_entity()) return Status::InvalidArgument("value is not an entity");
   auto it = entities_.find(v.entity_type());

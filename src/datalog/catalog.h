@@ -79,16 +79,15 @@ class Catalog {
   Result<Value> InternEntity(PredId type, const std::string& label);
   /// Find an existing entity by label without creating it.
   Result<Value> FindEntity(PredId type, const std::string& label) const;
-  /// Create a fresh entity with a generated globally-unique label
-  /// `<hint>@<node_tag>#<counter>` (head-existential derivation).
-  Result<Value> CreateAnonymousEntity(PredId type, const std::string& hint);
   /// Label of an interned entity.
   Result<std::string> EntityLabel(const Value& v) const;
   /// All labels interned for a type (iteration order = intern order).
   const std::vector<std::string>& EntityLabels(PredId type) const;
 
-  /// Uniquifier embedded in anonymous entity labels; set to the node name
-  /// in distributed deployments so labels never collide across nodes.
+  /// Uniquifier embedded in anonymous entity labels
+  /// (`<type>@<node_tag>#<digest>`, minted by Workspace::BindExistentials);
+  /// set to the node name in distributed deployments so labels never
+  /// collide across nodes.
   void SetNodeTag(std::string tag) { node_tag_ = std::move(tag); }
   const std::string& node_tag() const { return node_tag_; }
 
@@ -112,7 +111,6 @@ class Catalog {
   std::unordered_map<PredId, EntityTable> entities_;
   PredId int_type_, string_type_, bool_type_, blob_type_;
   std::string node_tag_ = "local";
-  uint64_t anon_counter_ = 0;
 };
 
 }  // namespace secureblox::datalog

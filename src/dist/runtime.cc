@@ -79,7 +79,7 @@ Result<std::unique_ptr<NodeRuntime>> NodeRuntime::Create(
   // rule firings that mint labels into them) migrate between nodes, so a
   // label must not record which node happened to fire the rule.
   rt->ws_->catalog().SetNodeTag(rt->config_.placement
-                                    ? rt->config_.placement_tag
+                                    ? "cluster"
                                     : NodeLabel(rt->config_.index));
   rt->security_.creds = rt->config_.creds;
   rt->ws_->set_user_context(&rt->security_);

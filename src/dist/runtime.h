@@ -72,10 +72,6 @@ class NodeRuntime {
     bool placement = false;
     /// Predicate names under placement (must exist after Install).
     std::vector<std::string> placed_preds;
-    /// Catalog node tag in placement mode. Placed shards migrate between
-    /// nodes, so content-addressed labels must not depend on which node
-    /// fired the creating rule — every member uses this shared tag.
-    std::string placement_tag = "cluster";
   };
 
   /// One sealed batch addressed to a peer node.

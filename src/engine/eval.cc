@@ -730,14 +730,29 @@ void ProbeKey(const Step& step, const Env& env, Tuple* key) {
 }
 
 // Per-occurrence view for this step, or nullptr for a plain relation read.
-const OccView* ViewFor(const DeltaOverride* delta, const Step& step) {
-  if (delta == nullptr || delta->views == nullptr || step.occurrence < 0 ||
-      static_cast<size_t>(step.occurrence) >= delta->views->size()) {
+const OccView* ViewFor(const std::vector<OccView>* views, const Step& step) {
+  if (views == nullptr || step.occurrence < 0 ||
+      static_cast<size_t>(step.occurrence) >= views->size()) {
     return nullptr;
   }
-  const OccView& v = (*delta->views)[step.occurrence];
+  const OccView& v = (*views)[step.occurrence];
   return v.active() ? &v : nullptr;
 }
+
+// Visit, in order, the delta slice a view's `only` selects.
+template <typename Fn>
+Status ForEachOnly(const OccView& view, Fn&& fn) {
+  const std::vector<Tuple>& only = *view.only;
+  const std::vector<uint32_t>* oi = view.only_index;
+  const size_t end =
+      std::min(view.only_end, oi != nullptr ? oi->size() : only.size());
+  for (size_t k = view.only_begin; k < end; ++k) {
+    SB_RETURN_IF_ERROR(fn(oi != nullptr ? only[(*oi)[k]] : only[k]));
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 /// Reusable per-depth scratch for one body step: probe-key materialization,
 /// slots bound at this depth, and builtin argument staging. Frames live in a
@@ -767,6 +782,8 @@ struct EvalFrame {
   std::vector<uint32_t> row_codes;
 };
 
+namespace {
+
 /// Initial selection-vector capacity reserved when a pooled frame is
 /// first constructed, so small steady-state scans never allocate on the
 /// batch path (larger shards grow the buffer once, then keep it).
@@ -784,8 +801,10 @@ uint64_t EvalFrameAllocs() {
   return g_frame_allocs.load(std::memory_order_relaxed);
 }
 
+EvalFrame& Executor::Frame(size_t idx) { return (*frames_)[frame_base_ + idx]; }
+
 Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
-                         const DeltaOverride* delta,
+                         const std::vector<OccView>* views,
                          const std::function<Status(Env&)>& on_match) {
   if (idx == steps.size()) return on_match(env);
   const Step& step = steps[idx];
@@ -793,8 +812,8 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
   switch (step.kind) {
     case Step::Kind::kScan: {
       Relation* rel = store_.GetRelation(step.pred);
-      const OccView* view = ViewFor(delta, step);
-      EvalFrame& frame = t_frames[frame_base_ + idx];
+      const OccView* view = ViewFor(views, step);
+      EvalFrame& frame = Frame(idx);
       auto try_tuple = [&](const Tuple& t) -> Status {
         if (!TupleMatches(step.args, t, env)) return Status::OK();
         frame.bound_here.clear();
@@ -804,7 +823,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
             frame.bound_here.push_back(step.args[i].slot);
           }
         }
-        Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+        Status st = RunFrom(steps, idx + 1, env, views, on_match);
         for (int s : frame.bound_here) env[s].reset();
         return st;
       };
@@ -812,22 +831,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       if (view != nullptr && view->only != nullptr) {
         // Segment slice: a staged chunk reads the round's delta vector
         // through an index list instead of a per-shard copy.
-        const std::vector<uint32_t>* oi = view->only_index;
-        const size_t limit = oi != nullptr ? oi->size() : view->only->size();
-        const size_t end = std::min(view->only_end, limit);
-        for (size_t k = view->only_begin; k < end; ++k) {
-          const Tuple& t =
-              oi != nullptr ? (*view->only)[(*oi)[k]] : (*view->only)[k];
-          SB_RETURN_IF_ERROR(try_tuple(t));
-        }
-        return Status::OK();
-      }
-      if (view == nullptr && delta != nullptr &&
-          delta->occurrence == step.occurrence) {
-        for (const Tuple& t : *delta->tuples) {
-          SB_RETURN_IF_ERROR(try_tuple(t));
-        }
-        return Status::OK();
+        return ForEachOnly(*view, try_tuple);
       }
       const TupleSet* exclude = view != nullptr ? view->exclude : nullptr;
       if (view != nullptr && view->extra != nullptr) {
@@ -922,7 +926,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
             frame.bound_here.push_back(step.args[i].slot);
           }
         }
-        Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+        Status st = RunFrom(steps, idx + 1, env, views, on_match);
         for (int s : frame.bound_here) env[s].reset();
         return st;
       };
@@ -969,37 +973,9 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
           const size_t rows = rel->shard_size(sh);
           if (rows == 0) continue;
           frame.sel.clear();
-          // Single-column filters binary-search warm sorted-run metadata
-          // (EnsureSortedRuns, warmed by the fixpoint's staging phase)
-          // instead of touching every slot; runs are consecutive slot
-          // ranges, so emission order stays ascending. Cold or
-          // fragmented runs fall through to the fused filter kernels.
-          bool emitted = false;
-          if (filters.size() == 1) {
-            const auto* bounds =
-                rel->SortedRunBoundsIfWarm(sh, filters[0].first);
-            if (bounds != nullptr && bounds->size() >= 2 &&
-                (bounds->size() - 1) * 16 <= rows) {
-              const std::vector<uint32_t>& codes =
-                  rel->shard_codes(sh, filters[0].first);
-              const uint32_t code = filters[0].second;
-              for (size_t r = 0; r + 1 < bounds->size(); ++r) {
-                auto lo = codes.begin() + (*bounds)[r];
-                auto hi = codes.begin() + (*bounds)[r + 1];
-                auto [first, last] = std::equal_range(lo, hi, code);
-                for (auto it = first; it != last; ++it) {
-                  frame.sel.push_back(static_cast<uint32_t>(
-                      it - codes.begin()));
-                }
-              }
-              emitted = true;
-            }
-          }
-          if (!emitted) {
-            FilterFusedRange(DetectSimdMode(), shard_filters(sh),
-                             filters.size(), 0,
-                             static_cast<uint32_t>(rows), &frame.sel);
-          }
+          FilterFusedRange(DetectSimdMode(), shard_filters(sh),
+                           filters.size(), 0, static_cast<uint32_t>(rows),
+                           &frame.sel);
           for (uint32_t slot : frame.sel) {
             SB_RETURN_IF_ERROR(emit_slot(sh, slot));
           }
@@ -1009,7 +985,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
     }
 
     case Step::Kind::kLookup: {
-      const OccView* view = ViewFor(delta, step);
+      const OccView* view = ViewFor(views, step);
       // Enumerate one candidate row (keys already matched elsewhere or
       // checked via TupleMatches by the caller).
       auto try_row = [&](const Tuple& t) -> Status {
@@ -1017,38 +993,24 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         const Value& v = t.back();
         if (vp.kind == ArgPat::Kind::kConst) {
           if (!(v == *vp.constant)) return Status::OK();
-          return RunFrom(steps, idx + 1, env, delta, on_match);
+          return RunFrom(steps, idx + 1, env, views, on_match);
         }
         if (vp.kind == ArgPat::Kind::kBound) {
           if (!(v == *env[vp.slot])) return Status::OK();
-          return RunFrom(steps, idx + 1, env, delta, on_match);
+          return RunFrom(steps, idx + 1, env, views, on_match);
         }
         env[vp.slot] = v;
-        Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+        Status st = RunFrom(steps, idx + 1, env, views, on_match);
         env[vp.slot].reset();
         return st;
       };
       // Delta variant: iterate the delta like a scan (keys are bound, so
       // this is a cheap filter).
-      const std::vector<Tuple>* only =
-          view != nullptr
-              ? view->only
-              : (delta != nullptr && delta->occurrence == step.occurrence
-                     ? delta->tuples
-                     : nullptr);
-      if (only != nullptr) {
-        const std::vector<uint32_t>* oi =
-            view != nullptr ? view->only_index : nullptr;
-        const size_t limit = oi != nullptr ? oi->size() : only->size();
-        size_t begin = view != nullptr ? view->only_begin : 0;
-        size_t end =
-            std::min(view != nullptr ? view->only_end : SIZE_MAX, limit);
-        for (size_t k = begin; k < end; ++k) {
-          const Tuple& t = oi != nullptr ? (*only)[(*oi)[k]] : (*only)[k];
-          if (!TupleMatches(step.args, t, env)) continue;
-          SB_RETURN_IF_ERROR(try_row(t));
-        }
-        return Status::OK();
+      if (view != nullptr && view->only != nullptr) {
+        return ForEachOnly(*view, [&](const Tuple& t) -> Status {
+          if (!TupleMatches(step.args, t, env)) return Status::OK();
+          return try_row(t);
+        });
       }
       // Erased tuples restored for retraction variants: these can coexist
       // with a live row under the same keys (the row replaced them within
@@ -1061,7 +1023,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       }
       Relation* rel = store_.GetRelation(step.pred);
       if (rel == nullptr) return Status::OK();
-      EvalFrame& frame = t_frames[frame_base_ + idx];
+      EvalFrame& frame = Frame(idx);
       Tuple& keys = frame.key;
       keys.clear();
       for (size_t i = 0; i + 1 < step.args.size(); ++i) {
@@ -1082,7 +1044,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       // A flip variant's view probes the relation as it stood before a
       // pending change: `extra` tuples count as present, `exclude` tuples
       // as absent.
-      const OccView* view = ViewFor(delta, step);
+      const OccView* view = ViewFor(views, step);
       if (view != nullptr && view->extra != nullptr) {
         for (const Tuple& t : *view->extra) {
           if (TupleMatches(step.args, t, env)) return Status::OK();
@@ -1091,7 +1053,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       const TupleSet* exclude = view != nullptr ? view->exclude : nullptr;
       Relation* rel = store_.GetRelation(step.pred);
       if (rel == nullptr || rel->empty()) {
-        return RunFrom(steps, idx + 1, env, delta, on_match);
+        return RunFrom(steps, idx + 1, env, views, on_match);
       }
       const uint32_t mask = step.probe_mask;
       bool exists;
@@ -1102,7 +1064,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         }
         exists = rel->size() > hidden;
       } else {
-        Tuple& key = t_frames[frame_base_ + idx].key;
+        Tuple& key = Frame(idx).key;
         ProbeKey(step, env, &key);
         const int only = step.probe == Step::Probe::kFanout
                              ? -1
@@ -1126,7 +1088,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         }
       }
       if (exists) return Status::OK();  // negation fails
-      return RunFrom(steps, idx + 1, env, delta, on_match);
+      return RunFrom(steps, idx + 1, env, views, on_match);
     }
 
     case Step::Kind::kCompare: {
@@ -1134,20 +1096,20 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       SB_ASSIGN_OR_RETURN(Value r, Eval(*step.rhs, env));
       SB_ASSIGN_OR_RETURN(bool pass, Compare(l, step.cmp_op, r));
       if (!pass) return Status::OK();
-      return RunFrom(steps, idx + 1, env, delta, on_match);
+      return RunFrom(steps, idx + 1, env, views, on_match);
     }
 
     case Step::Kind::kAssign: {
       SB_ASSIGN_OR_RETURN(Value v, Eval(*step.rhs, env));
       env[step.assign_slot] = std::move(v);
-      Status st = RunFrom(steps, idx + 1, env, delta, on_match);
+      Status st = RunFrom(steps, idx + 1, env, views, on_match);
       env[step.assign_slot].reset();
       return st;
     }
 
     case Step::Kind::kBuiltin: {
       const auto& sig = step.builtin->sig;
-      EvalFrame& frame = t_frames[frame_base_ + idx];
+      EvalFrame& frame = Frame(idx);
       frame.inputs.clear();
       for (int i = 0; i < sig.num_inputs; ++i) {
         const ArgPat& p = step.args[i];
@@ -1181,7 +1143,7 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
         }
       }
       Status st = Status::OK();
-      if (ok) st = RunFrom(steps, idx + 1, env, delta, on_match);
+      if (ok) st = RunFrom(steps, idx + 1, env, views, on_match);
       for (int s : frame.bound_here) env[s].reset();
       return st;
     }
@@ -1191,35 +1153,37 @@ Status Executor::RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
       const Value& v =
           p.kind == ArgPat::Kind::kConst ? *p.constant : *env[p.slot];
       if (v.kind() != step.check_kind) return Status::OK();
-      return RunFrom(steps, idx + 1, env, delta, on_match);
+      return RunFrom(steps, idx + 1, env, views, on_match);
     }
   }
   return Status::Internal("bad step kind");
 }
 
 Status Executor::Run(const std::vector<Step>& steps, Env* env,
-                     const DeltaOverride* delta,
+                     const std::vector<OccView>* views,
                      const std::function<Status(Env&)>& on_match) {
   // Claim a window of per-depth frames above any enclosing Run on this
   // thread (the constraint checker nests an rhs Exists inside its lhs
   // enumeration), so equal depths in nested enumerations never share
   // scratch. Frames persist in the thread-local pool; after warm-up this
   // allocates nothing.
+  std::deque<EvalFrame>& frames = t_frames;
+  frames_ = &frames;
   const size_t saved_base = frame_base_;
   const size_t saved_top = t_frame_top;
   frame_base_ = t_frame_top;
   t_frame_top += steps.size();
-  while (t_frames.size() < t_frame_top) {
-    t_frames.emplace_back();
+  while (frames.size() < t_frame_top) {
+    frames.emplace_back();
     // Pre-size the batch-path buffers so small steady-state scans never
     // allocate; a larger scan grows them once and the capacity persists
     // with the pooled frame.
-    t_frames.back().sel.reserve(kSelReserve);
-    t_frames.back().row_codes.reserve(8);
-    t_frames.back().kernel_filters.reserve(8);
+    frames.back().sel.reserve(kSelReserve);
+    frames.back().row_codes.reserve(8);
+    frames.back().kernel_filters.reserve(8);
     g_frame_allocs.fetch_add(1, std::memory_order_relaxed);
   }
-  Status st = RunFrom(steps, 0, *env, delta, on_match);
+  Status st = RunFrom(steps, 0, *env, views, on_match);
   t_frame_top = saved_top;
   frame_base_ = saved_base;
   return st;

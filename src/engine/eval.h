@@ -13,6 +13,7 @@
 #define SECUREBLOX_ENGINE_EVAL_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
@@ -235,7 +236,9 @@ class RuleCompiler {
 
 using TupleSet = std::unordered_set<Tuple, TupleHash>;
 
-/// Per-occurrence relation view for exact (counting) delta enumeration:
+/// Per-occurrence relation view for exact (counting) delta enumeration.
+/// Executor::Run takes one per scan occurrence, indexed by
+/// Step::occurrence:
 ///  - `only`: the occurrence reads exactly these tuples (a delta), or the
 ///    [only_begin, only_end) slice of them — the parallel fixpoint chunks
 ///    a large delta across workers without copying it;
@@ -261,15 +264,7 @@ struct OccView {
   bool active() const { return only || exclude || extra; }
 };
 
-/// Delta override: scan occurrence `occurrence` reads `tuples` instead of
-/// the full relation (semi-naïve variants, constraint delta checks).
-/// `views`, when set, gives a per-occurrence view and wins over the
-/// single-occurrence shorthand.
-struct DeltaOverride {
-  int occurrence = -1;
-  const std::vector<Tuple>* tuples = nullptr;
-  const std::vector<OccView>* views = nullptr;
-};
+struct EvalFrame;
 
 /// Executes compiled step lists.
 class Executor {
@@ -278,9 +273,12 @@ class Executor {
       : ctx_(*ctx), store_(*store) {}
 
   /// Enumerate all bindings of `steps`; invoke `on_match` for each.
-  /// `on_match` returning an error aborts enumeration.
+  /// `on_match` returning an error aborts enumeration. `views`, when set,
+  /// gives scan occurrence k the view (*views)[k] (semi-naïve variants,
+  /// flips, head-bound variants, constraint delta checks); an occurrence
+  /// past its end, or with an inactive view, reads the plain relation.
   Status Run(const std::vector<Step>& steps, Env* env,
-             const DeltaOverride* delta,
+             const std::vector<OccView>* views,
              const std::function<Status(Env&)>& on_match);
 
   /// Existence check: do `steps` admit at least one binding, starting from
@@ -296,11 +294,16 @@ class Executor {
 
  private:
   Status RunFrom(const std::vector<Step>& steps, size_t idx, Env& env,
-                 const DeltaOverride* delta,
+                 const std::vector<OccView>* views,
                  const std::function<Status(Env&)>& on_match);
+  /// This Run's frame for depth `idx`.
+  EvalFrame& Frame(size_t idx);
 
   EvalContext& ctx_;
   RelationStore& store_;
+  /// The running thread's frame stack (see EvalFrame in eval.cc), fetched
+  /// once per Run so steps skip the thread-local access wrapper.
+  std::deque<EvalFrame>* frames_ = nullptr;
   /// Base of this Run's window into the thread-local frame stack (see
   /// EvalFrame in eval.cc): depth `idx` uses frame `frame_base_ + idx`.
   /// Nested Run/Exists calls on the same thread — the constraint checker

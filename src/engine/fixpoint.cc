@@ -1,7 +1,6 @@
 #include "engine/fixpoint.h"
 
 #include <algorithm>
-#include <bit>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -58,7 +57,7 @@ size_t ChunkCountFor(size_t rows) {
 /// One staged enumeration: a semi-naïve variant of one rule restricted to
 /// a chunk of the delta at one occurrence, with a private result buffer.
 /// Workers only ever touch `chunk`, the shared read-only views, and their
-/// own `pending`/`status`; the wave barrier publishes the results to the
+/// own `pending`/`status`; the pool barrier publishes the results to the
 /// merge phase.
 struct FixpointDriver::EnumTask {
   const CompiledRule* rule = nullptr;
@@ -67,7 +66,6 @@ struct FixpointDriver::EnumTask {
   /// stable for the task's lifetime.
   const std::vector<Step>* steps = nullptr;
   size_t rule_idx = 0;
-  int gid = 0;
   bool retract = false;
   /// The rule has side effects (head existentials, thread-unsafe
   /// builtins): run on the coordinating thread, after the pool drains.
@@ -258,56 +256,24 @@ Status FixpointDriver::RunStratum(int stratum) {
   }
 
   // Sweep the stratum's groups in topological order, retractions ahead of
-  // the insert rounds. Each pending group anchors a wave of concurrently
-  // evaluable groups (CollectWave) that is drained to its local fixpoint;
-  // a later group deriving into an earlier one re-arms the scan.
+  // the insert rounds. Each pending group drains to its local fixpoint; a
+  // later group deriving into an earlier one re-arms the scan.
   const std::vector<int>& order = graph_.groups_in_stratum(stratum);
   bool any = true;
   while (any) {
     any = false;
-    for (size_t i = 0; i < order.size(); ++i) {
-      int gid = order[i];
+    for (int gid : order) {
       if (HasRetractWork(gid)) {
         any = true;
         SB_RETURN_IF_ERROR(ProcessRetractions(gid));
       }
       if (!delta_[gid].adds.empty()) {
         any = true;
-        SB_RETURN_IF_ERROR(RunWave(CollectWave(order, i)));
+        SB_RETURN_IF_ERROR(RunGroup(gid));
       }
     }
   }
   return Status::OK();
-}
-
-std::vector<int> FixpointDriver::CollectWave(const std::vector<int>& order,
-                                             size_t from) const {
-  std::vector<int> wave{order[from]};
-  const RuleGroup& anchor = graph_.group(order[from]);
-  // Predicates owned by pending groups seen so far. A later group joins
-  // the wave only when it touches none of them — it neither reads nor
-  // writes anything a pending predecessor or wave member does, so its
-  // predecessors are quiescent and its evaluation commutes with theirs.
-  std::unordered_set<PredId> taken(anchor.footprint.begin(),
-                                   anchor.footprint.end());
-  for (size_t j = from + 1; j < order.size(); ++j) {
-    int gid = order[j];
-    bool pending = HasRetractWork(gid) || !delta_[gid].adds.empty();
-    if (!pending) continue;
-    const RuleGroup& g = graph_.group(gid);
-    bool disjoint = true;
-    for (PredId p : g.footprint) {
-      if (taken.count(p)) {
-        disjoint = false;
-        break;
-      }
-    }
-    // Retract work must run before insert rounds, so such groups only
-    // block; the sweep reaches them next.
-    if (disjoint && !HasRetractWork(gid)) wave.push_back(gid);
-    taken.insert(g.footprint.begin(), g.footprint.end());
-  }
-  return wave;
 }
 
 void FixpointDriver::EnsureRelations() {
@@ -368,7 +334,7 @@ void FixpointDriver::StageVariantTasks(
     const CompiledRule& rule, size_t rule_idx, int gid, const DeltaMap& delta,
     bool retract, std::vector<std::unique_ptr<EnumTask>>* tasks) {
   // Insert deltas this group has not consumed yet (meaningful on the
-  // retract path; always empty during a wave round, whose snapshot just
+  // retract path; always empty during an insert round, whose snapshot just
   // drained the queue). Copied into the exclude sets so workers never read
   // the live queue.
   const DeltaMap& unconsumed = delta_[gid].adds;
@@ -392,7 +358,6 @@ void FixpointDriver::StageVariantTasks(
     proto.rule = &rule;
     proto.steps = &steps;
     proto.rule_idx = rule_idx;
-    proto.gid = gid;
     proto.retract = retract;
     proto.inline_only = !rule.parallel_safe;
     proto.occ = occ;
@@ -452,13 +417,8 @@ void FixpointDriver::WarmProbes(const std::vector<Step>& steps) {
       continue;
     }
     Relation* rel = store_.GetRelation(s.pred);
-    if (rel == nullptr) continue;
-    if (s.probe != Step::Probe::kScanAll) {
+    if (rel != nullptr && s.probe != Step::Probe::kScanAll) {
       rel->EnsureIndex(s.probe_mask);
-    } else if (s.kind == Step::Kind::kScan &&
-               std::popcount(s.probe_mask) == 1) {
-      rel->EnsureSortedRuns(
-          static_cast<size_t>(std::countr_zero(s.probe_mask)));
     }
   }
 }
@@ -488,12 +448,10 @@ Status FixpointDriver::RunStagedTasks(
     views[t.occ].only_index = t.only_index;
     views[t.occ].only_begin = t.lo;
     views[t.occ].only_end = t.hi;
-    DeltaOverride override;
-    override.views = &views;
     Executor executor(&ctx_, &store_);
     Env env(t.rule->num_slots);
     t.status = executor.Run(
-        *t.steps, &env, &override, [&](Env& e) -> Status {
+        *t.steps, &env, &views, [&](Env& e) -> Status {
           ++t.matches;
           return InstantiateHeads(*t.rule, e, &t.pending);
         });
@@ -522,9 +480,9 @@ Status FixpointDriver::RunStagedTasks(
 }
 
 Status FixpointDriver::ApplyStagedTasks(
-    std::vector<std::unique_ptr<EnumTask>>& tasks, size_t begin, size_t end) {
-  for (size_t i = begin; i < end; ++i) {
-    EnumTask& t = *tasks[i];
+    std::vector<std::unique_ptr<EnumTask>>& tasks) {
+  for (auto& task : tasks) {
+    EnumTask& t = *task;
     if (!t.retract) {
       for (auto& [pred, tuple] : t.pending) {
         SB_ASSIGN_OR_RETURN(bool inserted, host_.InsertHeadTuple(pred, tuple));
@@ -571,69 +529,53 @@ void FixpointDriver::NoteSuspect(PredId pred, const Tuple& tuple) {
   }
 }
 
-Status FixpointDriver::RunWave(const std::vector<int>& wave) {
+Status FixpointDriver::RunGroup(int gid) {
   ActiveSetGuard guard(&active_);
-  for (int gid : wave) guard.Add(gid);
-  ++stats_.waves;
+  guard.Add(gid);
   EnsureRelations();
+  const RuleGroup& group = graph_.group(gid);
 
-  while (true) {
-    // Snapshot each member's queued insert delta: one round per member.
-    // Members are mutually independent, so draining them together is
-    // round-for-round identical to draining each in turn.
-    std::vector<std::pair<int, DeltaMap>> rounds;
-    for (int gid : wave) {
-      if (delta_[gid].adds.empty()) continue;
-      rounds.emplace_back(gid, std::move(delta_[gid].adds));
-      delta_[gid].adds.clear();
-      ++stats_.rounds;
-    }
-    if (rounds.empty()) return Status::OK();
+  while (!delta_[gid].adds.empty()) {
+    // Snapshot the group's queued insert delta: one round.
+    const DeltaMap delta = std::move(delta_[gid].adds);
+    delta_[gid].adds.clear();
+    ++stats_.rounds;
 
     // Enumeration phase: chunked semi-naïve variants of every rule with a
     // delta, run against the frozen pre-round state. Nothing mutates the
     // database until the merge phase, so the tasks are pure reads staging
-    // into private buffers. Each group's tasks are contiguous.
+    // into private buffers.
     std::vector<std::unique_ptr<EnumTask>> tasks;
-    for (auto& [gid, delta] : rounds) {
-      for (size_t idx : graph_.group(gid).rules) {
-        const CompiledRule& rule = rules_[idx];
-        if (rule.agg.has_value()) continue;
-        if (!HasDeltaFor(rule, delta)) {
-          ++stats_.firings_skipped;
-          continue;
-        }
-        ++stats_.rule_firings;
-        StageVariantTasks(rule, idx, gid, delta, /*retract=*/false, &tasks);
+    for (size_t idx : group.rules) {
+      const CompiledRule& rule = rules_[idx];
+      if (rule.agg.has_value()) continue;
+      if (!HasDeltaFor(rule, delta)) {
+        ++stats_.firings_skipped;
+        continue;
       }
+      ++stats_.rule_firings;
+      StageVariantTasks(rule, idx, gid, delta, /*retract=*/false, &tasks);
     }
     SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
 
-    // Merge phase: strictly sequential and in a fixed order — wave
-    // (topological) group order, install-order rules, staged chunk order —
-    // so insertion order, entity interning, and FD-conflict detection are
-    // reproducible at every thread count.
-    size_t next = 0;
-    for (auto& [gid, delta] : rounds) {
-      const RuleGroup& group = graph_.group(gid);
-      const size_t begin = next;
-      while (next < tasks.size() && tasks[next]->gid == gid) ++next;
-      SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, begin, next));
-      // Lattice aggregates re-run after every round of their group.
-      for (size_t idx : group.rules) {
-        const CompiledRule& rule = rules_[idx];
-        if (!rule.agg.has_value() || !graph_.lattice(idx)) continue;
-        if (HasDeltaFor(rule, delta)) {
-          ++stats_.agg_recomputes;
-          SB_RETURN_IF_ERROR(
-              RecomputeAggregate(rule, /*lattice=*/true, &delta));
-        } else {
-          ++stats_.agg_skipped;
-        }
+    // Merge phase: strictly sequential and in a fixed order — install-order
+    // rules, staged chunk order — so insertion order, entity interning, and
+    // FD-conflict detection are reproducible at every thread count.
+    SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks));
+    // Lattice aggregates re-run after every round of their group.
+    for (size_t idx : group.rules) {
+      const CompiledRule& rule = rules_[idx];
+      if (!rule.agg.has_value() || !graph_.lattice(idx)) continue;
+      if (HasDeltaFor(rule, delta)) {
+        ++stats_.agg_recomputes;
+        SB_RETURN_IF_ERROR(RecomputeAggregate(rule, /*lattice=*/true, &delta));
+      } else {
+        ++stats_.agg_skipped;
       }
-      SB_RETURN_IF_ERROR(CheckBudget(group));
     }
+    SB_RETURN_IF_ERROR(CheckBudget(group));
   }
+  return Status::OK();
 }
 
 Status FixpointDriver::ProcessRetractions(int gid) {
@@ -693,7 +635,7 @@ Status FixpointDriver::ProcessRetractions(int gid) {
   }
 
   // Counting path: enumerate destroyed instantiations on the pool (same
-  // phase split as a wave round — the supports drop in the merge phase),
+  // phase split as an insert round — the supports drop in the merge phase),
   // against the post-flip negation state. A recursive group's erasures of
   // its own head tuples come back as the next round's delete delta (the
   // group is not active); they flip nothing it negates (see above).
@@ -715,7 +657,7 @@ Status FixpointDriver::ProcessRetractions(int gid) {
         }
       }
       SB_RETURN_IF_ERROR(RunStagedTasks(&tasks));
-      SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, 0, tasks.size()));
+      SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks));
     }
 
     // The supports are exact now. A survivor that lost every well-founded
@@ -859,15 +801,13 @@ Status FixpointDriver::SettleSuspects(int gid, const DeltaMap& suspects,
                             delta_[graph_.group_of_rule(r)].adds, occ,
                             /*retract=*/true, &views, &excl);
           views[occ].only = &tuples;
-          DeltaOverride override;
-          override.views = &views;
           const std::vector<Step>& steps = planner_->PlanForHead(rule, j);
           WarmProbes(steps);
           Executor executor(&ctx_, &store_);
           Env env(rule.num_slots);
           Tuple key;
           SB_RETURN_IF_ERROR(executor.Run(
-              steps, &env, &override, [&](Env& e) -> Status {
+              steps, &env, &views, [&](Env& e) -> Status {
                 // The head scan bound an existential from the tuple; the
                 // instantiation derives it only if the memo agrees.
                 if (!rule.existential_slots.empty()) {
@@ -1008,7 +948,8 @@ Status FixpointDriver::ProcessFlips(int gid, bool* rederive) {
   }
 
   // Merge in staging order. The group's own changes to predicates it
-  // negates are ignored, as in its waves (derivation-time negation).
+  // negates are ignored, as in its insert rounds (derivation-time
+  // negation).
   ActiveSetGuard guard(&active_);
   guard.Add(gid);
   std::set<size_t> agg_rerun;
@@ -1018,7 +959,7 @@ Status FixpointDriver::ProcessFlips(int gid, bool* rederive) {
       agg_rerun.insert(t->rule_idx);
     }
   }
-  SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks, 0, tasks.size()));
+  SB_RETURN_IF_ERROR(ApplyStagedTasks(tasks));
   // An unblocked aggregate body binding can only improve a lattice value.
   for (size_t idx : agg_rerun) {
     ++stats_.agg_recomputes;
@@ -1189,7 +1130,6 @@ void FixpointDriver::StageFlipTasks(
   proto.rule = &rule;
   proto.steps = &steps;
   proto.rule_idx = rule_idx;
-  proto.gid = gid;
   proto.retract = retract;
   proto.inline_only = !rule.parallel_safe;
   proto.occ = flip_occ;
@@ -1295,9 +1235,8 @@ Status FixpointDriver::RederiveCluster(int gid) {
   }
 
   // Local fixpoint over the cluster: strata in order, groups topological
-  // within; each group drains as a singleton wave (cluster members share
-  // head predicates, so they are never mutually independent — but the
-  // bulky reseed rounds still fan out across the pool). A stratified
+  // within; each group drains in turn, and the bulky reseed rounds fan out
+  // across the pool like any other round. A stratified
   // aggregate whose head was over-deleted recomputes when its inputs have
   // a pending delta — the seed always provides one, so the first pass
   // restores the output and quiet passes skip the scan.
@@ -1321,7 +1260,7 @@ Status FixpointDriver::RederiveCluster(int gid) {
       }
       if (!delta_[g].adds.empty()) {
         any = true;
-        SB_RETURN_IF_ERROR(RunWave({g}));
+        SB_RETURN_IF_ERROR(RunGroup(g));
       }
     }
   }
@@ -1387,10 +1326,8 @@ Status FixpointDriver::RecomputeAggregate(const CompiledRule& rule,
       if (it == delta->end() || it->second.empty()) continue;
       std::vector<OccView> views(n);
       views[occ].only = &it->second;
-      DeltaOverride override;
-      override.views = &views;
       SB_RETURN_IF_ERROR(executor.Run(planner_->PlanFor(rule, occ), &env,
-                                      &override, add_binding));
+                                      &views, add_binding));
     }
   }
 

@@ -2,14 +2,12 @@
 // a parallel, bulk-synchronous evaluation core.
 //
 // Owns the per-transaction delta bookkeeping and runs the installed rules
-// to a fixpoint over the RuleGraph's SCC-condensed rule groups. Scheduling
-// is wave-based: within a stratum, the driver sweeps the groups in
-// topological order and gathers every pending group whose predicate
-// footprint (heads + body reads) is disjoint from the wave collected so
-// far — such groups neither feed nor observe one another, so draining
-// them together is indistinguishable from draining them one at a time.
+// to a fixpoint over the RuleGraph's SCC-condensed rule groups. Each
+// stratum's groups are swept in topological order, and one pending group
+// at a time drains to its local fixpoint; parallelism lives inside each
+// round of that group.
 //
-// Each wave round splits into two phases:
+// Each round splits into two phases:
 //   - an *enumeration* phase that fires every rule's semi-naïve variants as
 //     staged tasks, with each delta first cut on the target relation's
 //     shard boundaries (equal-shard-key tuples stay together — shard-local
@@ -22,19 +20,20 @@
 //     coordinating thread, after the pool drains, against the same
 //     snapshot;
 //   - a *merge* phase on the coordinating thread that applies the staged
-//     buffers in a fixed order (group, rule, occurrence, shard, window),
-//     re-runs lattice aggregates, and routes new deltas into the
-//     (multi-producer) per-group queues.
+//     buffers in a fixed order (rule, occurrence, shard, window), re-runs
+//     lattice aggregates, and routes new deltas into the (multi-producer)
+//     per-group queues.
 //
-// The work decomposition — waves, rounds, chunks, merge order — depends
-// only on the program, the data, and the shard count, never on the thread
-// count, so any `threads` setting produces the byte-identical fixpoint
-// (same tuples, same support counts, same entity labels) as threads=1.
-// Across *shard* counts the decomposition differs (chunks follow shard
-// boundaries), but per-round delta sets, derivation multisets, and
-// content-addressed entity labels are all order-insensitive, so the final
-// fixpoint — tuples, support counts, labels — is byte-identical at any
-// SB_SHARDS x SB_THREADS combination; only task counts change.
+// The work decomposition — group order, rounds, chunks, merge order —
+// depends only on the program, the data, and the shard count, never on
+// the thread count, so any `threads` setting produces the byte-identical
+// fixpoint (same tuples, same support counts, same entity labels) as
+// threads=1. Across *shard* counts the decomposition differs (chunks
+// follow shard boundaries), but per-round delta sets, derivation
+// multisets, and content-addressed entity labels are all
+// order-insensitive, so the final fixpoint — tuples, support counts,
+// labels — is byte-identical at any SB_SHARDS x SB_THREADS combination;
+// only task counts change.
 //
 // Lattice aggregates re-run after each round of their group (over the
 // round's delta once they have had a full pass); stratified aggregates
@@ -124,8 +123,6 @@ struct FixpointStats {
   /// Tuples newly derived by rules and aggregates.
   uint64_t derivations = 0;
   // -- parallel scheduling ---------------------------------------------------
-  /// Scheduling waves (each drains >= 1 footprint-disjoint rule groups).
-  uint64_t waves = 0;
   /// Enumeration tasks staged, including those of rules with side effects,
   /// which run inline on the coordinating thread after the pool drains.
   /// Independent of the thread count: every task runs inline when
@@ -273,7 +270,7 @@ class FixpointDriver {
   /// erased and rederived within one transaction causes no downstream
   /// work. Queues are multi-producer (every upstream group's merge phase
   /// routes into them) and single-consumer (the owning group's rounds);
-  /// the wave barrier orders producers and consumer, so no per-queue lock
+  /// the pool barrier orders producers and consumer, so no per-queue lock
   /// is needed.
   struct ChangeQueue {
     DeltaMap adds;
@@ -301,14 +298,9 @@ class FixpointDriver {
   bool TouchedAny(const CompiledRule& rule) const;
 
   Status RunStratum(int stratum);
-  /// Topo-greedy wave starting at order[from]: every later pending group
-  /// whose footprint is disjoint from the wave so far (and that has no
-  /// retract work, which must run first) joins.
-  std::vector<int> CollectWave(const std::vector<int>& order,
-                               size_t from) const;
-  /// Drain every wave member to its local fixpoint: rounds of a parallel
+  /// Drain one group to its local fixpoint: rounds of a parallel
   /// enumeration phase followed by a deterministic sequential merge.
-  Status RunWave(const std::vector<int>& wave);
+  Status RunGroup(int gid);
   /// One group's pending negation flips, delete deltas and suspects:
   /// precise flips first (pending deletes restored), then rounds of
   /// counting retraction against the post-flip state until the group's own
@@ -411,15 +403,11 @@ class FixpointDriver {
   /// first task error in staging order.
   Status RunStagedTasks(std::vector<std::unique_ptr<EnumTask>>* tasks);
   /// Before worker threads read them: build the secondary index every
-  /// indexed probe in `steps` hits, and refresh the sorted-run metadata of
-  /// every single-column filtered full scan (planner-chosen wide matches)
-  /// — the executor only takes the run fast path when that cache is
-  /// current (Relation::SortedRunBoundsIfWarm).
+  /// indexed probe in `steps` hits.
   void WarmProbes(const std::vector<Step>& steps);
-  /// Apply the staged buffers tasks[begin, end) in staging order:
-  /// InsertHeadTuple for insert tasks, RetractSupport for retract tasks.
-  Status ApplyStagedTasks(std::vector<std::unique_ptr<EnumTask>>& tasks,
-                          size_t begin, size_t end);
+  /// Apply the staged buffers in staging order: InsertHeadTuple for
+  /// insert tasks, RetractSupport for retract tasks.
+  Status ApplyStagedTasks(std::vector<std::unique_ptr<EnumTask>>& tasks);
   WorkerPool* pool();
 
   const RuleGraph& graph_;

@@ -367,9 +367,10 @@ void Relation::EraseRow(RowRef row) {
         auto bit = idx.buckets.find(moved_key);
         if (bit != idx.buckets.end()) {
           // Re-insert the moved row at its sort position instead of
-          // patching in place: buckets stay sorted ascending (the
-          // sorted-run probe contract). `last` is the shard's final row,
-          // so its entry — when indexed — is the bucket's back element.
+          // patching in place: buckets stay sorted ascending, so a probe
+          // emits slots in the order a full scan would. `last` is the
+          // shard's final row, so its entry — when indexed — is the
+          // bucket's back element.
           auto& rows = bit->second;
           auto lit = std::find(rows.begin(), rows.end(), last);
           if (lit != rows.end()) {
@@ -487,35 +488,6 @@ bool Relation::EncodeTuple(const Tuple& t, std::vector<uint32_t>* out) const {
     out->push_back(it->second);
   }
   return true;
-}
-
-void Relation::EnsureSortedRuns(size_t col) {
-  for (Shard& s : shards_) {
-    if (s.runs_.size() < s.cols.size()) s.runs_.resize(s.cols.size());
-    RunCache& rc = s.runs_[col];
-    if (rc.built_at_version == version_) continue;
-    const std::vector<uint32_t>& codes = s.cols[col];
-    rc.bounds.clear();
-    rc.bounds.push_back(0);
-    for (size_t i = 1; i < codes.size(); ++i) {
-      if (codes[i] < codes[i - 1]) {
-        rc.bounds.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    if (!codes.empty()) {
-      rc.bounds.push_back(static_cast<uint32_t>(codes.size()));
-    }
-    rc.built_at_version = version_;
-  }
-}
-
-const std::vector<uint32_t>* Relation::SortedRunBoundsIfWarm(
-    size_t shard, size_t col) const {
-  const Shard& s = shards_[shard];
-  if (col >= s.runs_.size()) return nullptr;
-  const RunCache& rc = s.runs_[col];
-  if (rc.built_at_version != version_) return nullptr;
-  return &rc.bounds;
 }
 
 Relation::CodeKey Relation::ProjectCodes(const Shard& s, size_t slot,
@@ -686,9 +658,6 @@ Relation::MemoryFootprint Relation::Memory() const {
           MapBytes(idx.buckets.bucket_count(), idx.buckets.size(),
                    sizeof(std::vector<size_t>) + key_cols * sizeof(uint32_t));
       m.index_bytes += idx.rows_indexed * sizeof(size_t);
-    }
-    for (const RunCache& rc : s.runs_) {
-      m.index_bytes += rc.bounds.capacity() * sizeof(uint32_t);
     }
   }
   return m;

@@ -232,23 +232,6 @@ class Relation {
   /// relation, the executor's exclude-set fast negative.
   bool EncodeTuple(const Tuple& t, std::vector<uint32_t>* out) const;
 
-  // -- sorted-run metadata ---------------------------------------------------
-
-  /// Build or refresh the sorted-run cache for column `col` in every
-  /// shard: the boundaries of the maximal non-decreasing runs of the
-  /// shard's append-ordered code vector, stored as slot offsets b with
-  /// b.front() == 0 and b.back() == shard rows. Rebuilt only when the
-  /// relation's version moved (O(rows) per stale shard). Single-threaded,
-  /// like all mutations — call before a parallel phase reads the runs.
-  void EnsureSortedRuns(size_t col);
-
-  /// The cached run boundaries for (shard, col) when current at
-  /// version(), else nullptr. Pure read — safe from worker threads under
-  /// the same contract as warm-index probes; a stale cache simply sends
-  /// the caller down the full filter-kernel path.
-  const std::vector<uint32_t>* SortedRunBoundsIfWarm(size_t shard,
-                                                     size_t col) const;
-
   // -- derivation support and base bit (counting-based deletion) -------------
 
   /// Current support of `t`; 0 when absent or purely base.
@@ -397,8 +380,8 @@ class Relation {
     size_t rows_indexed = 0;
     /// Bucket entries are kept sorted ascending (builds append in row
     /// order, erase patching re-inserts at the sort position), so probes
-    /// walk each shard's code columns as a sorted run — forward in memory —
-    /// and enumeration order is independent of erase history.
+    /// walk each shard's code columns in ascending slot order — forward in
+    /// memory — and enumeration order is independent of erase history.
     std::unordered_map<CodeKey, std::vector<size_t>, CodeKeyHash> buckets;
   };
 
@@ -407,13 +390,6 @@ class Relation {
   /// how keys distribute over shards.
   struct KeyStat {
     std::unordered_map<uint64_t, uint32_t> counts;
-  };
-
-  /// Sorted-run boundaries of one shard column's code vector, cached
-  /// against the relation version (EnsureSortedRuns / SortedRunBoundsIfWarm).
-  struct RunCache {
-    uint64_t built_at_version = 0;
-    std::vector<uint32_t> bounds;
   };
 
   /// Open-addressing table of one shard's slots, keyed by the codes of
@@ -455,7 +431,6 @@ class Relation {
     SlotTable index_;     // every column -> slot
     SlotTable fd_index_;  // functional: key columns -> slot
     std::unordered_map<uint32_t, SecondaryIndex> secondary_;
-    std::vector<RunCache> runs_;  // per column, sized on first EnsureSortedRuns
   };
 
   static CodeKey ProjectCodes(const Shard& s, size_t slot, uint32_t mask);

@@ -298,27 +298,6 @@ Result<RuleGraph> RuleGraph::Build(const std::vector<CompiledRule*>& rules,
     grp.id = id;
     grp.stratum = g.strata_[grp.rules.front()];
     std::sort(grp.rules.begin(), grp.rules.end());
-    std::set<PredId> touched;
-    auto touch_entity_type = [&](PredId type) {
-      if (!catalog.decl(type).is_entity_type) return;
-      touched.insert(type);
-      for (PredId up : catalog.SupertypesOf(type)) touched.insert(up);
-    };
-    for (size_t r : grp.rules) {
-      for (PredId h : HeadPreds(*rules[r])) {
-        touched.insert(h);
-        // Inserting a head tuple can create entities (existentials, string
-        // interning) whose membership facts land in the entity type
-        // predicates and their supertypes — those are writes too.
-        for (PredId t : catalog.decl(h).arg_types) touch_entity_type(t);
-      }
-      for (PredId t : rules[r]->existential_types) touch_entity_type(t);
-      for (const auto& [b, negated] : BodyPreds(*rules[r])) {
-        (void)negated;
-        touched.insert(b);
-      }
-    }
-    grp.footprint.assign(touched.begin(), touched.end());
   }
   // Successors + recursion flags from the rule-level edges.
   std::vector<std::set<int>> succ(num);

@@ -54,11 +54,6 @@ struct RuleGroup {
   /// True when the group contains a rule whose body reads a head predicate
   /// of the same group (needs iteration to a local fixpoint).
   bool recursive = false;
-  /// Every predicate the group touches — heads plus body reads (scans,
-  /// lookups, negation probes), sorted and unique. Two groups whose
-  /// footprints are disjoint neither feed nor observe each other, so the
-  /// parallel fixpoint may schedule them in the same wave.
-  std::vector<datalog::PredId> footprint;
 };
 
 class RuleGraph {

@@ -6,7 +6,7 @@
 // finished batch can never steal indexes from the next one.
 //
 // The pool provides the synchronization backbone of the fixpoint's
-// bulk-synchronous waves: everything written before Run() happens-before
+// bulk-synchronous rounds: everything written before Run() happens-before
 // the tasks, and everything the tasks write happens-before Run() returns.
 #ifndef SECUREBLOX_ENGINE_WORKER_POOL_H_
 #define SECUREBLOX_ENGINE_WORKER_POOL_H_

@@ -685,9 +685,10 @@ Status Workspace::CheckConstraints(TxState* tx) {
       std::vector<Tuple> live =
           TxCommit::Decode(tx->added, tx->codes, c.scan_preds[occ]);
       if (live.empty()) continue;
-      DeltaOverride override{occ, &live};
+      std::vector<OccView> views(static_cast<size_t>(occ) + 1);
+      views[occ].only = &live;
       Env env(c.num_slots);
-      SB_RETURN_IF_ERROR(executor.Run(c.lhs_steps, &env, &override,
+      SB_RETURN_IF_ERROR(executor.Run(c.lhs_steps, &env, &views,
                                       check_binding));
     }
   }
@@ -888,7 +889,6 @@ Result<TxCommit> Workspace::Apply(const std::vector<FactUpdate>& inserts,
   stats_.firings_skipped += commit.fixpoint.firings_skipped;
   stats_.agg_recomputes += commit.fixpoint.agg_recomputes;
   stats_.agg_skipped += commit.fixpoint.agg_skipped;
-  stats_.waves += commit.fixpoint.waves;
   stats_.parallel_tasks += commit.fixpoint.parallel_tasks;
   stats_.retractions += commit.fixpoint.retractions;
   stats_.deleted_tuples += commit.fixpoint.deleted;

@@ -113,7 +113,6 @@ struct EngineStats {
   uint64_t agg_recomputes = 0;
   uint64_t agg_skipped = 0;
   // Parallel fixpoint (see FixpointStats).
-  uint64_t waves = 0;
   uint64_t parallel_tasks = 0;
   // Deletion path (see FixpointStats).
   uint64_t retractions = 0;

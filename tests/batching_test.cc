@@ -43,7 +43,8 @@ using policy::EncScheme;
 // Canonical workspace dumps (anon labels renamed by structural signature).
 // ---------------------------------------------------------------------------
 
-// Anonymous entities are labeled `<hint>@<node_tag>#<counter>`.
+// Anonymous entities are labeled `<type>@<node_tag>#<digest>`, the digest
+// content-addressed from the creating rule and binding.
 bool IsAnonLabel(const std::string& label) {
   size_t at = label.find('@');
   return at != std::string::npos && label.find('#', at) != std::string::npos;

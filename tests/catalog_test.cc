@@ -64,23 +64,6 @@ TEST(CatalogTest, EntityTypesAreDistinctNamespaces) {
   EXPECT_NE(as_principal, as_node);
 }
 
-TEST(CatalogTest, AnonymousEntitiesUseNodeTag) {
-  Catalog c;
-  c.SetNodeTag("n7");
-  auto t = c.DeclareEntityType("pathvar").value();
-  Value a = c.CreateAnonymousEntity(t, "pathvar").value();
-  Value b = c.CreateAnonymousEntity(t, "pathvar").value();
-  EXPECT_NE(a, b);
-  std::string label = c.EntityLabel(a).value();
-  EXPECT_NE(label.find("@n7#"), std::string::npos) << label;
-  // Labels from different node tags can never collide.
-  Catalog c2;
-  c2.SetNodeTag("n8");
-  auto t2 = c2.DeclareEntityType("pathvar").value();
-  Value other = c2.CreateAnonymousEntity(t2, "pathvar").value();
-  EXPECT_NE(c2.EntityLabel(other).value(), label);
-}
-
 TEST(CatalogTest, SubtypeLatticeIsTransitiveAndReflexive) {
   Catalog c;
   auto a = c.DeclareEntityType("a").value();

@@ -1,5 +1,5 @@
-// Parallel fixpoint: the wave scheduler and partitioned delta evaluation
-// must produce the byte-identical fixpoint — same tuples, same
+// Parallel fixpoint: group-at-a-time scheduling and partitioned delta
+// evaluation must produce the byte-identical fixpoint — same tuples, same
 // derivation-support counts, same anonymous-entity labels — at every
 // thread count, for insert convergence, the counting/DRed deletion paths,
 // and interleaved insert/delete churn. With sharded relation storage the
@@ -107,11 +107,10 @@ Snapshot RunConvergence(int threads, FixpointStats* fixpoint,
 /// parallel_tasks, which by design counts shard-aligned chunks and so
 /// scales with the shard count (it stays thread-count-invariant).
 std::vector<uint64_t> SemanticCounters(const FixpointStats& fp) {
-  return {fp.rounds,        fp.rule_firings, fp.firings_skipped,
-          fp.agg_recomputes, fp.agg_skipped,  fp.derivations,
-          fp.waves,          fp.retract_firings, fp.retractions,
-          fp.deleted,        fp.rescued,      fp.group_rederives,
-          fp.rederive_seeded};
+  return {fp.rounds,          fp.rule_firings, fp.firings_skipped,
+          fp.agg_recomputes,  fp.agg_skipped,  fp.derivations,
+          fp.retract_firings, fp.retractions,  fp.deleted,
+          fp.rescued,         fp.group_rederives, fp.rederive_seeded};
 }
 
 TEST(ParallelFixpointTest, ConvergenceIdenticalAcrossThreadCounts) {
@@ -129,13 +128,11 @@ TEST(ParallelFixpointTest, ConvergenceIdenticalAcrossThreadCounts) {
     EXPECT_EQ(base_fp.rounds, fp.rounds);
     EXPECT_EQ(base_fp.rule_firings, fp.rule_firings);
     EXPECT_EQ(base_fp.derivations, fp.derivations);
-    EXPECT_EQ(base_fp.waves, fp.waves);
     EXPECT_EQ(base_fp.parallel_tasks, fp.parallel_tasks);
     EXPECT_EQ(base_stats.derived_tuples, stats.derived_tuples);
   }
   // The convergence delta is wide enough that firings actually chunked.
   EXPECT_GT(base_fp.parallel_tasks, 0u);
-  EXPECT_GT(base_fp.waves, 0u);
 }
 
 // The delete_test scenarios, re-run at every thread count with a snapshot

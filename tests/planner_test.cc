@@ -79,11 +79,11 @@ Snapshot Snap(const Workspace& ws) {
 /// The thread- and shard-count-invariant face of FixpointStats
 /// (everything except parallel_tasks, which counts shard-aligned chunks).
 std::vector<uint64_t> SemanticCounters(const FixpointStats& fp) {
-  return {fp.rounds,         fp.rule_firings,    fp.firings_skipped,
-          fp.agg_recomputes, fp.agg_skipped,     fp.derivations,
-          fp.waves,          fp.retract_firings, fp.retractions,
-          fp.deleted,        fp.rescued,         fp.group_rederives,
-          fp.rederive_seeded, fp.plans_built};
+  return {fp.rounds,          fp.rule_firings,    fp.firings_skipped,
+          fp.agg_recomputes,  fp.agg_skipped,     fp.derivations,
+          fp.retract_firings, fp.retractions,     fp.deleted,
+          fp.rescued,         fp.group_rederives, fp.rederive_seeded,
+          fp.plans_built};
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ TEST(RelationStatsTest, ProbeBucketsStaySortedAcrossEraseChurn) {
   Tuple key = T({1});
   ASSERT_EQ(r.ProbeShard(0, 0x1, key).size(), 20u);
   // Swap-remove churn: erases repoint moved rows, and the patched buckets
-  // must stay ascending so scans walk each shard as a sorted run.
+  // must stay ascending so probes walk each shard in slot order.
   for (int j = 0; j < 20; j += 2) ASSERT_TRUE(r.Erase(T({2, j})));
   for (int j = 1; j < 20; j += 3) ASSERT_TRUE(r.Erase(T({1, j})));
   for (uint32_t who = 1; who <= 2; ++who) {
@@ -632,13 +632,13 @@ testing::AssertionResult BindsInOrder(const std::vector<Step>& steps,
 /// Every binding `steps` enumerates, as the rendered slot values.
 std::multiset<std::vector<std::string>> Bindings(
     Workspace* ws, const CompiledRule& rule, const std::vector<Step>& steps,
-    const DeltaOverride* delta) {
+    const std::vector<OccView>* views) {
   EvalContext ctx;
   ctx.catalog = &ws->catalog();
   Executor executor(&ctx, ws);
   Env env(rule.num_slots);
   std::multiset<std::vector<std::string>> out;
-  Status st = executor.Run(steps, &env, delta, [&](Env& e) -> Status {
+  Status st = executor.Run(steps, &env, views, [&](Env& e) -> Status {
     std::vector<std::string> row;
     for (const auto& v : e) row.push_back(v ? v->ToString() : "-");
     out.insert(std::move(row));
@@ -672,7 +672,7 @@ TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
       auto check = [&](const std::string& kind, int index,
                        const std::vector<Step>& compiled,
                        const std::vector<Step>& planned,
-                       const DeltaOverride* delta) {
+                       const std::vector<OccView>* views) {
         SCOPED_TRACE(rule.source.ToString() + " variant " + kind +
                      std::to_string(index));
         if (&planned == &compiled) {
@@ -681,8 +681,8 @@ TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
           ++copied;
         }
         ASSERT_TRUE(BindsInOrder(planned, rule.num_slots));
-        const auto want = Bindings(&ws, rule, compiled, delta);
-        EXPECT_EQ(Bindings(&ws, rule, planned, delta), want);
+        const auto want = Bindings(&ws, rule, compiled, views);
+        EXPECT_EQ(Bindings(&ws, rule, planned, views), want);
         if (!want.empty()) ++found[kind];
       };
       check("full", 0, rule.steps,
@@ -692,10 +692,7 @@ TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
         const std::vector<Tuple> delta = DeltaFrom(&ws, rule.scan_preds[occ]);
         std::vector<OccView> views(n);
         views[occ].only = &delta;
-        DeltaOverride override;
-        override.views = &views;
-        check("delta", occ, rule.steps, planner.PlanFor(rule, occ),
-              &override);
+        check("delta", occ, rule.steps, planner.PlanFor(rule, occ), &views);
       }
       // Flip k: the negated atom's flipped tuples, with the kept negation
       // probe reading the relation as before they arrived.
@@ -706,10 +703,8 @@ TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
         std::vector<OccView> views(n + m + 1);
         views[rule.flip_occurrence()].only = &flipped;
         views[n + k].exclude = &before;
-        DeltaOverride override;
-        override.views = &views;
         check("flip", static_cast<int>(k), rule.flip_steps[k],
-              planner.PlanForFlip(rule, k), &override);
+              planner.PlanForFlip(rule, k), &views);
       }
       // Head j: the instantiations deriving every other tuple of the
       // head's predicate (the compiled steps filter by the head last).
@@ -717,11 +712,9 @@ TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
         const std::vector<Tuple> heads = DeltaFrom(&ws, rule.heads[j].pred);
         std::vector<OccView> views(rule.head_occurrence() + 1);
         views[rule.head_occurrence()].only = &heads;
-        DeltaOverride override;
-        override.views = &views;
         check("head", static_cast<int>(j),
               HeadBoundSteps(ws.catalog(), rule, j),
-              planner.PlanForHead(rule, j), &override);
+              planner.PlanForHead(rule, j), &views);
       }
     }
   }

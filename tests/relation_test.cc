@@ -20,11 +20,9 @@ using datalog::PredicateDecl;
 using datalog::Value;
 
 PredicateDecl MakeDecl(size_t arity, bool functional) {
-  PredicateDecl d;
-  d.name = "t";
-  d.arg_types.assign(arity, 0);
-  d.functional = functional;
-  return d;
+  return PredicateDecl{.name = "t",
+                       .arg_types = std::vector<datalog::PredId>(arity, 0),
+                       .functional = functional};
 }
 
 Tuple T(std::initializer_list<int64_t> vals) {
@@ -671,86 +669,6 @@ TEST(ColumnarRelationTest, EncodeTupleRoundTripsAndReportsMisses) {
   EXPECT_FALSE(r.EncodeTuple(absent, &codes));
   EXPECT_EQ(codes.size(), 4u);
   EXPECT_EQ(codes[0], 123u);
-}
-
-TEST(ColumnarRelationTest, SortedRunBoundsWarmStaleAndCorrect) {
-  PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 2);
-  // Cold cache: nothing warm before the first EnsureSortedRuns.
-  for (int64_t i = 0; i < 90; ++i) r.Insert(Mixed(i % 7, i));
-  EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 1), nullptr);
-  r.EnsureSortedRuns(1);
-  for (size_t sh = 0; sh < r.shard_count(); ++sh) {
-    const std::vector<uint32_t>* bounds = r.SortedRunBoundsIfWarm(sh, 1);
-    ASSERT_NE(bounds, nullptr) << "shard " << sh;
-    const std::vector<uint32_t>& codes = r.shard_codes(sh, 1);
-    // Boundaries delimit maximal non-decreasing runs of the code vector.
-    ASSERT_GE(bounds->size(), 1u);
-    EXPECT_EQ(bounds->front(), 0u);
-    if (!codes.empty()) {
-      ASSERT_GE(bounds->size(), 2u);
-      EXPECT_EQ(bounds->back(), codes.size());
-      for (size_t b = 1; b + 1 < bounds->size(); ++b) {
-        uint32_t at = (*bounds)[b];
-        EXPECT_LT(codes[at], codes[at - 1]) << "boundary not a descent";
-      }
-      for (size_t b = 0; b + 1 < bounds->size(); ++b) {
-        for (uint32_t i = (*bounds)[b] + 1; i < (*bounds)[b + 1]; ++i) {
-          EXPECT_GE(codes[i], codes[i - 1]) << "run not sorted";
-        }
-      }
-    }
-  }
-  // Column out of range never reports warm.
-  EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 9), nullptr);
-  // Any mutation stales the cache; rebuilding warms it again.
-  r.Insert(Mixed(3, 1000));
-  EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 1), nullptr);
-  EXPECT_EQ(r.SortedRunBoundsIfWarm(1, 1), nullptr);
-  r.EnsureSortedRuns(1);
-  EXPECT_NE(r.SortedRunBoundsIfWarm(0, 1), nullptr);
-}
-
-TEST(ColumnarRelationTest, SortedRunsStaleAfterEraseChurnAndRewarm) {
-  // Regression pin for the sorted-run version stamp (audit: every mutation
-  // bumps version_, and SortedRunBoundsIfWarm compares stamps, so the
-  // cache can never serve bounds computed against pre-churn code
-  // vectors). Erase churn swap-removes rows INSIDE the vectors — unlike
-  // an append it shifts codes into earlier slots — so stale bounds would
-  // silently mis-delimit runs rather than crash. After a re-warm the
-  // bounds must describe the post-churn vectors exactly.
-  PredicateDecl decl = MakeDecl(3, false);
-  Relation r(&decl, 2);
-  for (int64_t i = 0; i < 80; ++i) r.Insert(Mixed(i % 11, i));
-  r.EnsureSortedRuns(2);
-  ASSERT_NE(r.SortedRunBoundsIfWarm(0, 2), nullptr);
-  // Swap-remove churn from the middle of every shard.
-  for (int64_t i = 10; i < 70; i += 3) ASSERT_TRUE(r.Erase(Mixed(i % 11, i)));
-  EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 2), nullptr);
-  EXPECT_EQ(r.SortedRunBoundsIfWarm(1, 2), nullptr);
-  r.EnsureSortedRuns(2);
-  for (size_t sh = 0; sh < r.shard_count(); ++sh) {
-    const std::vector<uint32_t>* bounds = r.SortedRunBoundsIfWarm(sh, 2);
-    ASSERT_NE(bounds, nullptr) << "shard " << sh;
-    const std::vector<uint32_t>& codes = r.shard_codes(sh, 2);
-    ASSERT_GE(bounds->size(), 2u);
-    EXPECT_EQ(bounds->front(), 0u);
-    EXPECT_EQ(bounds->back(), codes.size());
-    for (size_t b = 0; b + 1 < bounds->size(); ++b) {
-      for (uint32_t i = (*bounds)[b] + 1; i < (*bounds)[b + 1]; ++i) {
-        EXPECT_GE(codes[i], codes[i - 1]) << "run not sorted post-churn";
-      }
-    }
-  }
-  // Erase-then-rewarm round two: the stamp keeps pace with every bump.
-  for (int64_t i = 0; i < 80; i += 7) {
-    if (r.Contains(Mixed(i % 11, i))) {
-      ASSERT_TRUE(r.Erase(Mixed(i % 11, i)));
-    }
-  }
-  EXPECT_EQ(r.SortedRunBoundsIfWarm(0, 2), nullptr);
-  r.EnsureSortedRuns(2);
-  EXPECT_NE(r.SortedRunBoundsIfWarm(0, 2), nullptr);
 }
 
 TEST(ColumnarRelationTest, RejectedInsertsLeaveDictionaryRefcountsClean) {
