@@ -1,11 +1,15 @@
 // Microbenchmarks for the DatalogLB evaluation engine (google-benchmark):
 // fixpoint computation, incremental maintenance, constraint checking, the
-// columnar filter kernels, and the BloxGenerics compiler itself.
+// columnar filter kernels, program installation (typecheck, rule
+// compilation, rule graph), and the BloxGenerics compiler itself.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "apps/pathvector.h"
 #include "common/strings.h"
 #include "datalog/parser.h"
 #include "engine/kernels.h"
@@ -381,6 +385,37 @@ void BM_InsertPath(benchmark::State& state) {
                   : static_cast<double>(encodes) / static_cast<double>(stored));
 }
 BENCHMARK(BM_InsertPath)->Unit(benchmark::kMillisecond);
+
+void BM_InstallProgram(benchmark::State& state) {
+  // Workspace::Install of the path-vector program under the RSA-AES says
+  // policy: typecheck, rule and constraint compilation, the rule graph
+  // and the program's facts. Parsing and BloxGenerics expansion run
+  // untimed, as does each workspace's construction and destruction.
+  policy::SaysPolicyOptions opts;
+  opts.auth = policy::AuthScheme::kRsa;
+  opts.enc = policy::EncScheme::kAes;
+  const std::vector<std::string> sources = {policy::PreludeSource(),
+                                            apps::PathVectorSource(),
+                                            policy::SaysPolicySource(opts)};
+  std::unique_ptr<Workspace> ws;
+  size_t rules = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ws = std::make_unique<Workspace>();
+    ws->set_allow_unstratified_negation(true);
+    auto expanded = policy::CompileWithPolicies(ws.get(), sources);
+    state.ResumeTiming();
+    Status st = expanded.ok() ? ws->Install(expanded->program)
+                              : expanded.status();
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      break;
+    }
+    rules = ws->compiled_rules().size();
+  }
+  state.counters["rules"] = benchmark::Counter(static_cast<double>(rules));
+}
+BENCHMARK(BM_InstallProgram)->Unit(benchmark::kMillisecond);
 
 void BM_GenericsExpansion(benchmark::State& state) {
   // Full BloxGenerics compile of the says policy over `n` exportable

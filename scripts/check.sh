@@ -24,9 +24,11 @@ if [ -x "$build/micro_engine" ]; then
   # recorded so the perf trajectory is tracked. The shards:1 rows double
   # as the regression gate for shard-aligned chunking. BM_InsertPath
   # records time and value-to-code encodes per stored tuple on a
-  # hashjoin-shaped insert batch.
+  # hashjoin-shaped insert batch; BM_InstallProgram the time to install
+  # (typecheck, compile, rule graph) the path-vector program under the
+  # RSA-AES says policy.
   "$build/micro_engine" --benchmark_min_time=0.05 \
-      --benchmark_filter='BM_(ParallelFixpoint(Convergence|Join)|InsertPath)' \
+      --benchmark_filter='BM_(ParallelFixpoint(Convergence|Join)|InsertPath|InstallProgram)' \
       --benchmark_out="$build/BENCH_fixpoint.json" \
       --benchmark_out_format=json
   echo "wrote $build/BENCH_fixpoint.json"

@@ -38,7 +38,7 @@ std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeName(code_);
   out += ": ";
-  out += message_;
+  out += message();
   return out;
 }
 

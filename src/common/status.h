@@ -7,6 +7,7 @@
 #define SECUREBLOX_COMMON_STATUS_H_
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -34,12 +35,28 @@ enum class StatusCode {
 /// Human-readable name of a status code (e.g. "TypeError").
 const char* StatusCodeName(StatusCode code);
 
-/// A success-or-error value. Cheap to copy in the OK case.
+/// A success-or-error value. The message lives behind one pointer that is
+/// null when the status is OK (or its message empty), so making, moving or
+/// copying an OK Status — the executor returns one per step — touches no
+/// string.
 class Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
+  Status() = default;
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(code == StatusCode::kOk || message.empty()
+                     ? nullptr
+                     : std::make_unique<std::string>(std::move(message))) {}
+  Status(const Status& other) : code_(other.code_), message_(Clone(other)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      code_ = other.code_;
+      message_ = Clone(other);
+    }
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string m) {
@@ -81,18 +98,26 @@ class Status {
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  const std::string& message() const {
+    static const std::string kNoMessage;
+    return message_ != nullptr ? *message_ : kNoMessage;
+  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code_ == other.code_ && message() == other.message();
   }
 
  private:
-  StatusCode code_;
-  std::string message_;
+  static std::unique_ptr<std::string> Clone(const Status& s) {
+    return s.message_ != nullptr ? std::make_unique<std::string>(*s.message_)
+                                 : nullptr;
+  }
+
+  StatusCode code_ = StatusCode::kOk;
+  std::unique_ptr<std::string> message_;
 };
 
 /// A value of type T or an error Status. Like absl::StatusOr / arrow::Result.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <deque>
+#include <limits>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -30,15 +31,6 @@ namespace {
 
 bool IsAnonymous(const std::string& name) {
   return name.rfind("_anon", 0) == 0;
-}
-
-void CollectTermVars(const TermPtr& t, std::vector<std::string>* out) {
-  if (t == nullptr) return;
-  if (t->kind == TermKind::kVar) out->push_back(t->name);
-  if (t->kind == TermKind::kArith) {
-    CollectTermVars(t->lhs, out);
-    CollectTermVars(t->rhs, out);
-  }
 }
 
 // Slot assignment for all variables in a rule/constraint.
@@ -89,325 +81,93 @@ std::shared_ptr<CExpr> CompileExpr(const TermPtr& t, SlotMap* slots) {
   return e;
 }
 
-bool ExprBound(const CExpr& e, const std::vector<bool>& bound) {
-  switch (e.kind) {
-    case CExpr::Kind::kConst:
-      return true;
-    case CExpr::Kind::kSlot:
-      return bound[e.slot];
-    case CExpr::Kind::kArith:
-      return ExprBound(*e.lhs, bound) && ExprBound(*e.rhs, bound);
+/// One body literal as a step that binds nothing yet: OrderBody places it
+/// and decides its argument kinds and whether an `=` filters or assigns.
+/// Variables take slots in written order. A positive atom over a functional
+/// predicate is a lookup (a scan where OrderBody finds its keys unbound),
+/// and an anonymous variable in a negation matches anything.
+Result<Step> TranslateLiteral(const Literal& lit, const Catalog& catalog,
+                              const BuiltinRegistry& builtins,
+                              SlotMap* slots) {
+  Step step;
+  if (lit.kind == Literal::Kind::kCompare) {
+    step.kind = Step::Kind::kCompare;
+    step.cmp_op = lit.cmp.op;
+    step.lhs = CompileExpr(lit.cmp.lhs, slots);
+    step.rhs = CompileExpr(lit.cmp.rhs, slots);
+    return step;
   }
-  return false;
-}
-
-// Planner for one body (rule body, constraint lhs, or constraint rhs).
-class BodyPlanner {
- public:
-  BodyPlanner(const Catalog& catalog, const BuiltinRegistry& builtins,
-              SlotMap* slots, std::vector<bool>* bound)
-      : catalog_(catalog), builtins_(builtins), slots_(*slots),
-        bound_(*bound) {}
-
-  Result<std::vector<Step>> Plan(const std::vector<Literal>& body,
-                                 int* scan_occurrences,
-                                 std::vector<PredId>* scan_preds) {
-    std::vector<Step> steps;
-    std::vector<bool> used(body.size(), false);
-    size_t remaining = body.size();
-
-    // Pre-register all variable slots so the environment is sized once.
-    for (const Literal& lit : body) {
-      std::vector<std::string> vars;
-      if (lit.kind == Literal::Kind::kAtom) {
-        for (const auto& a : lit.atom.args) CollectTermVars(a, &vars);
-      } else {
-        CollectTermVars(lit.cmp.lhs, &vars);
-        CollectTermVars(lit.cmp.rhs, &vars);
-      }
-      for (const auto& v : vars) slots_.SlotOf(v);
-    }
-    if (bound_.size() < slots_.size()) bound_.resize(slots_.size(), false);
-
-    while (remaining > 0) {
-      int pick = PickNext(body, used);
-      if (pick < 0) {
-        return Status::Internal(
-            "cannot order body literals (unsafe rule slipped past the type "
-            "checker)");
-      }
-      used[pick] = true;
-      --remaining;
-      SB_ASSIGN_OR_RETURN(Step step,
-                          CompileLiteral(body[pick], scan_occurrences,
-                                         scan_preds));
-      steps.push_back(std::move(step));
-      if (bound_.size() < slots_.size()) bound_.resize(slots_.size(), false);
-    }
-    return steps;
+  const Atom& a = lit.atom;
+  step.builtin = builtins.Find(a.pred.name);
+  if (step.builtin != nullptr) {
+    step.kind = Step::Kind::kBuiltin;
+  } else {
+    SB_ASSIGN_OR_RETURN(step.pred, catalog.Lookup(a.pred.name));
+    const PredicateDecl& decl = catalog.decl(step.pred);
+    step.check_kind = decl.primitive_kind;
+    step.kind = decl.is_primitive ? Step::Kind::kTypeCheck
+                : a.negated       ? Step::Kind::kNegCheck
+                : decl.functional ? Step::Kind::kLookup
+                                  : Step::Kind::kScan;
   }
-
- private:
-  bool TermsBound(const TermPtr& t) const {
-    std::vector<std::string> vars;
-    CollectTermVars(t, &vars);
-    for (const auto& v : vars) {
-      int s = slots_.Find(v);
-      if (s < 0 || static_cast<size_t>(s) >= bound_.size() || !bound_[s]) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  bool IsBoundVar(const std::string& name) const {
-    int s = slots_.Find(name);
-    return s >= 0 && static_cast<size_t>(s) < bound_.size() && bound_[s];
-  }
-
-  bool IsBuiltin(const Atom& a) const {
-    return builtins_.Find(a.pred.name) != nullptr;
-  }
-
-  bool IsPrimitiveType(const Atom& a) const {
-    auto id = catalog_.Lookup(a.pred.name);
-    return id.ok() && catalog_.decl(id.value()).is_primitive;
-  }
-
-  // Priority: compare > assign > typecheck > lookup > negcheck > builtin >
-  // scan (max bound args).
-  int PickNext(const std::vector<Literal>& body,
-               const std::vector<bool>& used) const {
-    int best_scan = -1;
-    int best_scan_bound = -1;
-    int builtin_ready = -1;
-    int neg_ready = -1;
-    int lookup_ready = -1;
-    int typecheck_ready = -1;
-
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (used[i]) continue;
-      const Literal& lit = body[i];
-      if (lit.kind == Literal::Kind::kCompare) {
-        const auto& c = lit.cmp;
-        bool lb = TermsBound(c.lhs);
-        bool rb = TermsBound(c.rhs);
-        if (lb && rb) return static_cast<int>(i);  // pure filter
-        if (c.op == CmpOp::kEq &&
-            ((lb && c.rhs->kind == TermKind::kVar) ||
-             (rb && c.lhs->kind == TermKind::kVar))) {
-          return static_cast<int>(i);  // assignment
-        }
-        continue;
-      }
-      const Atom& a = lit.atom;
-      if (IsBuiltin(a)) {
-        const BuiltinImpl* impl = builtins_.Find(a.pred.name);
-        bool inputs_ready = true;
-        for (int j = 0; j < impl->sig.num_inputs &&
-                        j < static_cast<int>(a.args.size());
-             ++j) {
-          if (a.args[j]->kind == TermKind::kVar &&
-              !IsBoundVar(a.args[j]->name)) {
-            inputs_ready = false;
-          }
-        }
-        if (inputs_ready && builtin_ready < 0) {
-          builtin_ready = static_cast<int>(i);
-        }
-        continue;
-      }
-      if (IsPrimitiveType(a)) {
-        if (a.args[0]->kind != TermKind::kVar || IsBoundVar(a.args[0]->name)) {
-          if (typecheck_ready < 0) typecheck_ready = static_cast<int>(i);
-        }
-        continue;
-      }
-      // Relation atom.
-      int bound_args = 0;
-      bool all_nonanon_bound = true;
-      bool keys_bound = true;
-      for (size_t j = 0; j < a.args.size(); ++j) {
-        const TermPtr& arg = a.args[j];
-        bool b = arg->kind == TermKind::kConst ||
-                 (arg->kind == TermKind::kVar && IsBoundVar(arg->name));
-        if (b) ++bound_args;
-        if (!b && arg->kind == TermKind::kVar && !IsAnonymous(arg->name)) {
-          all_nonanon_bound = false;
-        }
-        if (!b && a.functional && j + 1 < a.args.size()) keys_bound = false;
-      }
-      if (a.negated) {
-        if (all_nonanon_bound && neg_ready < 0) neg_ready = static_cast<int>(i);
-        continue;
-      }
-      if (a.functional && keys_bound && lookup_ready < 0) {
-        lookup_ready = static_cast<int>(i);
-      }
-      if (bound_args > best_scan_bound) {
-        best_scan_bound = bound_args;
-        best_scan = static_cast<int>(i);
-      }
-    }
-    if (typecheck_ready >= 0) return typecheck_ready;
-    if (lookup_ready >= 0) return lookup_ready;
-    if (neg_ready >= 0) return neg_ready;
-    if (builtin_ready >= 0) return builtin_ready;
-    return best_scan;
-  }
-
-  /// `col`/`atom_cols`, when given, track which column of the atom being
-  /// compiled first bound each slot: a later occurrence of the same
-  /// variable in the SAME atom compiles to kSame (compare the candidate
-  /// row against its own earlier column) instead of kBound — the slot is
-  /// only bound once the row is accepted, so a kBound read of env[slot]
-  /// here would dereference an unengaged optional.
-  Result<ArgPat> PatFor(const TermPtr& arg, bool binds, bool wild_anon,
-                        int col = -1,
-                        std::vector<std::pair<int, int>>* atom_cols = nullptr) {
+  for (const TermPtr& arg : a.args) {
     ArgPat pat;
     if (arg->kind == TermKind::kConst) {
-      pat.kind = ArgPat::Kind::kConst;
       pat.constant = std::make_shared<const Value>(arg->constant);
-      return pat;
-    }
-    if (arg->kind != TermKind::kVar) {
+    } else if (arg->kind == TermKind::kVar) {
+      pat.slot = slots->SlotOf(arg->name);
+      pat.kind = step.kind == Step::Kind::kNegCheck && IsAnonymous(arg->name)
+                     ? ArgPat::Kind::kWild
+                     : ArgPat::Kind::kBind;
+    } else {
       return Status::Internal("non-variable term in compiled atom: " +
                               arg->ToString());
     }
-    int slot = slots_.SlotOf(arg->name);
-    if (static_cast<size_t>(slot) >= bound_.size()) {
-      bound_.resize(slot + 1, false);
-    }
-    pat.slot = slot;
-    if (atom_cols != nullptr) {
-      for (const auto& [s, c] : *atom_cols) {
-        if (s == slot) {
-          pat.kind = ArgPat::Kind::kSame;
-          pat.same_col = c;
-          return pat;
-        }
-      }
-    }
-    if (bound_[slot]) {
-      pat.kind = ArgPat::Kind::kBound;
-    } else if (wild_anon && IsAnonymous(arg->name)) {
-      pat.kind = ArgPat::Kind::kWild;
-    } else if (binds) {
-      pat.kind = ArgPat::Kind::kBind;
-      bound_[slot] = true;
-      if (atom_cols != nullptr && col >= 0) {
-        atom_cols->push_back({slot, col});
-      }
-    } else {
-      return Status::Internal("unbound variable '" + arg->name +
-                              "' in non-binding position");
-    }
-    return pat;
+    step.args.push_back(std::move(pat));
   }
+  return step;
+}
 
-  Result<Step> CompileLiteral(const Literal& lit, int* scan_occurrences,
-                              std::vector<PredId>* scan_preds) {
-    Step step;
-    if (lit.kind == Literal::Kind::kCompare) {
-      const auto& c = lit.cmp;
-      bool lb = TermsBound(c.lhs);
-      bool rb = TermsBound(c.rhs);
-      if (lb && rb) {
-        step.kind = Step::Kind::kCompare;
-        step.cmp_op = c.op;
-        step.lhs = CompileExpr(c.lhs, &slots_);
-        step.rhs = CompileExpr(c.rhs, &slots_);
-        return step;
-      }
-      // Assignment.
-      step.kind = Step::Kind::kAssign;
-      const TermPtr& var = lb ? c.rhs : c.lhs;
-      const TermPtr& expr = lb ? c.lhs : c.rhs;
-      step.assign_slot = slots_.SlotOf(var->name);
-      if (static_cast<size_t>(step.assign_slot) >= bound_.size()) {
-        bound_.resize(step.assign_slot + 1, false);
-      }
-      bound_[step.assign_slot] = true;
-      step.rhs = CompileExpr(expr, &slots_);
-      return step;
-    }
-
-    const Atom& a = lit.atom;
-    if (const BuiltinImpl* impl = builtins_.Find(a.pred.name)) {
-      step.kind = Step::Kind::kBuiltin;
-      step.builtin = impl;
-      for (size_t j = 0; j < a.args.size(); ++j) {
-        bool is_output = static_cast<int>(j) >= impl->sig.num_inputs;
-        SB_ASSIGN_OR_RETURN(ArgPat pat, PatFor(a.args[j], is_output, false));
-        step.args.push_back(std::move(pat));
-      }
-      return step;
-    }
-
-    SB_ASSIGN_OR_RETURN(PredId pred, catalog_.Lookup(a.pred.name));
-    const PredicateDecl& decl = catalog_.decl(pred);
-    step.pred = pred;
-
-    if (decl.is_primitive) {
-      step.kind = Step::Kind::kTypeCheck;
-      step.check_kind = decl.primitive_kind;
-      SB_ASSIGN_OR_RETURN(ArgPat pat, PatFor(a.args[0], false, false));
-      step.args.push_back(std::move(pat));
-      return step;
-    }
-
-    if (a.negated) {
-      step.kind = Step::Kind::kNegCheck;
-      for (const auto& arg : a.args) {
-        SB_ASSIGN_OR_RETURN(ArgPat pat, PatFor(arg, false, true));
-        step.args.push_back(std::move(pat));
-      }
-      return step;
-    }
-
-    // Functional lookup when all keys bound?
-    bool keys_bound = decl.functional;
-    if (decl.functional) {
-      for (size_t j = 0; j + 1 < a.args.size(); ++j) {
-        const TermPtr& arg = a.args[j];
-        if (arg->kind == TermKind::kVar && !IsBoundVar(arg->name)) {
-          keys_bound = false;
-        }
-      }
-    }
-    if (keys_bound) {
-      step.kind = Step::Kind::kLookup;
-      // Lookups still get a delta occurrence so semi-naïve re-runs the rule
-      // when the looked-up relation (e.g. a singleton) changes.
-      step.occurrence = (*scan_occurrences)++;
-      scan_preds->push_back(pred);
-      for (size_t j = 0; j < a.args.size(); ++j) {
-        SB_ASSIGN_OR_RETURN(ArgPat pat,
-                            PatFor(a.args[j], j + 1 == a.args.size(), false));
-        step.args.push_back(std::move(pat));
-      }
-      return step;
-    }
-
-    step.kind = Step::Kind::kScan;
-    step.occurrence = (*scan_occurrences)++;
-    scan_preds->push_back(pred);
-    std::vector<std::pair<int, int>> atom_cols;
-    for (size_t j = 0; j < a.args.size(); ++j) {
-      SB_ASSIGN_OR_RETURN(ArgPat pat,
-                          PatFor(a.args[j], true, false,
-                                 static_cast<int>(j), &atom_cols));
-      step.args.push_back(std::move(pat));
-    }
-    return step;
+/// Compiles `body` in its compiled order: translated literal by literal,
+/// then placed by OrderBody from `bound` with scans ranked by their count
+/// of bound arguments, most first. Scans and lookups take occurrence
+/// numbers from `*scan_occurrences` on, in that order.
+Result<std::vector<Step>> CompileBody(const std::vector<Literal>& body,
+                                      const Catalog& catalog,
+                                      const BuiltinRegistry& builtins,
+                                      SlotMap* slots, std::vector<bool>* bound,
+                                      int* scan_occurrences,
+                                      std::vector<PredId>* scan_preds) {
+  std::vector<Step> written;
+  for (const Literal& lit : body) {
+    SB_ASSIGN_OR_RETURN(Step step,
+                        TranslateLiteral(lit, catalog, builtins, slots));
+    written.push_back(std::move(step));
   }
-
-  const Catalog& catalog_;
-  const BuiltinRegistry& builtins_;
-  SlotMap& slots_;
-  std::vector<bool>& bound_;
-};
+  bound->resize(slots->size(), false);
+  auto most_bound = [&written](size_t i, const std::vector<bool>& b) {
+    double n = 0;
+    for (const ArgPat& p : written[i].args) {
+      if (p.kind == ArgPat::Kind::kConst || b[p.slot]) ++n;
+    }
+    return -n;
+  };
+  std::vector<Step> steps;
+  std::vector<BodyPlacement> placed;
+  if (!OrderBody(written, -1, most_bound, bound, &steps, &placed)) {
+    return Status::Internal(
+        "cannot order body literals (unsafe rule slipped past the type "
+        "checker)");
+  }
+  for (Step& s : steps) {
+    if (s.kind == Step::Kind::kScan || s.kind == Step::Kind::kLookup) {
+      s.occurrence = (*scan_occurrences)++;
+      scan_preds->push_back(s.pred);
+    }
+  }
+  ComputeProbeInfo(catalog, &steps);
+  return steps;
+}
 
 /// Fill CompiledRule::neg_preds and flip_steps from the compiled body. The
 /// flipped atom's scan sits where its negation did, so every argument is
@@ -439,7 +199,207 @@ void BuildFlipSteps(const Catalog& catalog, CompiledRule* rule) {
   }
 }
 
+/// Is every slot `e` reads bound?
+bool ExprBound(const CExpr& e, const std::vector<bool>& bound) {
+  switch (e.kind) {
+    case CExpr::Kind::kConst:
+      return true;
+    case CExpr::Kind::kSlot:
+      return bound[e.slot];
+    case CExpr::Kind::kArith:
+      return ExprBound(*e.lhs, bound) && ExprBound(*e.rhs, bound);
+  }
+  return false;
+}
+
+/// Are `step`'s first `n` arguments constants, wildcards or bound?
+bool ArgsReady(const Step& step, size_t n, const std::vector<bool>& bound) {
+  for (size_t i = 0; i < n; ++i) {
+    const ArgPat& p = step.args[i];
+    if (p.kind != ArgPat::Kind::kConst && p.kind != ArgPat::Kind::kWild &&
+        !bound[p.slot]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A compare or assignment where exactly `bound` is bound: 0 a filter
+/// (both sides bound), 1 an assignment (an `=` with one side bound and a
+/// bare variable on the other), -1 not ready.
+int CompareClass(const Step& step, const std::vector<bool>& bound) {
+  const bool lb = ExprBound(*step.lhs, bound);
+  const bool rb = ExprBound(*step.rhs, bound);
+  if (lb && rb) return 0;
+  const bool assigns = step.cmp_op == CmpOp::kEq &&
+                       ((lb && step.rhs->kind == CExpr::Kind::kSlot) ||
+                        (rb && step.lhs->kind == CExpr::Kind::kSlot));
+  return assigns ? 1 : -1;
+}
+
+/// The class OrderBody places `step` at where exactly `bound` is bound, or
+/// -1 when it cannot run there. Scans always can: they bind their free
+/// arguments.
+int StepClass(const Step& step, const std::vector<bool>& bound) {
+  switch (step.kind) {
+    case Step::Kind::kCompare:
+    case Step::Kind::kAssign:
+      return CompareClass(step, bound);
+    case Step::Kind::kTypeCheck:
+      return ArgsReady(step, 1, bound) ? 2 : -1;
+    case Step::Kind::kLookup:
+      return ArgsReady(step, step.args.size() - 1, bound) ? 3 : kScanClass;
+    case Step::Kind::kNegCheck:
+      return ArgsReady(step, step.args.size(), bound) ? 4 : -1;
+    case Step::Kind::kBuiltin:
+      return ArgsReady(step, step.builtin->sig.num_inputs, bound) ? 5 : -1;
+    case Step::Kind::kScan:
+      return kScanClass;
+  }
+  return -1;
+}
+
+/// Recompute one argument pattern for its step's position. `may_bind` says
+/// the step can bind the slot there from a tuple or output. `cols`, passed
+/// for scans, holds the (slot, column) pairs the atom has bound so far: a
+/// variable repeated within one atom comes out kSame (row-vs-row equality),
+/// never kBound — the slot is only bound once the row is accepted, so a
+/// kBound read of env[slot] at match time would dereference an unengaged
+/// optional.
+bool RebindArg(ArgPat* p, std::vector<bool>* bound, bool may_bind,
+               int col = -1, std::vector<std::pair<int, int>>* cols = nullptr) {
+  if (p->kind == ArgPat::Kind::kConst || p->kind == ArgPat::Kind::kWild) {
+    return true;
+  }
+  p->same_col = -1;
+  if (cols != nullptr) {
+    for (const auto& [s, c] : *cols) {
+      if (s == p->slot) {
+        p->kind = ArgPat::Kind::kSame;
+        p->same_col = c;
+        return true;
+      }
+    }
+  }
+  if ((*bound)[p->slot]) {
+    p->kind = ArgPat::Kind::kBound;
+    return true;
+  }
+  if (!may_bind) return false;
+  p->kind = ArgPat::Kind::kBind;
+  (*bound)[p->slot] = true;
+  if (cols != nullptr) cols->emplace_back(p->slot, col);
+  return true;
+}
+
+/// Copy `base` rebound for a position where exactly `bound` is bound,
+/// updating `bound` with the slots the step binds. `force_scan` turns a
+/// kLookup into a kScan over the same atom (its keys are not bound where
+/// it is placed) — sound because a functional relation scanned by pattern
+/// enumerates the same rows the lookup would. Occurrence numbers are kept
+/// so semi-naïve views keep applying. False when the step cannot run here.
+bool RebindStep(const Step& base, std::vector<bool>* bound, bool force_scan,
+                Step* out) {
+  *out = base;
+  if (force_scan) out->kind = Step::Kind::kScan;
+  std::vector<ArgPat>& args = out->args;
+  switch (out->kind) {
+    case Step::Kind::kScan: {
+      std::vector<std::pair<int, int>> cols;
+      for (size_t i = 0; i < args.size(); ++i) {
+        if (!RebindArg(&args[i], bound, true, static_cast<int>(i), &cols)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    case Step::Kind::kLookup:
+    case Step::Kind::kBuiltin:
+    case Step::Kind::kNegCheck:
+    case Step::Kind::kTypeCheck: {
+      // A lookup binds its value column, a builtin its outputs.
+      const size_t inputs = out->kind == Step::Kind::kLookup
+                                ? args.size() - 1
+                            : out->kind == Step::Kind::kBuiltin
+                                ? static_cast<size_t>(out->builtin->sig.num_inputs)
+                                : args.size();
+      for (size_t i = 0; i < args.size(); ++i) {
+        if (!RebindArg(&args[i], bound, i >= inputs)) return false;
+      }
+      return true;
+    }
+    case Step::Kind::kCompare:
+    case Step::Kind::kAssign: {
+      const int cls = CompareClass(*out, *bound);
+      if (cls < 0) return false;
+      out->kind = cls == 0 ? Step::Kind::kCompare : Step::Kind::kAssign;
+      out->assign_slot = -1;
+      if (cls == 0) return true;
+      // An assignment keeps its free side in lhs.
+      if (ExprBound(*out->lhs, *bound)) std::swap(out->lhs, out->rhs);
+      out->assign_slot = out->lhs->slot;
+      (*bound)[out->assign_slot] = true;
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+bool OrderBody(
+    const std::vector<Step>& base, int first_occ,
+    const std::function<double(size_t, const std::vector<bool>&)>& scan_cost,
+    std::vector<bool>* bound, std::vector<Step>* out,
+    std::vector<BodyPlacement>* placed) {
+  const size_t n = base.size();
+  std::vector<bool> used(n, false);
+  out->reserve(n);
+  while (out->size() < n) {
+    size_t pick = n;
+    int pick_class = std::numeric_limits<int>::max();
+    double pick_cost = 0.0;
+    if (out->empty() && first_occ >= 0) {
+      // Delta atom first: the semi-naïve premise — the round's delta is
+      // the small side of every join in this variant.
+      for (size_t i = 0; i < n && pick == n; ++i) {
+        if (base[i].occurrence == first_occ) pick = i;
+      }
+      pick_class = -1;
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        if (used[i]) continue;
+        const int cls = StepClass(base[i], *bound);
+        if (cls < 0) continue;
+        if (cls < kScanClass) {
+          if (cls < pick_class) {
+            pick = i;
+            pick_class = cls;
+          }
+          continue;
+        }
+        const double cost = scan_cost(i, *bound);
+        if (pick_class > kScanClass ||
+            (pick_class == kScanClass && cost < pick_cost)) {
+          pick = i;
+          pick_class = kScanClass;
+          pick_cost = cost;
+        }
+      }
+    }
+    if (pick == n) return false;
+    // A lookup whose keys are bound here (constants, or a zero-key
+    // singleton) stays one, also as the delta: kLookup iterates a view.
+    const bool force_scan = base[pick].kind == Step::Kind::kLookup &&
+                            StepClass(base[pick], *bound) == kScanClass;
+    Step s;
+    if (!RebindStep(base[pick], bound, force_scan, &s)) return false;
+    out->push_back(std::move(s));
+    used[pick] = true;
+    placed->push_back({pick, pick_class});
+  }
+  return true;
+}
 
 std::vector<Step> HeadBoundSteps(const Catalog& catalog,
                                  const CompiledRule& rule, size_t head) {
@@ -484,10 +444,10 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
 
   SlotMap slots;
   std::vector<bool> bound;
-  BodyPlanner planner(catalog_, builtins_, &slots, &bound);
   SB_ASSIGN_OR_RETURN(out.steps,
-                      planner.Plan(rule.body, &out.num_scan_occurrences,
-                                   &out.scan_preds));
+                      CompileBody(rule.body, catalog_, builtins_, &slots,
+                                  &bound, &out.num_scan_occurrences,
+                                  &out.scan_preds));
   if (out.num_scan_occurrences == 0) {
     return Status::CompileError("rule body must reference at least one "
                                 "predicate: " + rule.ToString());
@@ -497,7 +457,6 @@ Result<CompiledRule> RuleCompiler::CompileRule(const Rule& rule,
       out.parallel_safe = false;
     }
   }
-  ComputeProbeInfo(catalog_, &out.steps);
   BuildFlipSteps(catalog_, &out);
 
   if (rule.agg.has_value()) {
@@ -606,20 +565,16 @@ Result<CompiledConstraint> RuleCompiler::CompileConstraint(
 
   SlotMap slots;
   std::vector<bool> bound;
-  BodyPlanner lhs_planner(catalog_, builtins_, &slots, &bound);
   SB_ASSIGN_OR_RETURN(out.lhs_steps,
-                      lhs_planner.Plan(c.lhs, &out.num_scan_occurrences,
-                                       &out.scan_preds));
+                      CompileBody(c.lhs, catalog_, builtins_, &slots, &bound,
+                                  &out.num_scan_occurrences, &out.scan_preds));
   // rhs: existence check with lhs bindings in scope. Extra rhs scans are
   // not delta candidates (occurrence counter is separate and unused).
   int rhs_occurrences = 0;
   std::vector<PredId> rhs_scan_preds;
-  BodyPlanner rhs_planner(catalog_, builtins_, &slots, &bound);
   SB_ASSIGN_OR_RETURN(out.rhs_steps,
-                      rhs_planner.Plan(c.rhs, &rhs_occurrences,
-                                       &rhs_scan_preds));
-  ComputeProbeInfo(catalog_, &out.lhs_steps);
-  ComputeProbeInfo(catalog_, &out.rhs_steps);
+                      CompileBody(c.rhs, catalog_, builtins_, &slots, &bound,
+                                  &rhs_occurrences, &rhs_scan_preds));
   out.num_slots = slots.size();
   out.slot_names = slots.names();
   return out;
@@ -1191,13 +1146,16 @@ Status Executor::Run(const std::vector<Step>& steps, Env* env,
 
 Result<bool> Executor::Exists(const std::vector<Step>& steps, Env* env) {
   bool found = false;
-  // A sentinel "error" short-circuits enumeration after the first match.
+  // Any error stops the enumeration: the first match stops it with one
+  // that carries no message (and allocates nothing), and `found` tells it
+  // from a real error.
   Status st = Run(steps, env, nullptr, [&](Env&) -> Status {
     found = true;
-    return Status(StatusCode::kInternal, "__found__");
+    return Status(StatusCode::kInternal, "");
   });
-  if (!st.ok() && st.message() != "__found__") return st;
-  return found;
+  if (found) return true;
+  if (!st.ok()) return st;
+  return false;
 }
 
 }  // namespace secureblox::engine

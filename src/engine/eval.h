@@ -1,10 +1,13 @@
 // Rule/constraint compilation and body execution.
 //
-// A rule body compiles to an ordered list of steps (greedy ordering: cheap
-// filters first, then functional lookups, negation probes, builtins, and
-// scans by descending boundness). Execution enumerates bindings over an
-// environment of value slots. Semi-naïve evaluation re-runs each rule once
-// per scan occurrence with that occurrence reading the round's delta.
+// A rule body compiles to an ordered list of steps: each literal becomes
+// one step, in written order, and OrderBody places and binds them (cheap
+// filters first, then assignments, type checks, functional lookups,
+// negation probes, builtins, and scans by descending boundness). The
+// planner reorders compiled steps per variant through the same OrderBody.
+// Execution enumerates bindings over an environment of value slots.
+// Semi-naïve evaluation re-runs each rule once per scan occurrence with
+// that occurrence reading the round's delta.
 //
 // Head existentials (unbound head variables in entity-typed positions)
 // create fresh entities, memoized per (rule, binding of head-relevant
@@ -93,7 +96,9 @@ struct Step {
   std::vector<ArgPat> args;
   int occurrence = -1;  // kScan: index among this body's scan occurrences
   datalog::CmpOp cmp_op = datalog::CmpOp::kEq;
-  std::shared_ptr<CExpr> lhs, rhs;  // kCompare: both; kAssign: rhs
+  /// kCompare: both sides. kAssign: `lhs` is the assigned slot, `rhs` the
+  /// value; an `=` keeps both so a new position may bind either side.
+  std::shared_ptr<CExpr> lhs, rhs;
   int assign_slot = -1;
   const BuiltinImpl* builtin = nullptr;
   datalog::ValueKind check_kind = datalog::ValueKind::kInt;  // kTypeCheck
@@ -111,6 +116,35 @@ struct Step {
 /// by the planner after reordering and rebinding.
 void ComputeProbeInfo(const datalog::Catalog& catalog,
                       std::vector<Step>* steps);
+
+/// The class OrderBody ranks by cost: scans, and lookups whose keys are not
+/// bound where they are placed (these run as scans).
+inline constexpr int kScanClass = 6;
+
+/// One position of an OrderBody result: the index of the step placed there
+/// and the class it was placed at (-1: the forced occurrence).
+struct BodyPlacement {
+  size_t source = 0;
+  int cls = 0;
+};
+
+/// The greedy body order, shared by the RuleCompiler (the compiled order)
+/// and the ExecPlanner (per-variant plans). With `first_occ` >= 0 the step
+/// of that occurrence goes first; then, repeatedly, the lowest-class ready
+/// step: 0 a filter, 1 an assignment, 2 a type check, 3 a lookup with
+/// bound keys, 4 a negation, 5 a builtin, and kScanClass the one of lowest
+/// `scan_cost(index, bound)`, ties keeping the earlier step. Each placed
+/// step is rebound for its position into `out`: every argument pattern
+/// (kConst and kWild kept; a variable repeated within one scanned atom
+/// kSame; kBound if bound; else kBind), an `=` compare with both sides
+/// bound a filter or else an assignment of its free bare-variable side,
+/// and a lookup without bound keys a scan. `bound` (one flag per slot)
+/// gains the slots the steps bind. False when a step cannot be placed.
+bool OrderBody(
+    const std::vector<Step>& base, int first_occ,
+    const std::function<double(size_t, const std::vector<bool>&)>& scan_cost,
+    std::vector<bool>* bound, std::vector<Step>* out,
+    std::vector<BodyPlacement>* placed);
 
 /// One planned body execution: the compiled steps reordered and rebound
 /// for a semi-naïve occurrence variant, a negation flip, or the full body

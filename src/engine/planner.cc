@@ -2,209 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
-#include <memory>
-#include <utility>
 
 #include "engine/kernels.h"
 
 namespace secureblox::engine {
 
 namespace {
-
-using datalog::PredId;
-
-/// Is every slot the expression reads bound?
-bool ExprBound(const CExpr& e, const std::vector<bool>& bound) {
-  switch (e.kind) {
-    case CExpr::Kind::kConst:
-      return true;
-    case CExpr::Kind::kSlot:
-      return bound[e.slot];
-    case CExpr::Kind::kArith:
-      return ExprBound(*e.lhs, bound) && ExprBound(*e.rhs, bound);
-  }
-  return false;
-}
-
-bool ArgReady(const ArgPat& p, const std::vector<bool>& bound) {
-  if (p.kind == ArgPat::Kind::kConst || p.kind == ArgPat::Kind::kWild) {
-    return true;
-  }
-  return bound[p.slot];
-}
-
-/// Can `step` run at a position where exactly `bound` is bound? Scans can
-/// always run (they bind their free arguments); everything else needs its
-/// inputs ready.
-bool StepReady(const Step& step, const std::vector<bool>& bound) {
-  switch (step.kind) {
-    case Step::Kind::kScan:
-      return true;
-    case Step::Kind::kLookup:
-      for (size_t i = 0; i + 1 < step.args.size(); ++i) {
-        if (!ArgReady(step.args[i], bound)) return false;
-      }
-      return true;
-    case Step::Kind::kNegCheck:
-      for (const ArgPat& p : step.args) {
-        if (!ArgReady(p, bound)) return false;
-      }
-      return true;
-    case Step::Kind::kCompare:
-      return ExprBound(*step.lhs, bound) && ExprBound(*step.rhs, bound);
-    case Step::Kind::kAssign:
-      return ExprBound(*step.rhs, bound);
-    case Step::Kind::kBuiltin:
-      for (int i = 0; i < step.builtin->sig.num_inputs; ++i) {
-        if (!ArgReady(step.args[i], bound)) return false;
-      }
-      return true;
-    case Step::Kind::kTypeCheck:
-      return ArgReady(step.args[0], bound);
-  }
-  return false;
-}
-
-/// Priority class for a ready step: cheap filters first, then bound
-/// probes, then negations and builtins; class 6 (scans, plus lookups whose
-/// keys are not yet bound) is ranked by cardinality estimate instead.
-int StepClass(const Step& step, const std::vector<bool>& bound) {
-  switch (step.kind) {
-    case Step::Kind::kCompare:
-      return 0;
-    case Step::Kind::kAssign:
-      return 1;
-    case Step::Kind::kTypeCheck:
-      return 2;
-    case Step::Kind::kLookup:
-      return StepReady(step, bound) ? 3 : 6;
-    case Step::Kind::kNegCheck:
-      return 4;
-    case Step::Kind::kBuiltin:
-      return 5;
-    case Step::Kind::kScan:
-      return 6;
-  }
-  return 6;
-}
-
-/// Recompute one argument pattern for a new position. `may_bind` says the
-/// step can bind the slot from a tuple / output at this position.
-/// `col`/`step_cols`, passed for scans, track which column of the step
-/// being rebound first bound each slot: a repeated variable within one
-/// atom must come out kSame (row-vs-row equality), never kBound — the
-/// slot is only bound once the row is accepted, so a kBound read of
-/// env[slot] at match time would dereference an unengaged optional.
-/// Within-atom column order is fixed under reordering, so a compiled
-/// kSame arg re-derives the same classification here.
-bool RebindArg(ArgPat* p, std::vector<bool>* bound, bool may_bind,
-               int col = -1,
-               std::vector<std::pair<int, int>>* step_cols = nullptr) {
-  if (p->kind == ArgPat::Kind::kConst || p->kind == ArgPat::Kind::kWild) {
-    return true;
-  }
-  if (step_cols != nullptr) {
-    for (const auto& [s, c] : *step_cols) {
-      if (s == p->slot) {
-        p->kind = ArgPat::Kind::kSame;
-        p->same_col = c;
-        return true;
-      }
-    }
-  }
-  if ((*bound)[p->slot]) {
-    p->kind = ArgPat::Kind::kBound;
-    p->same_col = -1;
-    return true;
-  }
-  if (!may_bind) return false;
-  p->kind = ArgPat::Kind::kBind;
-  p->same_col = -1;
-  (*bound)[p->slot] = true;
-  if (step_cols != nullptr && col >= 0) {
-    step_cols->push_back({p->slot, col});
-  }
-  return true;
-}
-
-/// Copy `base` rebound for a position where exactly `bound` is bound,
-/// updating `bound` with the slots the step binds. `force_scan` turns a
-/// kLookup into a kScan over the same atom (its keys are not bound where
-/// it is placed) — sound because a functional relation scanned by
-/// pattern enumerates the same rows the lookup would. Occurrence numbers are
-/// preserved so semi-naïve views keep applying. Returns false when the
-/// step cannot run here (planner bug guard; Build keeps the compiled
-/// steps).
-bool RebindStep(const Step& base, std::vector<bool>* bound, bool force_scan,
-                Step* out) {
-  *out = base;
-  switch (out->kind) {
-    case Step::Kind::kScan: {
-      std::vector<std::pair<int, int>> step_cols;
-      for (size_t i = 0; i < out->args.size(); ++i) {
-        if (!RebindArg(&out->args[i], bound, /*may_bind=*/true,
-                       static_cast<int>(i), &step_cols)) {
-          return false;
-        }
-      }
-      return true;
-    }
-    case Step::Kind::kLookup: {
-      if (force_scan) {
-        out->kind = Step::Kind::kScan;
-        std::vector<std::pair<int, int>> step_cols;
-        for (size_t i = 0; i < out->args.size(); ++i) {
-          if (!RebindArg(&out->args[i], bound, /*may_bind=*/true,
-                         static_cast<int>(i), &step_cols)) {
-            return false;
-          }
-        }
-        return true;
-      }
-      for (size_t i = 0; i + 1 < out->args.size(); ++i) {
-        if (!RebindArg(&out->args[i], bound, /*may_bind=*/false)) {
-          return false;
-        }
-      }
-      return RebindArg(&out->args.back(), bound, /*may_bind=*/true);
-    }
-    case Step::Kind::kNegCheck:
-      for (ArgPat& p : out->args) {
-        if (!RebindArg(&p, bound, /*may_bind=*/false)) return false;
-      }
-      return true;
-    case Step::Kind::kCompare:
-      return ExprBound(*out->lhs, *bound) && ExprBound(*out->rhs, *bound);
-    case Step::Kind::kAssign:
-      if (!ExprBound(*out->rhs, *bound)) return false;
-      if ((*bound)[out->assign_slot]) {
-        // The target slot got bound by an earlier (reordered) step: the
-        // assignment degenerates to an equality filter.
-        auto lhs = std::make_shared<CExpr>();
-        lhs->kind = CExpr::Kind::kSlot;
-        lhs->slot = out->assign_slot;
-        out->kind = Step::Kind::kCompare;
-        out->cmp_op = datalog::CmpOp::kEq;
-        out->lhs = std::move(lhs);
-        out->assign_slot = -1;
-        return true;
-      }
-      (*bound)[out->assign_slot] = true;
-      return true;
-    case Step::Kind::kBuiltin: {
-      const int num_inputs = out->builtin->sig.num_inputs;
-      for (size_t i = 0; i < out->args.size(); ++i) {
-        const bool may_bind = static_cast<int>(i) >= num_inputs;
-        if (!RebindArg(&out->args[i], bound, may_bind)) return false;
-      }
-      return true;
-    }
-    case Step::Kind::kTypeCheck:
-      return RebindArg(&out->args[0], bound, /*may_bind=*/false);
-  }
-  return false;
-}
 
 const char* KindName(Step::Kind k) {
   switch (k) {
@@ -300,68 +103,30 @@ VariantPlan ExecPlanner::Build(const std::vector<Step>& base,
                                size_t num_slots, int occ,
                                std::vector<ExplainRow>* explain) const {
   VariantPlan plan;
-  const size_t n = base.size();
-  plan.steps.reserve(n);
-  std::vector<bool> placed(n, false);
   std::vector<bool> bound(num_slots, false);
-  bool in_order = true;  // every position so far holds its compiled step
-
-  while (plan.steps.size() < n) {
-    int pick = -1;
-    bool force_scan = false;
+  // Each scan candidate's latest estimate: a placed scan's is the one it
+  // won its position with.
+  std::vector<ExplainRow> scans(base.size());
+  auto estimate = [&](size_t i, const std::vector<bool>& b) {
+    ExplainRow& row = scans[i];
+    row.est = EstimateBound(base[i], b, &row.src, &row.distinct);
+    return row.est;
+  };
+  std::vector<BodyPlacement> placed;
+  if (!OrderBody(base, occ, estimate, &bound, &plan.steps, &placed)) {
+    return {};
+  }
+  bool in_order = true;  // every position holds its compiled step
+  for (size_t k = 0; k < placed.size(); ++k) {
+    in_order = in_order && placed[k].source == k;
+    if (explain == nullptr) continue;
+    // The delta is sized per round and not estimable here; filter, lookup
+    // and builtin positions have a fixed cost.
     ExplainRow row;
-    if (plan.steps.empty() && occ >= 0) {
-      // Delta atom first: the semi-naïve premise — the round's delta is
-      // the small side of every join in this variant.
-      for (size_t i = 0; i < n; ++i) {
-        if (base[i].occurrence == occ) {
-          pick = static_cast<int>(i);
-          // A lookup whose keys are already bound here (constants, or a
-          // zero-key singleton) stays one: kLookup iterates a delta view.
-          force_scan = base[i].kind == Step::Kind::kLookup &&
-                       !StepReady(base[i], bound);
-          row.est = -1.0;  // Δ: sized per round, not estimable here
-          break;
-        }
-      }
-      if (pick < 0) return {};
-    } else {
-      int pick_class = std::numeric_limits<int>::max();
-      for (size_t i = 0; i < n; ++i) {
-        if (placed[i]) continue;
-        const int cls = StepClass(base[i], bound);
-        if (cls < 6) {
-          if (!StepReady(base[i], bound)) continue;
-          if (cls < pick_class) {
-            pick_class = cls;
-            pick = static_cast<int>(i);
-            force_scan = false;
-            row = {};
-            row.est = 1.0;
-          }
-          continue;
-        }
-        ExplainRow cand;
-        cand.est = EstimateBound(base[i], bound, &cand.src, &cand.distinct);
-        if (cls < pick_class || (pick_class == 6 && cand.est < row.est)) {
-          pick_class = 6;
-          pick = static_cast<int>(i);
-          force_scan = base[i].kind == Step::Kind::kLookup;
-          row = cand;
-        }
-      }
-      if (pick < 0) return {};  // unreachable (see planner.h)
-    }
-
-    Step s;
-    if (!RebindStep(base[pick], &bound, force_scan, &s)) return {};
-    in_order = in_order && static_cast<size_t>(pick) == plan.steps.size();
-    plan.steps.push_back(std::move(s));
-    placed[pick] = true;
-    if (explain != nullptr) {
-      row.source = static_cast<size_t>(pick);
-      explain->push_back(row);
-    }
+    row.est = placed[k].cls < 0 ? -1.0 : 1.0;
+    if (placed[k].cls == kScanClass) row = scans[placed[k].source];
+    row.source = placed[k].source;
+    explain->push_back(row);
   }
 
   ComputeProbeInfo(catalog_, &plan.steps);

@@ -4,9 +4,11 @@
 // body the fixpoint runs goes through it. Per compiled rule it builds one
 // VariantPlan per semi-naïve occurrence variant, per negation-flip variant,
 // per head-bound variant (the delete path's proof search) and for the
-// full body (aggregate recomputes), reordering the compiled
-// steps greedily by estimated bound-cardinality. Plans are cached on the
-// rule's RulePlanCache and rebuilt when body-relation sizes drift past a
+// full body (aggregate recomputes), reordering the compiled steps with
+// OrderBody (engine/eval.h) — the one greedy pass that also gives the
+// compiled order, here ranking scans by estimated bound-cardinality
+// instead of bound-argument count. Plans are cached on the rule's
+// RulePlanCache and rebuilt when body-relation sizes drift past a
 // threshold, so long fixpoints replan as relations grow.
 //
 // Cost model. Statistics come from Relation's online counters: total rows
@@ -17,11 +19,11 @@
 // round's delta, the semi-naïve premise), filters/lookups/negations/
 // builtins run as early as their bindings allow, and remaining scans go
 // ascending by estimate. Reordering is a pure enumeration-order change —
-// RebindStep recomputes each argument's bound/bind pattern for the new
-// position — so a plan enumerates exactly the bindings of the compiled
-// order. Each probe keeps the strategy its mask fixes (ComputeProbeInfo),
-// except that a probe expected to match a quarter or more of its relation
-// becomes a full scan.
+// OrderBody rebinds each step for its new position by the rule the
+// compiler binds with — so a plan enumerates exactly the bindings of the
+// compiled order. Each probe keeps the strategy its mask fixes
+// (ComputeProbeInfo), except that a probe expected to match a quarter or
+// more of its relation becomes a full scan.
 //
 // What a plan stores. Only what execution reads: the planned steps, the
 // relation sizes the drift check compares against, and a build count. A
@@ -101,12 +103,12 @@ class ExecPlanner {
   const std::vector<Step>& PlanSlot(const CompiledRule& rule, size_t slot,
                                     const std::vector<Step>& base, int occ);
 
-  /// Greedy bound-cardinality ordering of `base` (a rule's compiled or
-  /// flip steps) for one variant, occurrence `occ` first (kFullBody: no
-  /// forced step). The plan's steps are left empty when they equal `base`,
-  /// or when a step cannot be rebound (defensive: that plan records no
-  /// relation sizes, so it is never rebuilt). `explain`, when set,
-  /// receives one row per position.
+  /// OrderBody over `base` (a rule's compiled, flip or head-bound steps)
+  /// for one variant, occurrence `occ` first (kFullBody: no forced step),
+  /// scans by EstimateBound. The plan's steps are left empty when they
+  /// equal `base`, or when a step cannot be placed (defensive: that plan
+  /// records no relation sizes, so it is never rebuilt). `explain`, when
+  /// set, receives one row per position.
   VariantPlan Build(const std::vector<Step>& base, size_t num_slots, int occ,
                     std::vector<ExplainRow>* explain) const;
 

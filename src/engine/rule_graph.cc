@@ -33,66 +33,15 @@ std::vector<std::pair<PredId, bool>> BodyPreds(const CompiledRule& r) {
   return out;
 }
 
-// Tarjan SCC over predicate ids (stratification).
-class PredScc {
- public:
-  explicit PredScc(const std::map<PredId, std::set<PredId>>& edges)
-      : edges_(edges) {
-    for (const auto& [n, _] : edges_) {
-      if (!index_.count(n)) Visit(n);
-    }
-  }
-
-  int ComponentOf(PredId n) const {
-    auto it = comp_.find(n);
-    return it == comp_.end() ? -1 : it->second;
-  }
-  int num_components() const { return num_comps_; }
-
- private:
-  void Visit(PredId n) {
-    index_[n] = low_[n] = counter_++;
-    stack_.push_back(n);
-    on_stack_.insert(n);
-    auto it = edges_.find(n);
-    if (it != edges_.end()) {
-      for (PredId m : it->second) {
-        if (!index_.count(m)) {
-          Visit(m);
-          low_[n] = std::min(low_[n], low_[m]);
-        } else if (on_stack_.count(m)) {
-          low_[n] = std::min(low_[n], index_[m]);
-        }
-      }
-    }
-    if (low_[n] == index_[n]) {
-      while (true) {
-        PredId m = stack_.back();
-        stack_.pop_back();
-        on_stack_.erase(m);
-        comp_[m] = num_comps_;
-        if (m == n) break;
-      }
-      ++num_comps_;
-    }
-  }
-
-  const std::map<PredId, std::set<PredId>>& edges_;
-  std::unordered_map<PredId, int> index_, low_, comp_;
-  std::vector<PredId> stack_;
-  std::unordered_set<PredId> on_stack_;
-  int counter_ = 0;
-  int num_comps_ = 0;
-};
-
-// Tarjan SCC over rule indices. Components are emitted consumers-first
+// Tarjan SCC over dense node indices — predicate ids (stratification) or
+// rule indices (rule groups). Components are emitted consumers-first
 // (reverse topological order of the condensation).
-class RuleScc {
+class Scc {
  public:
-  explicit RuleScc(const std::vector<std::vector<size_t>>& feeds)
-      : feeds_(feeds), index_(feeds.size(), -1), low_(feeds.size(), 0),
-        comp_(feeds.size(), -1), on_stack_(feeds.size(), false) {
-    for (size_t n = 0; n < feeds.size(); ++n) {
+  explicit Scc(const std::vector<std::vector<size_t>>& edges)
+      : edges_(edges), index_(edges.size(), -1), low_(edges.size(), 0),
+        comp_(edges.size(), -1), on_stack_(edges.size(), false) {
+    for (size_t n = 0; n < edges.size(); ++n) {
       if (index_[n] < 0) Visit(n);
     }
   }
@@ -105,7 +54,7 @@ class RuleScc {
     index_[n] = low_[n] = counter_++;
     stack_.push_back(n);
     on_stack_[n] = true;
-    for (size_t m : feeds_[n]) {
+    for (size_t m : edges_[n]) {
       if (index_[m] < 0) {
         Visit(m);
         low_[n] = std::min(low_[n], low_[m]);
@@ -125,7 +74,7 @@ class RuleScc {
     }
   }
 
-  const std::vector<std::vector<size_t>>& feeds_;
+  const std::vector<std::vector<size_t>>& edges_;
   std::vector<int> index_, low_, comp_;
   std::vector<bool> on_stack_;
   std::vector<size_t> stack_;
@@ -139,8 +88,9 @@ Result<std::vector<int>> Stratify(const std::vector<CompiledRule*>& rules,
                                   const datalog::Catalog& catalog,
                                   std::vector<bool>* lattice_flags,
                                   bool allow_unstratified_negation) {
-  // Dependency edges head -> body pred, with negation/aggregation marked.
-  std::map<PredId, std::set<PredId>> edges;
+  // Dependency edges head -> body pred, indexed by predicate id, with
+  // negation/aggregation marked.
+  std::vector<std::vector<size_t>> edges(catalog.num_predicates());
   struct MarkedEdge {
     PredId from, to;
     const CompiledRule* rule;
@@ -149,18 +99,20 @@ Result<std::vector<int>> Stratify(const std::vector<CompiledRule*>& rules,
 
   for (const CompiledRule* r : rules) {
     for (PredId h : HeadPreds(*r)) {
-      edges[h];  // ensure node
       for (const auto& [b, negated] : BodyPreds(*r)) {
-        edges[h].insert(b);
-        edges[b];  // ensure node
+        edges[h].push_back(b);
         if (negated || r->agg.has_value()) {
           negative_edges.push_back({h, b, r});
         }
       }
     }
   }
+  for (std::vector<size_t>& tos : edges) {
+    std::sort(tos.begin(), tos.end());
+    tos.erase(std::unique(tos.begin(), tos.end()), tos.end());
+  }
 
-  PredScc scc(edges);
+  Scc scc(edges);
 
   // Longest-path levels over the condensation: positive edges weight 0,
   // negative/aggregate edges weight 1. Iterate to fixpoint (few preds).
@@ -170,9 +122,9 @@ Result<std::vector<int>> Stratify(const std::vector<CompiledRule*>& rules,
   while (changed) {
     changed = false;
     if (++guard > scc.num_components() + 2) break;  // cycles handled below
-    for (const auto& [from, tos] : edges) {
+    for (size_t from = 0; from < edges.size(); ++from) {
       int cf = scc.ComponentOf(from);
-      for (PredId to : tos) {
+      for (size_t to : edges[from]) {
         int ct = scc.ComponentOf(to);
         if (cf == ct) continue;
         if (level[cf] < level[ct]) {
@@ -282,7 +234,7 @@ Result<RuleGraph> RuleGraph::Build(const std::vector<CompiledRule*>& rules,
     feeds[i].assign(outs.begin(), outs.end());
   }
 
-  RuleScc scc(feeds);
+  Scc scc(feeds);
   // Tarjan emits components consumers-first; flip ids so ascending group id
   // is a producers-first topological order.
   int num = scc.num_components();

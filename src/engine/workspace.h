@@ -242,10 +242,13 @@ class Workspace : public RelationStore, private FixpointHost {
   /// Dependency structure of the installed rules (rebuilt per Install).
   const RuleGraph& rule_graph() const { return rule_graph_; }
 
-  /// Installed compiled rules (planner tests inspect compiled step order
-  /// and plan caches).
+  /// Installed compiled rules and runtime constraints (planner tests
+  /// inspect compiled step order and plan caches).
   const std::vector<CompiledRule>& compiled_rules() const {
     return compiled_rules_;
+  }
+  const std::vector<CompiledConstraint>& compiled_constraints() const {
+    return compiled_constraints_;
   }
 
   /// Installed source rules, index-aligned with rule_graph() (placement

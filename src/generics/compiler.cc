@@ -376,9 +376,9 @@ class CompilerImpl {
         bool found = false;
         Status st = Enumerate(gc.rhs, 0, probe, [&](const Binding&) -> Status {
           found = true;
-          return Status(StatusCode::kInternal, "__found__");
+          return Status(StatusCode::kInternal, "");  // stop at the first
         });
-        if (!st.ok() && st.message() != "__found__") return st;
+        if (!found && !st.ok()) return st;
         if (!found) {
           std::string binding;
           for (const auto& [k, v] : b) {

@@ -1,6 +1,9 @@
 // Status/Result, byte reader/writer, hex, strings, and PRNG determinism.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/bytes.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -30,6 +33,53 @@ TEST(StatusTest, AllFactoriesProduceDistinctCodes) {
   EXPECT_EQ(Status::TransactionAborted("x").code(),
             StatusCode::kTransactionAborted);
   EXPECT_EQ(Status::CryptoError("x").code(), StatusCode::kCryptoError);
+}
+
+TEST(StatusTest, CopiesMovesAndEqualityKeepCodeAndMessage) {
+  const Status ok;
+  const Status err = Status::NotFound("no such key");
+  // Copies are independent equal values.
+  Status ok_copy = ok;
+  Status err_copy = err;
+  EXPECT_TRUE(ok_copy.ok());
+  EXPECT_EQ(ok_copy, ok);
+  EXPECT_EQ(err_copy, err);
+  EXPECT_EQ(err_copy.message(), "no such key");
+  EXPECT_NE(&err_copy.message(), &err.message());
+  // Moves carry the code and message over.
+  Status err_moved = std::move(err_copy);
+  EXPECT_EQ(err_moved.code(), StatusCode::kNotFound);
+  EXPECT_EQ(err_moved.ToString(), "NotFound: no such key");
+  Status ok_moved = std::move(ok_copy);
+  EXPECT_TRUE(ok_moved.ok());
+  // Assignment both ways, and self-assignment.
+  Status s = err;
+  s = ok;
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(s.message(), "");
+  s = err;
+  const Status& alias = s;
+  s = alias;
+  EXPECT_EQ(s, err);
+  s = Status::OK();
+  EXPECT_EQ(s, ok);
+  // Equality compares code and message.
+  EXPECT_FALSE(ok == err);
+  EXPECT_FALSE(err == Status::NotFound("other key"));
+  EXPECT_FALSE(err == Status::Internal("no such key"));
+  EXPECT_EQ(Status::Internal(""), Status(StatusCode::kInternal, ""));
+  EXPECT_EQ(Status::Internal("").message(), "");
+  EXPECT_FALSE(Status::Internal("").ok());
+  // An OK Result and an error Result copy and move alike.
+  Result<std::string> good = std::string("v");
+  Result<std::string> good_copy = good;
+  EXPECT_TRUE(good_copy.ok());
+  EXPECT_TRUE(good_copy.status().ok());
+  EXPECT_EQ(*good_copy, "v");
+  Result<std::string> bad = Status::TypeError("bad");
+  Result<std::string> bad_moved = std::move(bad);
+  EXPECT_FALSE(bad_moved.ok());
+  EXPECT_EQ(bad_moved.status(), Status::TypeError("bad"));
 }
 
 Result<int> ParsePositive(int v) {

@@ -260,6 +260,36 @@ TEST(WorkspaceTest, RepeatedVariableInBodyAtomMatchesDiagonal) {
       ws.ContainsFact("pair", {Value::Str("c"), Value::Str("c")}).value());
 }
 
+TEST(WorkspaceTest, RepeatedVariableInConstraintLhsMatchesDiagonal) {
+  // A constraint whose left side repeats a variable within one atom binds
+  // like a rule body: the second X compares the candidate row with its own
+  // first column (kSame), so only self-loops need a vip.
+  Workspace ws;
+  Install(&ws, R"(
+    node(X) -> .
+    vip(X) -> node(X).
+    link(X, Y) -> node(X), node(Y).
+    link(X, X) -> vip(X).
+  )");
+  // Off-diagonal links commit without a vip.
+  ASSERT_TRUE(ws.Apply({{"link", {Value::Str("a"), Value::Str("b")}},
+                        {"link", {Value::Str("b"), Value::Str("a")}}})
+                  .ok());
+  // A self-loop without a vip rolls back, with the rest of its batch.
+  auto commit = ws.Apply({{"link", {Value::Str("c"), Value::Str("d")}},
+                          {"link", {Value::Str("c"), Value::Str("c")}}});
+  EXPECT_FALSE(commit.ok());
+  EXPECT_EQ(commit.status().code(), StatusCode::kConstraintViolation);
+  EXPECT_EQ(QuerySet(ws, "link").size(), 2u);
+  EXPECT_FALSE(
+      ws.ContainsFact("link", {Value::Str("c"), Value::Str("c")}).value());
+  // With the vip, the self-loop commits.
+  ASSERT_TRUE(ws.Apply({{"vip", {Value::Str("c")}},
+                        {"link", {Value::Str("c"), Value::Str("c")}}})
+                  .ok());
+  EXPECT_EQ(QuerySet(ws, "link").size(), 3u);
+}
+
 TEST(WorkspaceTest, RolledBackTxnLeavesColumnarDictionariesClean) {
   // Audit pin for dictionary refcount hygiene across transaction
   // rollback: the undo log erases every tuple the aborted transaction

@@ -727,6 +727,49 @@ TEST(PlannerTest, PlannedVariantsEnumerateCompiledBindings) {
   EXPECT_GT(copied, 0u);
 }
 
+// Runtime constraints in the shapes the compiler binds: a variable repeated
+// within one lhs atom (kSame), an lhs lookup feeding an assignment, and
+// rhs bodies that read lhs bindings, assign, and probe a wildcard negation.
+constexpr const char* kConstraintProgram = R"(
+  pair(X, Y) -> string(X), string(Y).
+  tag(X) -> string(X).
+  val[X] = V -> string(X), int(V).
+  num(X, N) -> string(X), int(N).
+  pair(X, X) -> tag(X).
+  val[X] = V, M = V + 1 -> num(X, M).
+  num(X, N) -> tag(X), !pair(X, _), M = N * 2, M >= 0.
+)";
+
+TEST(PlannerTest, CompiledBodiesBindInOrder) {
+  size_t bodies = 0;
+  size_t constraints = 0;
+  for (const char* program : {kNegationProgram, kRecursiveProgram,
+                              kLatticeProgram, kRebindProgram,
+                              kConstraintProgram}) {
+    Workspace ws;
+    Install(&ws, program);
+    for (const CompiledRule& rule : ws.compiled_rules()) {
+      SCOPED_TRACE(rule.source.ToString());
+      ASSERT_TRUE(BindsInOrder(rule.steps, rule.num_slots));
+      for (const std::vector<Step>& flip : rule.flip_steps) {
+        ASSERT_TRUE(BindsInOrder(flip, rule.num_slots));
+      }
+      ++bodies;
+    }
+    for (const CompiledConstraint& c : ws.compiled_constraints()) {
+      SCOPED_TRACE(c.source.ToString());
+      ASSERT_TRUE(BindsInOrder(c.lhs_steps, c.num_slots));
+      // The rhs runs with the lhs bindings in scope.
+      std::vector<Step> both = c.lhs_steps;
+      both.insert(both.end(), c.rhs_steps.begin(), c.rhs_steps.end());
+      ASSERT_TRUE(BindsInOrder(both, c.num_slots));
+      ++constraints;
+    }
+  }
+  EXPECT_GT(bodies, 0u);
+  EXPECT_EQ(constraints, 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Cache-friendliness: no per-call allocation in steady state.
 // ---------------------------------------------------------------------------
